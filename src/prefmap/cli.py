@@ -201,9 +201,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if isinstance(matrix, PositionMatrix):
         election = election_from_position_matrix(matrix)
     else:
-        if args.n is None:
+        n = args.n
+        if n is None and matrix.denominator == 1:
+            n = 1  # a 0/1 permutation matrix is exactly one vote
+        if n is None:
             raise UsageError("recover: a frequency matrix needs --n voters")
-        election = election_from_frequency_matrix(matrix, args.n)
+        election = election_from_frequency_matrix(matrix, n)
     ingest.serialize_election(
         election, args.out, comments=[f"recovered from {os.path.basename(args.matrix)}"]
     )
@@ -291,10 +294,16 @@ def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
     header = lines[0].split(",")
     if header and header[0] == "id":
         labels = header[1:]
-        rows = []
+        index = {label: k for k, label in enumerate(labels)}
+        by_index: dict[int, list[float]] = {}
         for ln in lines[1:]:
-            cells = ln.split(",")
-            rows.append([float(c) for c in cells[1:]])
+            label, *cells = ln.split(",")
+            if label not in index:
+                raise ValueError(f"{path}: row label {label!r} is not in the header")
+            if index[label] in by_index:
+                raise ValueError(f"{path}: row label {label!r} is repeated")
+            by_index[index[label]] = [float(c) for c in cells]
+        rows = [by_index[k] for k in sorted(by_index)]
     else:
         labels = [str(i) for i in range(len(lines))]
         rows = [[float(c) for c in ln.split(",")] for ln in lines]
@@ -446,7 +455,6 @@ _CONFIG_KEYS = {
     "scale": int,
     "samples": int,
     "grid_step": float,
-    "grid-step": float,
     "m": int,
     "n": int,
     "alpha": float,
@@ -474,11 +482,10 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
                 raise ValueError(f"{args.config} line {lineno}: expected key=value")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{args.config} line {lineno}: unknown key {key!r}")
-            dest = key.replace("-", "_")
-            if dest in explicit:
+            if key in explicit:
                 continue  # explicit flags win
-            if hasattr(args, dest):
-                setattr(args, dest, _CONFIG_KEYS[key](value))
+            if hasattr(args, key):
+                setattr(args, key, _CONFIG_KEYS[key](value))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -506,3 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

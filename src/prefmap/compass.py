@@ -13,13 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .core import FrequencyMatrix
-from .metric import normalization_constant
+from .core import FrequencyMatrix, PositionMatrix, frequency_from_position
 
 CORNER_KINDS = ("ID", "UN", "ST", "AN")
 KINDS = CORNER_KINDS + ("rID",)
+
+# Each named matrix is 0/1 counts over their common line sum: ID and rID
+# over 1, UN over m, ST over m/2 and AN over 2.
+_SUPPORT = {
+    "ID": lambda m, i, j: i == j,
+    "rID": lambda m, i, j: i == m - 1 - j,
+    "UN": lambda m, i, j: True,
+    "ST": lambda m, i, j: (i < m // 2) == (j < m // 2),
+    "AN": lambda m, i, j: i == j or i == m - 1 - j,
+}
 
 # Canonical pair order for paths and tables.
 CORNER_PAIRS = (
@@ -59,35 +67,11 @@ def compass_matrix(kind: str, m: int) -> CompassMatrix:
         raise ValueError(f"unknown compass kind {kind!r}, expected one of {KINDS}")
     if m < 1:
         raise ValueError("m must be positive")
-    zero = Fraction(0)
-    if kind == "ID":
-        rows = [[Fraction(1) if i == j else zero for j in range(m)] for i in range(m)]
-    elif kind == "rID":
-        rows = [
-            [Fraction(1) if i == m - 1 - j else zero for j in range(m)]
-            for i in range(m)
-        ]
-    elif kind == "UN":
-        cell = Fraction(1, m)
-        rows = [[cell] * m for _ in range(m)]
-    elif kind == "ST":
-        if m % 2:
-            raise ValueError("ST requires an even number of candidates")
-        half = m // 2
-        cell = Fraction(2, m)
-        rows = [
-            [cell if (i < half) == (j < half) else zero for j in range(m)]
-            for i in range(m)
-        ]
-    else:  # AN
-        if m % 2:
-            raise ValueError("AN requires an even number of candidates")
-        half_val = Fraction(1, 2)
-        rows = [
-            [half_val if (i == j or i == m - 1 - j) else zero for j in range(m)]
-            for i in range(m)
-        ]
-    return CompassMatrix(kind, m, FrequencyMatrix(tuple(tuple(r) for r in rows)))
+    if kind in ("ST", "AN") and m % 2:
+        raise ValueError(f"{kind} requires an even number of candidates")
+    support = _SUPPORT[kind]
+    counts = [[int(support(m, i, j)) for j in range(m)] for i in range(m)]
+    return CompassMatrix(kind, m, frequency_from_position(PositionMatrix(counts)))
 
 
 def closed_form_distance(a: str, b: str, m: int) -> Fraction:
@@ -120,24 +104,6 @@ def normalized_limit(a: str, b: str) -> Fraction:
     return _NORMALIZED_LIMITS[frozenset((a, b))]
 
 
-@dataclass(frozen=True)
-class CompassNorms:
-    """Normalization constant and anchor-distance limits for a given m."""
-
-    m: int
-    normalization: Fraction
-    limits: Mapping[frozenset[str], Fraction]
-
-    @classmethod
-    def for_m(cls, m: int) -> "CompassNorms":
-        if m < 2:
-            raise ValueError("compass norms need at least two candidates")
-        return cls(m, normalization_constant(m), dict(_NORMALIZED_LIMITS))
-
-    def limit(self, a: str, b: str) -> Fraction:
-        return normalized_limit(a, b)
-
-
 def convex_combination(
     x: FrequencyMatrix, y: FrequencyMatrix, alpha: Fraction
 ) -> FrequencyMatrix:
@@ -147,12 +113,15 @@ def convex_combination(
         raise ValueError("alpha must lie in [0, 1]")
     if x.m != y.m:
         raise ValueError("matrices must have equal size")
-    beta = 1 - alpha
-    rows = tuple(
-        tuple(alpha * a + beta * b for a, b in zip(rx, ry))
-        for rx, ry in zip(x.entries, y.entries)
-    )
-    return FrequencyMatrix(rows)
+    # alpha = p/q: the counts over q * lcm(Dx, Dy) sum to it on every line
+    p, q = alpha.numerator, alpha.denominator
+    scale = math.lcm(x.denominator, y.denominator)
+    wx = p * (scale // x.denominator)
+    wy = (q - p) * (scale // y.denominator)
+    counts = [
+        [wx * a + wy * b for a, b in zip(rx, ry)] for rx, ry in zip(x.counts, y.counts)
+    ]
+    return frequency_from_position(PositionMatrix(counts))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ An election is a multiset of strict rankings over a common candidate set.
 Its position matrix counts, for every rank position, how many voters put
 each candidate there; dividing by the number of voters gives the
 bistochastic frequency matrix that the rest of the package works with.
-All matrix arithmetic is exact (integers and `fractions.Fraction`).
+Both are integer matrices: a frequency matrix keeps its counts over one
+common denominator in lowest terms, so all matrix arithmetic is exact
+integer arithmetic and `fractions.Fraction` appears only at the edges.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Candidate = Hashable
 # A vote is a permutation of candidate indices: vote[i] is the candidate
 # placed at rank i (rank 0 is the top).
 Vote = tuple[int, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,71 +88,95 @@ class Election:
         return c
 
 
+def _line_total(
+    entries: Iterable[Iterable[int]], what: str, unit: int = 1
+) -> tuple[IntRows, int]:
+    """Validate a nonempty square matrix of nonnegative integers whose rows
+    and columns all share one positive sum; return the rows and that sum.
+    Messages report sums divided by ``unit``, the matrix's denominator."""
+    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    m = len(rows)
+    if m < 1:
+        raise ValueError(f"{what} must be nonempty")
+    for row in rows:
+        if len(row) != m:
+            raise ValueError(f"{what} must be square")
+        if min(row) < 0:
+            raise ValueError(f"{what} entries must be nonnegative")
+    total = sum(rows[0])
+    for i, row in enumerate(rows):
+        if sum(row) != total:
+            raise ValueError(
+                f"{what} row {i} sums to {Fraction(sum(row), unit)}, "
+                f"expected {Fraction(total, unit)}"
+            )
+    for j, col in enumerate(zip(*rows)):
+        if sum(col) != total:
+            raise ValueError(
+                f"{what} column {j} sums to {Fraction(sum(col), unit)}, "
+                f"expected {Fraction(total, unit)}"
+            )
+    if total < 1:
+        raise ValueError(f"{what} lines must have a positive sum")
+    return rows, total
+
+
 @dataclass(frozen=True)
 class PositionMatrix:
     """Square integer matrix: entry (i, j) counts voters ranking candidate j
     at position i.  Every row and every column sums to the voter count n."""
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: IntRows
     m: int = field(init=False)
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows, n = _line_total(self.entries, "position matrix")
         object.__setattr__(self, "entries", rows)
-        m = len(rows)
-        if m < 1:
-            raise ValueError("position matrix must be nonempty")
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("position matrix must be square")
-            for x in row:
-                if x < 0:
-                    raise ValueError("position matrix entries must be nonnegative")
-        n = sum(rows[0])
-        for i, row in enumerate(rows):
-            if sum(row) != n:
-                raise ValueError(f"row {i} sums to {sum(row)}, expected {n}")
-        for j in range(m):
-            col = sum(rows[i][j] for i in range(m))
-            if col != n:
-                raise ValueError(f"column {j} sums to {col}, expected {n}")
-        if n < 1:
-            raise ValueError("position matrix must describe at least one voter")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrequencyMatrix:
     """Square bistochastic matrix of exact rationals: entry (i, j) is the
-    fraction of voters ranking candidate j at position i."""
+    fraction of voters ranking candidate j at position i.
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    m: int = field(init=False)
+    Stored as ``counts[i][j] / denominator`` in lowest terms: the counts
+    are nonnegative integers whose rows and columns all sum to the
+    denominator, and no integer above 1 divides all of them and the
+    denominator.  The form is canonical, so equality and hashing compare
+    the stored integers.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        m = len(rows)
-        if m < 1:
-            raise ValueError("frequency matrix must be nonempty")
-        one = Fraction(1)
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError("frequency matrix must be square")
-            for x in row:
-                if x < 0 or x > 1:
-                    raise ValueError("frequency matrix entries must lie in [0, 1]")
-            if sum(row) != one:
-                raise ValueError(f"row {i} must sum to 1 exactly")
-        for j in range(m):
-            if sum(rows[i][j] for i in range(m)) != one:
-                raise ValueError(f"column {j} must sum to 1 exactly")
-        object.__setattr__(self, "m", m)
+    counts: IntRows
+    denominator: int
+
+    def __init__(self, entries: Iterable[Iterable[Fraction | int]]) -> None:
+        """Build from rows of exact rationals; every line must sum to 1."""
+        rows = [[Fraction(x) for x in row] for row in entries]
+        d = lcm(*(x.denominator for row in rows for x in row))
+        counts, total = _line_total(
+            ([x.numerator * (d // x.denominator) for x in row] for row in rows),
+            "frequency matrix",
+            d,
+        )
+        if total != d:
+            raise ValueError("frequency matrix lines must sum to 1 exactly")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", d)
+
+    @property
+    def m(self) -> int:
+        return len(self.counts)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        d = self.denominator
+        return tuple(tuple(Fraction(c, d) for c in row) for row in self.counts)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple(Fraction(row[j], self.denominator) for row in self.counts)
 
 
 def position_matrix(election: Election) -> PositionMatrix:
@@ -167,10 +195,14 @@ def frequency_matrix(election: Election) -> FrequencyMatrix:
 
 
 def frequency_from_position(pos: PositionMatrix) -> FrequencyMatrix:
-    n = pos.n
-    return FrequencyMatrix(
-        tuple(tuple(Fraction(x, n) for x in row) for row in pos.entries)
-    )
+    """``pos / pos.n`` in lowest terms.  Any validated position matrix, of
+    voters or of cleared denominators, gives a frequency matrix this way."""
+    g = gcd(pos.n, *(c for row in pos.entries for c in row))
+    freq = object.__new__(FrequencyMatrix)
+    counts = tuple(tuple(c // g for c in row) for row in pos.entries)
+    object.__setattr__(freq, "counts", counts)
+    object.__setattr__(freq, "denominator", pos.n // g)
+    return freq
 
 
 def borda_scores(election: Election) -> dict[Candidate, int]:

@@ -31,7 +31,7 @@ def parse_rational(token: str) -> Fraction:
 def write_matrix_csv(matrix: Matrix, path: str | os.PathLike[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in matrix.entries:
-            fh.write(",".join(format_rational(Fraction(x)) for x in row))
+            fh.write(",".join(format_rational(x) for x in row))
             fh.write("\n")
 
 
@@ -39,7 +39,9 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
     """Parse a matrix CSV, auto-detecting its kind by row sums.
 
     Rows summing to 1 give a FrequencyMatrix; integer entries with larger
-    equal row sums give a PositionMatrix.  Anything else is rejected.
+    equal row sums give a PositionMatrix.  Anything else is rejected.  A 0/1
+    permutation matrix is both; it reads as a FrequencyMatrix with
+    denominator 1.
     """
     rows: list[list[Fraction]] = []
     with open(path, "r", encoding="utf-8") as fh:

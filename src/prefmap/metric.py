@@ -3,18 +3,20 @@
 The distance between two columns (distributions over rank positions) is
 the earth mover's distance on the line, computed exactly by prefix sums.
 The distance between two matrices is the cheapest way to match their
-columns, found by an exact assignment solver.  Everything stays in
-integer arithmetic after clearing denominators, so results are exact
-rationals.
+columns, found by an exact assignment solver.  Both matrices are brought
+to the least common multiple of their denominators, so the prefix sums
+and the cost matrix are integers (int64 when they fit, Python integers
+otherwise) and the result is an exact rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from .core import Election, FrequencyMatrix, frequency_matrix
 
@@ -53,34 +55,6 @@ def emd(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
         cy += b
         total += abs(cx - cy)
     return total
-
-
-@lru_cache(maxsize=4096)
-def _denominator_lcm(matrix: FrequencyMatrix) -> int:
-    out = 1
-    for row in matrix.entries:
-        for v in row:
-            out = lcm(out, v.denominator)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _prefix_columns(matrix: FrequencyMatrix, scale: int) -> tuple[tuple[int, ...], ...]:
-    """Columns of scale * matrix, prefix-summed down the positions.
-
-    ``scale`` must clear every denominator, so the results are integers.
-    """
-    m = matrix.m
-    cols: list[tuple[int, ...]] = []
-    for j in range(m):
-        running = 0
-        pref: list[int] = []
-        for i in range(m):
-            v = matrix.entries[i][j]
-            running += v.numerator * scale // v.denominator
-            pref.append(running)
-        cols.append(tuple(pref))
-    return tuple(cols)
 
 
 def _assignment_lex(cost: list[list[int]]) -> tuple[int, list[int]]:
@@ -153,15 +127,20 @@ def positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
     per-column earth mover's distances."""
     if x.m != y.m:
         raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
-    scale = lcm(_denominator_lcm(x), _denominator_lcm(y))
-    px = _prefix_columns(x, scale)
-    py = _prefix_columns(y, scale)
     m = x.m
-    cost = [
-        [sum(abs(a - b) for a, b in zip(px[i], py[j])) for j in range(m)]
-        for i in range(m)
-    ]
-    total, assignment = _assignment_lex(cost)
+    scale = lcm(x.denominator, y.denominator)
+    # Prefix sums lie in [0, scale], so a cost entry is at most m * scale;
+    # past int64 the arithmetic moves to Python integers.
+    dtype = np.int64 if m * scale < 2**62 else object
+    # columns of scale * matrix, prefix-summed down the positions
+    px, py = (
+        np.cumsum(np.array(z.counts, dtype=dtype) * (scale // z.denominator), axis=0)
+        for z in (x, y)
+    )
+    # cost[i][j] = sum over positions of |px[:, i] - py[:, j]|
+    cost = np.abs(px[:, :, None] - py[:, None, :]).sum(axis=0)
+    # _assignment_lex scales costs by base**m, beyond int64 from m ~ 20 on
+    total, assignment = _assignment_lex(cost.tolist())
     return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 

@@ -15,8 +15,6 @@ minimal (every entry stays within 1 of n*x).
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from math import lcm
 
 from .core import Election, FrequencyMatrix, PositionMatrix
 
@@ -169,33 +167,22 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     if n < 1:
         raise ValueError("voter count must be positive")
     m = x.m
-    scaled = [[n * v for v in row] for row in x.entries]
-    floor = [[v.numerator // v.denominator for v in row] for row in scaled]
-    frac = [[scaled[i][j] - floor[i][j] for j in range(m)] for i in range(m)]
+    d = x.denominator
+    floor = [[n * c // d for c in row] for row in x.counts]
+    # d times the fractional part of n * x(i, j)
+    frac = [[n * c % d for c in row] for row in x.counts]
 
     # Missing mass per row/column is integral because lines of n*x sum to n.
-    row_need = []
-    for i in range(m):
-        s = sum(frac[i])
-        assert s.denominator == 1
-        row_need.append(int(s))
-    col_need = []
-    for j in range(m):
-        s = sum(frac[i][j] for i in range(m))
-        assert s.denominator == 1
-        col_need.append(int(s))
+    row_need = [sum(row) // d for row in frac]
+    col_need = [sum(col) // d for col in zip(*frac)]
     total_need = sum(row_need)
     if total_need == 0:
         return PositionMatrix(tuple(tuple(row) for row in floor))
 
-    scale = 1
-    for row in frac:
-        for v in row:
-            scale = lcm(scale, v.denominator)
     # Choosing entry (i, j) changes the deviation by (1 - y) - y for
-    # fractional part y.  Scaled by ``scale`` and shifted by +scale per
-    # unit (each unit crosses exactly one entry arc) the costs become
-    # nonnegative: 2*scale - 2*y_int.
+    # fractional part y.  Scaled by d and shifted by +d per unit (each
+    # unit crosses exactly one entry arc) the costs become nonnegative:
+    # 2*d - 2*d*y.
     src = 0
     chain = lambda i, j: 1 + i * m + j
     col_node = lambda j: 1 + m * m + j
@@ -208,9 +195,8 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
         for j in range(m):
             if j + 1 < m:
                 net.add_edge(chain(i, j), chain(i, j + 1), row_need[i], 0)
-            y_int = frac[i][j].numerator * scale // frac[i][j].denominator
             entry_edges[(i, j)] = net.add_edge(
-                chain(i, j), col_node(j), 1, 2 * scale - 2 * y_int
+                chain(i, j), col_node(j), 1, 2 * d - 2 * frac[i][j]
             )
     for j in range(m):
         if col_need[j] > 0:

@@ -3,7 +3,9 @@
 Everything here is deliberately written along a different algorithmic
 route than the library: greedy transport instead of prefix sums,
 exhaustive search instead of combinatorial optimization, full enumeration
-instead of recurrences.
+instead of recurrences.  ``fraction_positionwise`` is the one exception:
+it is the library's earlier positionwise distance over tuples of
+``Fraction``s, kept as the reference for the integer implementation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterator, Sequence
+
+from prefmap.core import FrequencyMatrix
+from prefmap.metric import DistanceRecord, _assignment_lex
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -50,6 +57,52 @@ def brute_force_assignment(cost: Sequence[Sequence]) -> tuple[object, tuple[int,
             best_perm = perm
     assert best_perm is not None
     return best_val, best_perm
+
+
+@lru_cache(maxsize=4096)
+def _denominator_lcm(matrix: FrequencyMatrix) -> int:
+    out = 1
+    for row in matrix.entries:
+        for v in row:
+            out = lcm(out, v.denominator)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _prefix_columns(matrix: FrequencyMatrix, scale: int) -> tuple[tuple[int, ...], ...]:
+    """Columns of scale * matrix, prefix-summed down the positions.
+
+    ``scale`` must clear every denominator, so the results are integers.
+    """
+    m = matrix.m
+    entries = matrix.entries
+    cols: list[tuple[int, ...]] = []
+    for j in range(m):
+        running = 0
+        pref: list[int] = []
+        for i in range(m):
+            v = entries[i][j]
+            running += v.numerator * scale // v.denominator
+            pref.append(running)
+        cols.append(tuple(pref))
+    return tuple(cols)
+
+
+def fraction_positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
+    """Positionwise distance from the matrices' ``Fraction`` entries, with
+    per-column prefix sums in Python integers and the library's solver."""
+    if x.m != y.m:
+        raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
+    scale = lcm(_denominator_lcm(x), _denominator_lcm(y))
+    px = _prefix_columns(x, scale)
+    py = _prefix_columns(y, scale)
+    m = x.m
+    cost = [
+        [sum(abs(a - b) for a, b in zip(px[i], py[j])) for j in range(m)]
+        for i in range(m)
+    ]
+    total, assignment = _assignment_lex(cost)
+    return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 
 def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> float:

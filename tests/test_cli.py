@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import pytest
@@ -159,6 +161,28 @@ def test_recover_from_frequency_needs_n(capsys, tmp_path):
     assert ingest.load_election(out).n == 2
 
 
+def test_recover_permutation_matrix_is_one_vote(capsys, tmp_path):
+    from prefmap.core import position_matrix
+
+    vote = (2, 0, 3, 1)
+    path = tmp_path / "perm.csv"
+    path.write_text("".join(
+        ",".join("1" if vote[i] == c else "0" for c in range(4)) + "\n"
+        for i in range(4)
+    ))
+    out = tmp_path / "perm.soc"
+    code, _, _ = run(capsys, "recover", "--matrix", str(path), "--out", str(out))
+    assert code == 0
+    election = ingest.load_election(out)
+    assert election.n == 1 and election.votes == (vote,)
+    code, _, _ = run(capsys, "recover", "--matrix", str(path), "--n", "3",
+                     "--out", str(out))
+    assert code == 0
+    election = ingest.load_election(out)
+    assert election.n == 3
+    assert position_matrix(election).entries[0] == (0, 0, 3, 0)
+
+
 def test_compass_scale_zero_writes_corners(capsys, tmp_path):
     out = tmp_path / "compass"
     code, _, _ = run(capsys, "compass", "--m", "4", "--scale", "0",
@@ -244,6 +268,27 @@ def test_embed_writes_svg_and_coords(capsys, tmp_path):
     assert len(lines) == 5
 
 
+def test_embed_reads_distance_rows_by_label(capsys, tmp_path):
+    rows = {"a": "a,0,1,2", "b": "b,1,0,1.5", "c": "c,2,1.5,0"}
+    coords = []
+    for order in ("abc", "bac"):
+        dist = tmp_path / f"{order}.csv"
+        dist.write_text("id,a,b,c\n" + "".join(rows[k] + "\n" for k in order))
+        coords.append(tmp_path / f"{order}-coords.csv")
+        code, _, _ = run(capsys, "embed", "--distances", str(dist),
+                         "--coords", str(coords[-1]))
+        assert code == 0
+    assert coords[0].read_text() == coords[1].read_text()
+
+    for body, label in (("a,0,1\nz,1,0\n", "'z'"), ("a,0,1\na,1,0\n", "'a'")):
+        dist = tmp_path / "bad.csv"
+        dist.write_text("id,a,b\n" + body)
+        code, _, err = run(capsys, "embed", "--distances", str(dist),
+                           "--coords", str(tmp_path / "bad-coords.csv"))
+        assert code == 1
+        assert label in err
+
+
 def test_embed_without_outputs_fails(capsys, tmp_path):
     dist = tmp_path / "d.csv"
     dist.write_text("0,1\n1,0\n")
@@ -252,16 +297,21 @@ def test_embed_without_outputs_fails(capsys, tmp_path):
     assert "--svg" in err
 
 
-def test_fit_mallows_small_run(capsys, tmp_path):
-    dataset = tmp_path / "dataset"
-    dataset.mkdir()
+def mallows_dataset(tmp_path):
     from prefmap.cultures import CultureSpec, sample
 
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
     for i in range(2):
         election = sample(
             CultureSpec(tag="MALLOWS_NORM", m=4, n=30, seed=50 + i, relphi=0.25)
         )
         ingest.serialize_election(election, dataset / f"d{i}.soc")
+    return dataset
+
+
+def test_fit_mallows_small_run(capsys, tmp_path):
+    dataset = mallows_dataset(tmp_path)
     code, out, _ = run(
         capsys, "fit-mallows", "--dataset", str(dataset),
         "--grid-step", "0.25", "--samples", "2", "--seed", "1",
@@ -291,6 +341,21 @@ def test_config_unknown_key_fails(capsys, tmp_path):
                        "--config", str(config), "--out", str(tmp_path / "x.soc"))
     assert code == 1
     assert "volume" in err
+
+
+def test_config_grid_step_key(capsys, tmp_path):
+    dataset = mallows_dataset(tmp_path)
+    config = tmp_path / "fit.cfg"
+    config.write_text("grid_step=0.5\nsamples=2\n")
+    code, out, _ = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                       "--config", str(config))
+    assert code == 0
+    assert float(out.split()[0].split("=")[1]) in (0.0, 0.5)
+    config.write_text("grid-step=0.5\n")
+    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                       "--config", str(config))
+    assert code == 1
+    assert "grid-step" in err
 
 
 def test_generate_is_byte_reproducible(capsys, tmp_path):
@@ -338,3 +403,18 @@ def test_missing_file_is_reported_not_raised(capsys, tmp_path):
                        "--b", str(tmp_path / "no2.csv"))
     assert code == 1
     assert "error" in err.lower()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    import prefmap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prefmap.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "x"
+    done = subprocess.run(
+        [sys.executable, "-m", "prefmap.cli", "compass", "--m", "4", "--scale", "0",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out / "manifest.csv").is_file()

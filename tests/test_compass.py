@@ -7,7 +7,6 @@ import pytest
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
-    CompassNorms,
     PathSpec,
     closed_form_distance,
     compass_matrix,
@@ -92,12 +91,7 @@ def test_normalized_limits():
     assert normalized_limit("ID", "ST") == Fraction(1, 2)
     assert normalized_limit("UN", "AN") == Fraction(1, 2)
     assert normalized_limit("ST", "ST") == 0
-
-
-def test_compass_norms_container():
-    norms = CompassNorms.for_m(10)
-    assert norms.normalization == normalization_constant(10) == 33
-    assert norms.limit("ID", "UN") == 1
+    assert normalization_constant(10) == 33
 
 
 def test_convex_combination_endpoints_and_validation():

@@ -189,6 +189,17 @@ def test_frequency_matrix_validation():
         FrequencyMatrix(((half, half), (half, Fraction(1, 3))))
     with pytest.raises(ValueError):
         FrequencyMatrix(((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2))))
+    with pytest.raises(ValueError):
+        FrequencyMatrix(((1, 1), (1, 1)))  # equal line sums, but not 1
+
+
+def test_frequency_matrix_is_stored_in_lowest_terms():
+    half = Fraction(1, 2)
+    freq = FrequencyMatrix(((half, half), (half, half)))
+    assert freq.counts == ((1, 1), (1, 1)) and freq.denominator == 2
+    same = frequency_from_position(PositionMatrix(((3, 3), (3, 3))))
+    assert same == freq and hash(same) == hash(freq)
+    assert same.entries == ((half, half), (half, half))
 
 
 def test_frequency_from_position_round_trip(worked_example):

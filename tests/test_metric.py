@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_election
@@ -159,6 +161,47 @@ def test_positionwise_tie_break_with_duplicate_columns():
     best_val, best_perm = oracles.brute_force_assignment(cost)
     assert rec.value == best_val
     assert rec.column_permutation == best_perm
+
+
+def _mix(weighted_perms):
+    """Bistochastic matrix sum(w * P) / sum(w) over permutation matrices P."""
+    m = len(weighted_perms[0][1])
+    total = sum(w for w, _ in weighted_perms)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for w, perm in weighted_perms:
+        for i, c in enumerate(perm):
+            rows[i][c] += w / total
+    return FrequencyMatrix(rows)
+
+
+def _bistochastic(m):
+    # Small denominators stay in int64; the large ones push m * lcm past
+    # 2**62 and take the Python-integer path.
+    weight = st.builds(
+        Fraction,
+        st.integers(1, 1000),
+        st.one_of(st.integers(1, 60), st.integers(2**40, 2**80)),
+    )
+    part = st.tuples(weight, st.permutations(range(m)))
+    return st.lists(part, min_size=1, max_size=4).map(_mix)
+
+
+_MERSENNE_61 = 2**61 - 1  # m * D = 2**62 - 2, the largest int64 case at m = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(_bistochastic(m), _bistochastic(m))))
+@example((
+    _mix([(Fraction(1, _MERSENNE_61), (0, 1)), (Fraction(1), (1, 0))]),
+    _mix([(Fraction(1), (0, 1)), (Fraction(3, 7), (1, 0))]),
+))
+@example((
+    _mix([(Fraction(1, 2**80 + 1), (0, 1, 2)), (Fraction(5, 3), (2, 0, 1))]),
+    _mix([(Fraction(2, 2**70 + 3), (1, 2, 0)), (Fraction(1), (0, 1, 2))]),
+))
+def test_positionwise_matches_fraction_oracle(pair):
+    x, y = pair
+    assert positionwise(x, y) == oracles.fraction_positionwise(x, y)
 
 
 def test_column_permutation_reproduces_value():
