@@ -20,7 +20,13 @@ from typing import Sequence
 from . import compass as compass_mod
 from . import cultures, embed, ingest, matrixio
 from .core import Election, FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
-from .metric import distance_matrix, normalization_constant, positionwise
+from .metric import (
+    _prefix_sums,
+    _prefixed_distance,
+    distance_matrix,
+    normalization_constant,
+    positionwise,
+)
 from .recovery import election_from_frequency_matrix, election_from_position_matrix
 
 
@@ -83,24 +89,23 @@ def fit_mallows(
         raise ValueError("samples_per_value must be positive")
     m = sizes.pop()
     norm = normalization_constant(m)
-    data_matrices = [frequency_matrix(e) for e in dataset]
+    data = [(x, _prefix_sums(x)) for x in map(frequency_matrix, dataset)]
 
     best: tuple[float, float] | None = None  # (mean, relphi)
     best_per_election: list[float] = []
     for gi, relphi in enumerate(grid):
-        sample_matrices = [
-            frequency_matrix(
-                cultures.sample_mallows_norm(
-                    m, votes_per_sample, relphi, _derive(seed, gi, s)
-                )
+        samples = []
+        for s in range(samples_per_value):
+            election = cultures.sample_mallows_norm(
+                m, votes_per_sample, relphi, _derive(seed, gi, s)
             )
-            for s in range(samples_per_value)
-        ]
+            y = frequency_matrix(election)
+            samples.append((y, _prefix_sums(y)))
         per_election = []
-        for dm in data_matrices:
+        for x, px in data:
             total = Fraction(0)
-            for sm in sample_matrices:
-                total += positionwise(dm, sm).value
+            for y, py in samples:
+                total += _prefixed_distance(x, px, y, py).value
             per_election.append(float(total / (samples_per_value * norm)))
         mean = sum(per_election) / len(per_election)
         if best is None or (mean, relphi) < best:
@@ -119,13 +124,6 @@ def fit_mallows(
 def _say(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _load_frequency(path: str, n_hint: int | None = None) -> tuple[FrequencyMatrix, int | None]:
-    matrix = matrixio.read_matrix_csv(path)
-    if isinstance(matrix, PositionMatrix):
-        return frequency_from_position(matrix), matrix.n
-    return matrix, n_hint
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -161,7 +159,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _load_item(path: str) -> FrequencyMatrix:
     if path.endswith((".soc", ".soi", ".toc")):
         return frequency_matrix(ingest.load_election(path))
-    matrix, _ = _load_frequency(path)
+    matrix = matrixio.read_matrix_csv(path)
+    if isinstance(matrix, PositionMatrix):
+        return frequency_from_position(matrix)
     return matrix
 
 

@@ -3,10 +3,13 @@
 The distance between two columns (distributions over rank positions) is
 the earth mover's distance on the line, computed exactly by prefix sums.
 The distance between two matrices is the cheapest way to match their
-columns, found by an exact assignment solver.  Both matrices are brought
-to the least common multiple of their denominators, so the prefix sums
-and the cost matrix are integers (int64 when they fit, Python integers
-otherwise) and the result is an exact rational.
+columns.  Both matrices are brought to the least common multiple of their
+denominators, so the prefix sums and the cost matrix are integers (int64
+when they fit, Python integers otherwise) and the result is an exact
+rational.  The assignment solver works on those integers as they are: a
+Hungarian method finds the optimal cost and duals, and a pass over the
+edges of reduced cost 0 then picks the lexicographically smallest optimal
+column matching.  ``distance_matrix`` prefix-sums each matrix once.
 """
 
 from __future__ import annotations
@@ -58,90 +61,155 @@ def emd(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
 
 
 def _assignment_lex(cost: list[list[int]]) -> tuple[int, list[int]]:
-    """Minimum-cost assignment over an integer cost matrix.
+    """Minimum-cost assignment over an integer cost matrix, exactly.
 
     Returns (total cost, assignment) where assignment[i] is the column
-    given to row i.  Ties are broken toward the lexicographically smallest
-    assignment vector by folding a positional tiebreak into the costs:
-    with digit base C > m, no sum of tiebreak digits can reach B = C**m,
-    so dividing the optimal composite total by B recovers the true cost.
+    given to row i: among all optimal assignments, the lexicographically
+    smallest.  All arithmetic is on the costs as given, in Python integers.
+
+    The solve is the Hungarian method with duals u (rows) and v (columns)
+    that keep every reduced cost ``cost[i][j] - u[i] - v[j]`` nonnegative.
+    They start from a row reduction followed by a column reduction, as in
+    Jonker & Volgenant (1987), and each row greedily takes its first free
+    column of reduced cost 0.  A shortest augmenting path, in the form of
+    Crouse (2016), then places every row left over.  With the final duals,
+    the optimal assignments are exactly the perfect matchings on the tight
+    edges (reduced cost 0).  The tie-break fixes rows in order: a row keeps
+    its column or swaps, along one alternating cycle of tight edges among
+    the rows after it, to the smallest tight column such a cycle reaches.
+    One backward search from the row's column finds them all, so the pass
+    is O(m^3), like the solve.
     """
     m = len(cost)
-    if m == 1:
-        return cost[0][0], [0]
-    base = max(m, 2)
-    big = base**m
-    weights = [base ** (m - 1 - i) for i in range(m)]
-    a = [[cost[i][j] * big + j * weights[i] for j in range(m)] for i in range(m)]
+    u = [min(row) for row in cost]
+    v = [min(cost[i][j] - u[i] for i in range(m)) for j in range(m)]
+    # col_of[i] is the column of row i and row_of[j] the row of column j,
+    # or -1.  Each row first takes its first free column of reduced cost 0.
+    col_of = [-1] * m
+    row_of = [-1] * m
+    for i, row in enumerate(cost):
+        for j in range(m):
+            if row_of[j] < 0 and row[j] - u[i] == v[j]:
+                col_of[i], row_of[j] = j, i
+                break
 
     inf = float("inf")
-    u = [0] * (m + 1)
-    v = [0] * (m + 1)
-    matched = [0] * (m + 1)  # matched[j] = row (1-based) holding column j
-    way = [0] * (m + 1)
-    for i in range(1, m + 1):
-        matched[0] = i
-        j0 = 0
-        minv: list[float | int] = [inf] * (m + 1)
-        used = [False] * (m + 1)
+    for free in range(m):
+        if col_of[free] >= 0:
+            continue
+        # Dijkstra over reduced costs from row `free` to the nearest free
+        # column: dist[j] is the shortest path length to column j, pred[j]
+        # the row before it on that path.
+        dist: list[float | int] = [inf] * m
+        pred = [-1] * m
+        unseen = list(range(m))
+        rows_seen = []
+        cols_seen = []
+        reach: float | int = 0
+        i = free
         while True:
-            used[j0] = True
-            i0 = matched[j0]
-            delta = inf
-            j1 = 0
-            row = a[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[matched[j]] += delta
-                    v[j] -= delta
+            rows_seen.append(i)
+            row, base = cost[i], reach - u[i]
+            low: float | int = inf
+            at = -1
+            for k, j in enumerate(unseen):
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j], pred[j] = d, i
                 else:
-                    minv[j] -= delta
-            j0 = j1
-            if matched[j0] == 0:
+                    d = dist[j]
+                # on a tie, a free column ends the search sooner
+                if d < low or (d == low and row_of[j] < 0):
+                    low, at = d, k
+            reach = low
+            j = unseen[at]
+            unseen[at] = unseen[-1]
+            unseen.pop()
+            cols_seen.append(j)
+            if row_of[j] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            matched[j0] = matched[j1]
-            j0 = j1
+            i = row_of[j]
+        # Move the duals so that the path is tight and no reduced cost
+        # turns negative, then flip the path.
+        u[free] += reach
+        for i in rows_seen[1:]:
+            u[i] += reach - dist[col_of[i]]
+        for c in cols_seen:
+            v[c] -= reach - dist[c]
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == free:
+                break
 
-    assignment = [0] * m
-    for j in range(1, m + 1):
-        if matched[j]:
-            assignment[matched[j] - 1] = j - 1
-    composite = sum(a[i][assignment[i]] for i in range(m))
-    return composite // big, assignment
+    tight = [[j for j in range(m) if cost[i][j] - u[i] == v[j]] for i in range(m)]
+    tight_rows: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        for j in tight[i]:
+            tight_rows[j].append(i)
+    for r in range(m):
+        home = col_of[r]
+        # rows before r keep their columns
+        first = next(j for j in tight[r] if row_of[j] >= r)
+        if first == home:
+            continue
+        # Search backward from home: step[c] is the column, one step nearer
+        # home, that the row holding c moves to if r takes c.
+        step = {home: home}
+        stack = [home]
+        while stack and first not in step:
+            c = stack.pop()
+            for i in tight_rows[c]:
+                if i > r and col_of[i] not in step:
+                    step[col_of[i]] = c
+                    stack.append(col_of[i])
+        j = min(c for c in tight[r] if c in step)
+        moves = [(r, j)]
+        while j != home:
+            moves.append((row_of[j], step[j]))
+            j = step[j]
+        for i, c in moves:
+            col_of[i] = c
+            row_of[c] = i
+    return sum(cost[i][col_of[i]] for i in range(m)), col_of
+
+
+def _prefix_sums(x: FrequencyMatrix) -> np.ndarray:
+    """Columns of ``x.counts`` prefix-summed down the positions.  They lie
+    in [0, x.denominator]: int64 while that fits, Python integers beyond."""
+    dtype = np.int64 if x.denominator < 2**62 else object
+    return np.cumsum(np.array(x.counts, dtype=dtype), axis=0)
+
+
+def _prefixed_distance(
+    x: FrequencyMatrix, px: np.ndarray, y: FrequencyMatrix, py: np.ndarray
+) -> DistanceRecord:
+    """``positionwise(x, y)`` given both matrices' ``_prefix_sums``."""
+    if x.m != y.m:
+        raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
+    m = x.m
+    scale = lcm(x.denominator, y.denominator)
+    # Scaled prefix sums lie in [0, scale], so a cost entry is at most
+    # m * scale; past int64 the arithmetic moves to Python integers.
+    dtype = np.int64 if m * scale < 2**62 else object
+    px = px.astype(dtype, copy=False) * (scale // x.denominator)
+    py = py.astype(dtype, copy=False) * (scale // y.denominator)
+    # cost[i][j] = sum over positions p of |px[p, i] - py[p, j]|, summed in
+    # blocks of positions that keep the temporary under 2**16 entries
+    step = max(1, 2**16 // (m * m))
+    cost = sum(
+        np.abs(px[p : p + step, :, None] - py[p : p + step, None, :]).sum(axis=0)
+        for p in range(0, m, step)
+    )
+    total, assignment = _assignment_lex(cost.tolist())
+    return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 
 def positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
     """Positionwise distance: minimum over column matchings of the summed
     per-column earth mover's distances."""
-    if x.m != y.m:
-        raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
-    m = x.m
-    scale = lcm(x.denominator, y.denominator)
-    # Prefix sums lie in [0, scale], so a cost entry is at most m * scale;
-    # past int64 the arithmetic moves to Python integers.
-    dtype = np.int64 if m * scale < 2**62 else object
-    # columns of scale * matrix, prefix-summed down the positions
-    px, py = (
-        np.cumsum(np.array(z.counts, dtype=dtype) * (scale // z.denominator), axis=0)
-        for z in (x, y)
-    )
-    # cost[i][j] = sum over positions of |px[:, i] - py[:, j]|
-    cost = np.abs(px[:, :, None] - py[:, None, :]).sum(axis=0)
-    # _assignment_lex scales costs by base**m, beyond int64 from m ~ 20 on
-    total, assignment = _assignment_lex(cost.tolist())
-    return DistanceRecord(Fraction(total, scale), tuple(assignment))
+    return _prefixed_distance(x, _prefix_sums(x), y, _prefix_sums(y))
 
 
 def positionwise_elections(e: Election, f: Election) -> DistanceRecord:
@@ -157,10 +225,11 @@ def distance_matrix(items: Sequence[FrequencyMatrix]) -> list[list[Fraction]]:
     parallel map) cannot change the result.
     """
     k = len(items)
+    prefixes = [_prefix_sums(x) for x in items]
     out = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = positionwise(items[i], items[j]).value
+            d = _prefixed_distance(items[i], prefixes[i], items[j], prefixes[j]).value
             out[i][j] = d
             out[j][i] = d
     return out

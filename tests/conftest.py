@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from prefmap.core import Election
 
@@ -25,3 +26,28 @@ def make_random_election(seed: int, m: int, n: int) -> Election:
         rng.shuffle(v)
         votes.append(tuple(v))
     return Election(candidates=tuple(range(m)), votes=tuple(votes))
+
+
+# Bytes that make or break the tokens of the text formats, plus 0xff,
+# which is never valid UTF-8.
+_NOISE = st.sampled_from([bytes([b]) for b in b"0123456789,{}/-+#.e \n\t\xff"])
+
+
+def _apply_edits(data: bytes, edits) -> bytes:
+    for op, where, noise in edits:
+        at = where % (len(data) + 1)
+        if op == "insert":
+            data = data[:at] + noise + data[at:]
+        elif op == "replace":
+            data = data[:at] + noise + data[at + 1 :]
+        else:
+            data = data[:at] + data[at + 1 :]
+    return data
+
+
+def mutated(data: bytes):
+    """Strategy: ``data`` after one to four single-byte edits."""
+    edit = st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 2**16), _NOISE
+    )
+    return st.lists(edit, min_size=1, max_size=4).map(lambda edits: _apply_edits(data, edits))

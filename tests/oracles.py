@@ -3,9 +3,11 @@
 Everything here is deliberately written along a different algorithmic
 route than the library: greedy transport instead of prefix sums,
 exhaustive search instead of combinatorial optimization, full enumeration
-instead of recurrences.  ``fraction_positionwise`` is the one exception:
-it is the library's earlier positionwise distance over tuples of
-``Fraction``s, kept as the reference for the integer implementation.
+instead of recurrences.  Two exceptions are the library's earlier code,
+kept as references for what replaced it: ``fraction_positionwise``, the
+positionwise distance over tuples of ``Fraction``s, and
+``composite_assignment_lex``, the assignment solver that broke ties by
+folding a positional digit into every cost.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from prefmap.core import FrequencyMatrix
-from prefmap.metric import DistanceRecord, _assignment_lex
+from prefmap.metric import DistanceRecord
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -59,6 +61,72 @@ def brute_force_assignment(cost: Sequence[Sequence]) -> tuple[object, tuple[int,
     return best_val, best_perm
 
 
+def composite_assignment_lex(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Minimum-cost assignment over an integer cost matrix: the library's
+    earlier solver, a plain Hungarian method on composite costs.
+
+    Returns (total cost, assignment) where assignment[i] is the column
+    given to row i.  Ties are broken toward the lexicographically smallest
+    assignment vector by folding a positional tiebreak into the costs:
+    with digit base C > m, no sum of tiebreak digits can reach B = C**m,
+    so dividing the optimal composite total by B recovers the true cost.
+    """
+    m = len(cost)
+    if m == 1:
+        return cost[0][0], [0]
+    base = max(m, 2)
+    big = base**m
+    weights = [base ** (m - 1 - i) for i in range(m)]
+    a = [[cost[i][j] * big + j * weights[i] for j in range(m)] for i in range(m)]
+
+    inf = float("inf")
+    u = [0] * (m + 1)
+    v = [0] * (m + 1)
+    matched = [0] * (m + 1)  # matched[j] = row (1-based) holding column j
+    way = [0] * (m + 1)
+    for i in range(1, m + 1):
+        matched[0] = i
+        j0 = 0
+        minv: list[float | int] = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = matched[j0]
+            delta = inf
+            j1 = 0
+            row = a[i0 - 1]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[matched[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if matched[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            matched[j0] = matched[j1]
+            j0 = j1
+
+    assignment = [0] * m
+    for j in range(1, m + 1):
+        if matched[j]:
+            assignment[matched[j] - 1] = j - 1
+    composite = sum(a[i][assignment[i]] for i in range(m))
+    return composite // big, assignment
+
+
 @lru_cache(maxsize=4096)
 def _denominator_lcm(matrix: FrequencyMatrix) -> int:
     out = 1
@@ -90,7 +158,7 @@ def _prefix_columns(matrix: FrequencyMatrix, scale: int) -> tuple[tuple[int, ...
 
 def fraction_positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
     """Positionwise distance from the matrices' ``Fraction`` entries, with
-    per-column prefix sums in Python integers and the library's solver."""
+    per-column prefix sums in Python integers and the composite solver."""
     if x.m != y.m:
         raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
     scale = lcm(_denominator_lcm(x), _denominator_lcm(y))
@@ -101,7 +169,7 @@ def fraction_positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRec
         [sum(abs(a - b) for a, b in zip(px[i], py[j])) for j in range(m)]
         for i in range(m)
     ]
-    total, assignment = _assignment_lex(cost)
+    total, assignment = composite_assignment_lex(cost)
     return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 

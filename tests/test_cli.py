@@ -128,6 +128,18 @@ def test_distance_matrix_accepts_elections(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_distance_matrix_rejects_mixed_sizes(capsys, tmp_path):
+    soc = tmp_path / "e.soc"
+    run(capsys, "generate", "--culture", "ic", "--m", "4", "--n", "5",
+        "--out", str(soc))
+    paths = [str(soc), write_corner(tmp_path, "ID", m=4), write_corner(tmp_path, "UN", m=3)]
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "distance-matrix", "--inputs", *paths, "--out", str(out))
+    assert code == 1
+    assert "matrix sizes differ: 4 vs 3" in err
+    assert not out.exists()
+
+
 def test_recover_from_position_matrix(capsys, tmp_path):
     from prefmap.core import Election, position_matrix
 

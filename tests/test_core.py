@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_election
+from conftest import make_random_election, mutated
 from prefmap.core import (
     Election,
     FrequencyMatrix,
@@ -250,3 +254,62 @@ def test_matrix_csv_rejects_garbage(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError):
         read_matrix_csv(bad)
+
+
+def _weighted_permutations(weight):
+    """Strategy: (weight, permutation) pairs over one m in 1..6."""
+    return st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.tuples(weight, st.permutations(range(m))), min_size=1, max_size=5)
+    )
+
+
+def _stacked(parts):
+    """sum(w * P) over the weighted permutation matrices P."""
+    m = len(parts[0][1])
+    rows = [[0] * m for _ in range(m)]
+    for w, perm in parts:
+        for i, c in enumerate(perm):
+            rows[i][c] += w
+    return rows
+
+
+def _round_trip(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        write_matrix_csv(matrix, path)
+        return read_matrix_csv(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_permutations(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)))
+def test_matrix_csv_round_trip_property_frequency(parts):
+    total = sum(w for w, _ in parts)
+    freq = FrequencyMatrix([[v / total for v in row] for row in _stacked(parts)])
+    assert _round_trip(freq) == freq
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_permutations(st.integers(1, 10**6)))
+def test_matrix_csv_round_trip_property_position(parts):
+    pos = PositionMatrix(_stacked(parts))
+    # one voter's 0/1 matrix is also a frequency matrix, and reads as one
+    expected = frequency_from_position(pos) if pos.n == 1 else pos
+    assert _round_trip(pos) == expected
+
+
+_FREQUENCY_CSV = b"1/3,2/3,0\n2/3,1/6,1/6\n0,1/6,5/6\n"
+_POSITION_CSV = b"3,1,2\n3,3,0\n0,2,4\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_FREQUENCY_CSV, _POSITION_CSV]).flatmap(mutated))
+def test_read_matrix_csv_rejects_mutations_with_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            matrix = read_matrix_csv(path)
+        except ValueError:
+            return
+    assert isinstance(matrix, (FrequencyMatrix, PositionMatrix))

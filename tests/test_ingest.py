@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated
 from prefmap.core import Election
 from prefmap.ingest import (
     PRESETS,
@@ -403,3 +408,41 @@ def test_run_pipeline_deterministic():
     a, _ = run_pipeline(profiles, config, seed=7)
     b, _ = run_pipeline(profiles, config, seed=7)
     assert [e.votes for e in a] == [e.votes for e in b]
+
+
+@st.composite
+def _elections(draw):
+    m = draw(st.integers(1, 6))
+    names = st.text("abcdefghij", min_size=1, max_size=4)
+    candidates = draw(st.lists(names, min_size=m, max_size=m, unique=True))
+    votes = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=12))
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(votes), max_size=len(votes)))
+    return Election(candidates=candidates, votes=votes, multiplicities=mults)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elections())
+def test_serialize_load_round_trip_property(election):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.soc")
+        serialize_election(election, path)
+        again = load_election(path)
+        names = parse_preflib(path).names
+    # ids are 1..m by index; the candidates themselves survive as names
+    assert again.candidates == tuple(range(1, election.m + 1))
+    assert names == {k + 1: c for k, c in enumerate(election.candidates)}
+    assert again.vote_counter() == election.vote_counter()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([STRICT_FILE, PARTIAL_FILE]).map(str.encode).flatmap(mutated))
+def test_parse_preflib_rejects_mutations_with_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.soi")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            profile = parse_preflib(path)
+        except ValueError:
+            return
+    assert isinstance(profile, PartialProfile)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_election
+from prefmap import cultures
 from prefmap.compass import compass_matrix
 from prefmap.core import Election, FrequencyMatrix, frequency_matrix
 from prefmap.metric import (
@@ -234,6 +237,67 @@ def test_assignment_solver_against_brute_force():
         assert tuple(assignment) == best_perm
 
 
+@st.composite
+def _tie_heavy_costs(draw):
+    """Square integer cost matrices built to have many optimal matchings:
+    few distinct values, repeated rows or columns, or constant rows.  The
+    large entries lie past 2**70."""
+    m = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([
+        st.integers(0, 1),
+        st.integers(0, 6),
+        st.integers(2**70, 2**70 + 3),
+        st.integers(0, 2**72),
+    ]))
+    line = st.lists(entry, min_size=m, max_size=m)
+    shape = draw(st.sampled_from(["free", "duplicated rows", "duplicated columns", "constant rows"]))
+    if shape == "constant rows":
+        return [[draw(entry)] * m for _ in range(m)]
+    if shape == "free":
+        return [draw(line) for _ in range(m)]
+    pool = draw(st.lists(line, min_size=1, max_size=m))
+    lines = [draw(st.sampled_from(pool)) for _ in range(m)]
+    if shape == "duplicated columns":
+        return [list(col) for col in zip(*lines)]
+    return [list(row) for row in lines]
+
+
+def _l1_cost(x: FrequencyMatrix, y: FrequencyMatrix) -> list[list[int]]:
+    """Positionwise cost matrix of two matrices over their common denominator."""
+    d = lcm(x.denominator, y.denominator)
+    px, py = (np.cumsum(np.array(z.counts) * (d // z.denominator), axis=0) for z in (x, y))
+    return np.abs(px[:, :, None] - py[:, None, :]).sum(axis=0).tolist()
+
+
+def _fixed_m100_costs():
+    m = 100
+    yield pytest.param([[0] * m for _ in range(m)], id="all_zero")
+    rng = random.Random(100)
+    blocks = [[rng.randint(0, 3) for _ in range(m)] for _ in range(5)]
+    columns = [blocks[j // 20] for j in range(m)]
+    duplicated = [[columns[j][i] for j in range(m)] for i in range(m)]
+    yield pytest.param(duplicated, id="duplicated_column_blocks")
+    ic = frequency_matrix(cultures.sample(cultures.CultureSpec(tag="IC", m=m, n=100, seed=7)))
+    mallows = frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.3, 8))
+    for kind in ("ID", "UN", "ST", "AN"):
+        anchor = compass_matrix(kind, m).matrix
+        yield pytest.param(_l1_cost(anchor, ic), id=f"{kind}_vs_IC")
+        yield pytest.param(_l1_cost(anchor, mallows), id=f"{kind}_vs_Mallows")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tie_heavy_costs())
+def test_assignment_matches_composite_oracle(cost):
+    total, assignment = _assignment_lex(cost)
+    assert (total, assignment) == oracles.composite_assignment_lex(cost)
+
+
+@pytest.mark.parametrize("cost", _fixed_m100_costs())
+def test_assignment_matches_composite_oracle_m100(cost):
+    total, assignment = _assignment_lex(cost)
+    assert (total, assignment) == oracles.composite_assignment_lex(cost)
+
+
 def test_distance_matrix_structure():
     mats = [
         frequency_matrix(make_random_election(seed, 4, 5)) for seed in range(4)
@@ -245,6 +309,22 @@ def test_distance_matrix_structure():
         for j in range(4):
             assert table[i][j] == table[j][i]
             assert table[i][j] == positionwise(mats[i], mats[j]).value
+
+
+def test_distance_matrix_matches_positionwise_on_mixed_denominators():
+    mats = [
+        compass_matrix("ID", 6).matrix,
+        compass_matrix("UN", 6).matrix,
+        compass_matrix("ST", 6).matrix,
+        frequency_matrix(make_random_election(3, 6, 7)),
+        frequency_matrix(make_random_election(4, 6, 11)),
+        _mix([(Fraction(1, 2**70 + 3), (5, 4, 3, 2, 1, 0)), (Fraction(1), (0, 1, 2, 3, 4, 5))]),
+    ]
+    assert len({x.denominator for x in mats}) == len(mats)
+    table = distance_matrix(mats)
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            assert table[i][j] == positionwise(x, y).value
 
 
 def test_normalization_constant_values():
