@@ -430,7 +430,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("embed", parents=[common], help="2-D map of a distance matrix")
     p.add_argument("--distances", required=True, help="distance CSV")
-    p.add_argument("--iters", type=int, default=1000, help="descent iterations")
+    p.add_argument("--iters", type=int, default=1000, help="cap on stress-majorization iterations")
     p.add_argument("--svg", default=None, help="output SVG path")
     p.add_argument("--coords", default=None, help="output coordinates CSV")
     p.set_defaults(func=_cmd_embed)

@@ -1,10 +1,14 @@
-"""Force-directed 2-D layout of a distance matrix, plus SVG/CSV output.
+"""2-D layout of a distance matrix by stress majorization, plus SVG/CSV output.
 
-Distances are normalized by their maximum, and points move by gradient
-descent on the weighted stress sum w_ij * (|p_i - p_j| - d_ij)^2 with
-w_ij = d_ij^2, so large distances dominate the layout.  Steps that would
-increase the stress are rejected (with a halved step scale), which makes
-the stress non-increasing and the run deterministic for a fixed seed.
+Distances are normalized by their maximum to targets t_ij, and a layout is
+scored by the weighted stress sum over pairs of w_ij * (|p_i - p_j| - t_ij)^2
+with w_ij = t_ij^2, so large distances dominate the layout.  The layout
+starts from classical (Torgerson) scaling of the targets, turned by an angle
+drawn from the seed, and improves by SMACOF: the Guttman transform
+X <- V^+ B(X) X of de Leeuw (1977), which never increases the stress.  It
+stops when a step lowers the stress by a relative 1e-9 or less, when a step
+would raise it (float noise), or at the iteration cap.  The run is
+deterministic for a fixed seed, and seeds differ only by a rotation.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import numpy as np
 # styling entry: (css color, marker shape, group label)
 Styling = Mapping[Hashable, tuple[str, str, str]]
 
+# a Guttman step that lowers the stress by this relative amount or less ends the run
+_RELATIVE_TOL = 1e-9
+
 _PALETTE = (
     "#1f77b4",
     "#ff7f0e",
@@ -37,12 +44,17 @@ _PALETTE = (
 
 @dataclass(frozen=True)
 class MapLayout:
-    """Planar embedding: one (id, x, y) triple per input row."""
+    """Planar embedding: one (id, x, y) triple per input row.
+
+    ``iterations`` counts the Guttman steps the embedding took and
+    ``stress`` is the weighted stress it ended at (see ``layout_stress``).
+    """
 
     points: tuple[tuple[Hashable, float, float], ...]
     styling: Styling = field(default_factory=dict)
     seed: int = 0
     iterations: int = 0
+    stress: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -55,25 +67,48 @@ class MapLayout:
                 raise ValueError("coordinates must be finite")
 
 
-def _stress(pos: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:
+def _targets(
+    distances: Sequence[Sequence[float | Fraction | int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Targets t = d / max(d) and weights w = t^2; all zero when max(d) is 0."""
+    d = np.array([[float(v) for v in row] for row in distances], dtype=float)
+    if d.size and d.max() > 0.0:
+        d /= d.max()
+    return d, d * d
+
+
+def _pairwise(pos: np.ndarray) -> np.ndarray:
     diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _stress(dist: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:
     err = dist - target
     return float((weight * err * err).sum() / 2.0)
+
+
+def _classical_scaling(target: np.ndarray) -> np.ndarray:
+    """Top two principal coordinates of the double-centered squared
+    targets; a non-positive eigenvalue gives a zero coordinate."""
+    k = len(target)
+    center = np.eye(k) - 1.0 / k
+    gram = -0.5 * center @ (target * target) @ center
+    values, vectors = np.linalg.eigh(gram)  # ascending eigenvalues
+    return vectors[:, :-3:-1] * np.sqrt(np.maximum(values[:-3:-1], 0.0))
 
 
 def embed_distances(
     distances: Sequence[Sequence[float | Fraction | int]],
     seed: int,
     iterations: int = 1000,
-    step: float = 0.1,
     ids: Sequence[Hashable] | None = None,
     styling: Styling | None = None,
 ) -> MapLayout:
     """Embed a symmetric nonnegative distance matrix into the plane.
 
-    The returned layout is centered at the origin.  Identical inputs with
-    the same seed give bitwise-identical coordinates.
+    ``iterations`` caps the Guttman steps.  The returned layout is centered
+    at the origin.  Identical inputs with the same seed give
+    bitwise-identical coordinates.
     """
     k = len(distances)
     for row in distances:
@@ -87,48 +122,46 @@ def embed_distances(
                 raise ValueError("distance matrix must be symmetric")
             if distances[i][j] < 0:
                 raise ValueError("distances must be nonnegative")
-    if iterations < 1 or step <= 0:
-        raise ValueError("iterations and step must be positive")
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
     if ids is None:
         ids = tuple(range(k))
     else:
         ids = tuple(ids)
         if len(ids) != k or len(set(ids)) != k:
             raise ValueError("ids must be distinct and match the matrix size")
-    if k == 0:
-        return MapLayout((), styling or {}, seed, iterations)
 
-    d = np.array([[float(v) for v in row] for row in distances], dtype=float)
-    dmax = d.max()
-    if dmax == 0.0:
+    target, weight = _targets(distances)
+    if not weight.any():
         pts = tuple((pid, 0.0, 0.0) for pid in ids)
-        return MapLayout(pts, styling or {}, seed, iterations)
-    target = d / dmax
-    weight = target * target
+        return MapLayout(pts, styling or {}, seed)
 
-    rng = random.Random(seed)
-    pos = np.array(
-        [[rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)] for _ in range(k)]
-    )
-    current = _stress(pos, target, weight)
-    scale = 1.0
-    for t in range(iterations):
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        safe = np.where(dist == 0.0, 1.0, dist)
-        coeff = 2.0 * weight * (dist - target) / safe
-        grad = (coeff[:, :, None] * diff).sum(axis=1)
-        lr = step * scale / (1.0 + 0.01 * t)
-        candidate = pos - lr * grad
-        cand_stress = _stress(candidate, target, weight)
-        if cand_stress <= current:
-            pos = candidate
-            current = cand_stress
-        else:
-            scale *= 0.5
+    angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
+    turn = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    pos = _classical_scaling(target) @ turn
+    # V^+ of the weighted Laplacian V = diag(w 1) - w, fixed for the run
+    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight, hermitian=True)
+    pull = weight * target
+    dist = _pairwise(pos)
+    current = _stress(dist, target, weight)
+    steps = 0
+    while steps < iterations:
+        # B(X): -w t / |p_i - p_j| off the diagonal, 0 for coincident points
+        b = -np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        candidate = laplacian_pinv @ (b @ pos)
+        cand_dist = _pairwise(candidate)
+        cand_stress = _stress(cand_dist, target, weight)
+        if cand_stress > current:
+            break
+        pos, dist, steps = candidate, cand_dist, steps + 1
+        converged = current - cand_stress <= _RELATIVE_TOL * current
+        current = cand_stress
+        if converged:
+            break
     pos = pos - pos.mean(axis=0)
     pts = tuple((pid, float(x), float(y)) for pid, (x, y) in zip(ids, pos))
-    return MapLayout(pts, styling or {}, seed, iterations)
+    return MapLayout(pts, styling or {}, seed, steps, current)
 
 
 def layout_stress(
@@ -136,13 +169,9 @@ def layout_stress(
 ) -> float:
     """Stress of an existing layout against a distance matrix (same
     normalization as embed_distances)."""
-    d = np.array([[float(v) for v in row] for row in distances], dtype=float)
-    dmax = d.max()
-    if dmax == 0:
-        return 0.0
-    target = d / dmax
-    pos = np.array([[x, y] for _, x, y in layout.points])
-    return _stress(pos, target, target * target)
+    target, weight = _targets(distances)
+    pos = np.array([[x, y] for _, x, y in layout.points]).reshape(-1, 2)
+    return _stress(_pairwise(pos), target, weight)
 
 
 def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, str]]:

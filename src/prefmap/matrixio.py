@@ -8,12 +8,17 @@ this module reads back with no precision loss.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from typing import Union
 
 from .core import FrequencyMatrix, PositionMatrix
 
 Matrix = Union[PositionMatrix, FrequencyMatrix]
+
+# a sign, digits, then "/digits" or ".digits"; no exponent, so the size of
+# a number is bounded by the length of its token
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -22,8 +27,14 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(token: str) -> Fraction:
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")
+    num, den, decimals = match.groups()
     try:
-        return Fraction(token.strip())
+        if decimals is not None:
+            return Fraction(int(num + decimals), 10 ** len(decimals))
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {token!r}: {exc}") from None
 

@@ -5,9 +5,10 @@ route than the library: greedy transport instead of prefix sums,
 exhaustive search instead of combinatorial optimization, full enumeration
 instead of recurrences.  Two exceptions are the library's earlier code,
 kept as references for what replaced it: ``fraction_positionwise``, the
-positionwise distance over tuples of ``Fraction``s, and
+positionwise distance over tuples of ``Fraction``s,
 ``composite_assignment_lex``, the assignment solver that broke ties by
-folding a positional digit into every cost.
+folding a positional digit into every cost, and ``gradient_embed``, the
+map layout by gradient descent from seeded random points.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
+
+import numpy as np
 
 from prefmap.core import FrequencyMatrix
+from prefmap.embed import MapLayout
 from prefmap.metric import DistanceRecord
 
 
@@ -293,3 +297,48 @@ def chi_square_critical_1pct(df: int) -> float:
     from scipy.stats import chi2
 
     return float(chi2.ppf(0.99, df))
+
+
+def _weighted_stress(pos: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    err = dist - target
+    return float((weight * err * err).sum() / 2.0)
+
+
+def gradient_embed(
+    distances: Sequence[Sequence],
+    seed: int,
+    iterations: int = 1000,
+    step: float = 0.1,
+    ids: Sequence[Hashable] | None = None,
+) -> MapLayout:
+    """Gradient descent on the weighted stress of ``embed_distances`` from
+    seeded uniform points, with a decaying learning rate; a step that would
+    raise the stress is rejected and halves the step scale."""
+    k = len(distances)
+    ids = tuple(range(k)) if ids is None else tuple(ids)
+    d = np.array([[float(v) for v in row] for row in distances], dtype=float)
+    if k == 0 or d.max() == 0.0:
+        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {}, seed, iterations)
+    target = d / d.max()
+    weight = target * target
+    rng = random.Random(seed)
+    pos = np.array([[rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)] for _ in range(k)])
+    current = _weighted_stress(pos, target, weight)
+    scale = 1.0
+    for t in range(iterations):
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        safe = np.where(dist == 0.0, 1.0, dist)
+        coeff = 2.0 * weight * (dist - target) / safe
+        grad = (coeff[:, :, None] * diff).sum(axis=1)
+        candidate = pos - step * scale / (1.0 + 0.01 * t) * grad
+        cand_stress = _weighted_stress(candidate, target, weight)
+        if cand_stress <= current:
+            pos = candidate
+            current = cand_stress
+        else:
+            scale *= 0.5
+    pos = pos - pos.mean(axis=0)
+    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, iterations)

@@ -195,6 +195,15 @@ def test_recover_permutation_matrix_is_one_vote(capsys, tmp_path):
     assert position_matrix(election).entries[0] == (0, 0, 3, 0)
 
 
+def test_recover_rejects_exponent_notation(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1e300,0\n0,1e300\n")
+    code, _, err = run(capsys, "recover", "--matrix", str(path), "--out", str(tmp_path / "x.soc"))
+    assert code == 1
+    assert "'1e300'" in err
+    assert not (tmp_path / "x.soc").exists()
+
+
 def test_compass_scale_zero_writes_corners(capsys, tmp_path):
     out = tmp_path / "compass"
     code, _, _ = run(capsys, "compass", "--m", "4", "--scale", "0",

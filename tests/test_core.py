@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ from prefmap.core import (
     position_matrix,
     restrict_to_candidates,
 )
-from prefmap.matrixio import read_matrix_csv, write_matrix_csv
+from prefmap.matrixio import parse_rational, read_matrix_csv, write_matrix_csv
 
 
 def test_position_matrix_worked_example(worked_example):
@@ -313,3 +314,19 @@ def test_read_matrix_csv_rejects_mutations_with_value_error(data):
         except ValueError:
             return
     assert isinstance(matrix, (FrequencyMatrix, PositionMatrix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"[+-]?[0-9]{1,30}(/0*[1-9][0-9]{0,29}|\.[0-9]{1,30})?", fullmatch=True))
+def test_parse_rational_agrees_with_fraction(token):
+    assert parse_rational(f" {token} ") == Fraction(token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e300", "1e999999999", "2E-3", "0.5e1", "inf", "nan", "1_000", "", ".5", "1.",
+     "+-1", "1/2/3", "1/-2", "2.5/3", "0x10", "\u0663", "1 /2", "1/0"],
+)
+def test_parse_rational_rejects_other_tokens(token):
+    with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")):
+        parse_rational(token)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
-from prefmap.compass import CORNER_KINDS, compass_matrix
+from oracles import gradient_embed
+from prefmap.compass import CORNER_KINDS, compass_matrix, full_compass
 from prefmap.embed import (
     MapLayout,
     default_styling,
@@ -87,6 +89,64 @@ def test_compass_corner_rank_order_preserved():
     low_group = [emb("ID", "ST"), emb("UN", "AN")]
     assert min(mid_group) > max(low_group)
     assert emb("ID", "UN") > max(mid_group)
+
+
+@pytest.mark.parametrize("m", [4, 6, 10])
+@pytest.mark.parametrize("scale", [1, 5, 10])
+def test_stress_at_most_gradient_oracle_on_compass(m, scale):
+    d = distance_matrix([x for _, x in full_compass(m, scale)])
+    for seed in range(3):
+        new = layout_stress(embed_distances(d, seed=seed), d)
+        old = layout_stress(gradient_embed(d, seed=seed), d)
+        assert new <= old * (1 + 1e-6)
+
+
+def test_compass_corner_distance_order_at_m10():
+    labeled = full_compass(10, 10)
+    ids = [label for label, _ in labeled]
+    exact = distance_matrix([x for _, x in labeled])
+    layout = embed_distances(exact, seed=0, ids=ids)
+    corners = [ids.index(kind) for kind in CORNER_KINDS]
+    pairs = [(a, b) for i, a in enumerate(corners) for b in corners[i + 1 :]]
+    for p in pairs:
+        for q in pairs:
+            if exact[p[0]][p[1]] > 1.15 * exact[q[0]][q[1]]:
+                assert point_distance(layout, *p) > point_distance(layout, *q)
+
+
+def test_seeds_give_equal_stress_and_distinct_coordinates():
+    d = distance_matrix([x for _, x in full_compass(6, 5)])
+    layouts = [embed_distances(d, seed=seed) for seed in range(5)]
+    stresses = [layout_stress(layout, d) for layout in layouts]
+    assert max(stresses) - min(stresses) <= 1e-9 * min(stresses)
+    assert len({layout.points for layout in layouts}) == 5
+
+
+def test_stress_non_increasing_with_iteration_cap():
+    d = distance_matrix([x for _, x in full_compass(10, 5)])
+    stresses = [layout_stress(embed_distances(d, seed=1, iterations=cap), d) for cap in range(1, 31)]
+    for earlier, later in zip(stresses, stresses[1:]):
+        assert later <= earlier
+
+
+def test_layout_records_steps_and_stress():
+    d = distance_matrix([x for _, x in full_compass(4, 5)])
+    capped = embed_distances(d, seed=0, iterations=7)
+    assert capped.iterations == 7
+    layout = embed_distances(d, seed=0)
+    assert 7 < layout.iterations < 1000
+    assert embed_distances(d, seed=0, iterations=layout.iterations).points == layout.points
+    for run in (capped, layout):
+        assert abs(layout_stress(run, d) - run.stress) <= 1e-12
+    assert layout.stress < capped.stress
+
+
+def test_coincident_points_embed_without_float_errors():
+    d = [[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 0, 1], [2, 2, 1, 0]]
+    with np.errstate(all="raise"):
+        layout = embed_distances(d, seed=4)
+    assert point_distance(layout, 0, 1) <= 1e-6
+    assert abs(point_distance(layout, 0, 3) / point_distance(layout, 0, 2) - 2.0) <= 1e-6
 
 
 def test_degenerate_inputs():
