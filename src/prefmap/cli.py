@@ -20,13 +20,7 @@ from typing import Sequence
 from . import compass as compass_mod
 from . import cultures, embed, ingest, matrixio
 from .core import Election, FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
-from .metric import (
-    _prefix_sums,
-    _prefixed_distance,
-    distance_matrix,
-    normalization_constant,
-    positionwise,
-)
+from .metric import cross_distances, distance_matrix, normalization_constant, positionwise
 from .recovery import election_from_frequency_matrix, election_from_position_matrix
 
 
@@ -49,13 +43,6 @@ class FitResult:
     relphi: float
     mean_distance: float
     std_distance: float
-
-
-def _derive(seed: int, *indices: int) -> int:
-    out = seed
-    for ix in indices:
-        out = out * 1_000_003 + ix + 1
-    return out
 
 
 def fit_mallows(
@@ -89,24 +76,21 @@ def fit_mallows(
         raise ValueError("samples_per_value must be positive")
     m = sizes.pop()
     norm = normalization_constant(m)
-    data = [(x, _prefix_sums(x)) for x in map(frequency_matrix, dataset)]
+    data = [frequency_matrix(e) for e in dataset]
 
     best: tuple[float, float] | None = None  # (mean, relphi)
     best_per_election: list[float] = []
     for gi, relphi in enumerate(grid):
-        samples = []
-        for s in range(samples_per_value):
-            election = cultures.sample_mallows_norm(
-                m, votes_per_sample, relphi, _derive(seed, gi, s)
-            )
-            y = frequency_matrix(election)
-            samples.append((y, _prefix_sums(y)))
-        per_election = []
-        for x, px in data:
-            total = Fraction(0)
-            for y, py in samples:
-                total += _prefixed_distance(x, px, y, py).value
-            per_election.append(float(total / (samples_per_value * norm)))
+        samples = [
+            frequency_matrix(cultures.sample_mallows_norm(
+                m, votes_per_sample, relphi, cultures.derive_seed(seed, gi + 1, s + 1)
+            ))
+            for s in range(samples_per_value)
+        ]
+        per_election = [
+            float(sum(row, Fraction(0)) / (samples_per_value * norm))
+            for row in cross_distances(data, samples)
+        ]
         mean = sum(per_election) / len(per_election)
         if best is None or (mean, relphi) < best:
             best = (mean, relphi)

@@ -158,11 +158,13 @@ def relative_expected_swaps(m: int, phi: float) -> float:
     return expected_swaps(m, phi) / (m * (m - 1) / 2)
 
 
+@lru_cache(maxsize=256)
 def relphi_to_phi(m: int, relphi: float) -> float:
     """Invert relative_expected_swaps by bisection.
 
     relphi must lie in [0, 1/2]; the result phi satisfies
-    |relative_expected_swaps(m, phi) - relphi| <= 1e-10.
+    |relative_expected_swaps(m, phi) - relphi| <= 1e-10.  Results are
+    memoized: samplers calibrate the same few values over and over.
     """
     if m < 2:
         raise ValueError("calibration needs at least two candidates")
@@ -206,6 +208,14 @@ def swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def derive_seed(seed: int, *indices: int) -> int:
+    """Deterministic child seed for a path of indices below ``seed``, such
+    as a pipeline stage and an item, or a grid value and a sample."""
+    for ix in indices:
+        seed = seed * 1_000_003 + ix
+    return seed
 
 
 def _election(m: int, votes: list[tuple[int, ...]], meta: dict) -> Election:

@@ -114,13 +114,15 @@ def embed_distances(
     for row in distances:
         if len(row) != k:
             raise ValueError("distance matrix must be square")
+    if any(distances[i][i] != 0 for i in range(k)):
+        raise ValueError("diagonal must be zero")
+    # exact comparisons on the entries as given, each pair once
     for i in range(k):
-        if distances[i][i] != 0:
-            raise ValueError("diagonal must be zero")
-        for j in range(k):
-            if distances[i][j] != distances[j][i]:
+        row = distances[i]
+        for j in range(i + 1, k):
+            if row[j] != distances[j][i]:
                 raise ValueError("distance matrix must be symmetric")
-            if distances[i][j] < 0:
+            if row[j] < 0:
                 raise ValueError("distances must be nonnegative")
     if iterations < 1:
         raise ValueError("iterations must be positive")

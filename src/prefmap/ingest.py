@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Election, borda_scores, restrict_to_candidates
+from .cultures import derive_seed
 
 # A partial vote is a sequence of tie groups; each group is a tuple of
 # candidate ids ranked together, groups ordered best to worst.
@@ -528,7 +529,7 @@ def run_pipeline(
             record["dropped"] = f"more than {config.max_candidates} candidates"
             records.append(record)
             continue
-        election = complete_votes(profile, _derive(seed, 1, idx))
+        election = complete_votes(profile, derive_seed(seed, 1, idx))
         election = select_top_k(election, config.top_k)
         if config.min_voters is not None and election.n < config.min_voters:
             record["dropped"] = f"fewer than {config.min_voters} voters"
@@ -545,7 +546,7 @@ def run_pipeline(
         intermediates,
         config.samples_per_dataset,
         config.votes_per_sample,
-        _derive(seed, 2, 0),
+        derive_seed(seed, 2, 0),
     )
     manifest = {
         "seed": seed,
@@ -556,8 +557,3 @@ def run_pipeline(
         ],
     }
     return sampled, manifest
-
-
-def _derive(seed: int, stage: int, index: int) -> int:
-    """Deterministic child seed for a pipeline stage."""
-    return (seed * 1_000_003 + stage) * 1_000_003 + index

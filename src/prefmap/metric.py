@@ -6,10 +6,17 @@ The distance between two matrices is the cheapest way to match their
 columns.  Both matrices are brought to the least common multiple of their
 denominators, so the prefix sums and the cost matrix are integers (int64
 when they fit, Python integers otherwise) and the result is an exact
-rational.  The assignment solver works on those integers as they are: a
-Hungarian method finds the optimal cost and duals, and a pass over the
-edges of reduced cost 0 then picks the lexicographically smallest optimal
-column matching.  ``distance_matrix`` prefix-sums each matrix once.
+rational.
+
+The assignment solver works on those integers as they are.  For a block
+of pairs at once, numpy builds the cost matrices and the starting duals,
+and each row greedily takes a free column of reduced cost 0.  Only the
+rows left free go to a shortest augmenting path search in Python.  The
+batch callers, ``cross_distances`` and ``distance_matrix``, stop there:
+every optimal matching has the same total, so their values need no
+tie-break.  Only ``positionwise`` returns a permutation, and it runs one
+more pass over the edges of reduced cost 0 to pick the lexicographically
+smallest optimal column matching.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import Election, FrequencyMatrix, frequency_matrix
+
+# entries allowed in one temporary array of the batched solve
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -60,39 +70,53 @@ def emd(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
     return total
 
 
-def _assignment_lex(cost: list[list[int]]) -> tuple[int, list[int]]:
-    """Minimum-cost assignment over an integer cost matrix, exactly.
+def _start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
+    """Starting duals and a partial matching for each pair of a block.
 
-    Returns (total cost, assignment) where assignment[i] is the column
-    given to row i: among all optimal assignments, the lexicographically
-    smallest.  All arithmetic is on the costs as given, in Python integers.
+    ``cost[b]`` is the cost matrix of pair b (int64, or ``object`` for
+    Python integers).  For each pair this returns (u, v, col_of).  The
+    duals u (rows) and v (columns) come from a row reduction followed by a
+    column reduction, as in Jonker & Volgenant (1987), so every reduced
+    cost ``cost[b, i, j] - u[i] - v[j]`` is nonnegative.  Then each row, in
+    order, takes its first free column of reduced cost 0: ``col_of[i]`` is
+    that column, or -1 if none is left.
+    """
+    pairs, m, _ = cost.shape
+    u = cost.min(axis=2)
+    reduced = cost - u[:, :, None]
+    v = reduced.min(axis=1)
+    # each row's columns of reduced cost 0 as the bits of one Python integer
+    packed = np.packbits(reduced == v[:, None, :], axis=2, bitorder="little")
+    width = packed.shape[2]
+    raw = packed.tobytes()
+    matchings = []
+    for b in range(pairs):
+        taken = 0
+        col_of = []
+        for at in range(b * m * width, (b + 1) * m * width, width):
+            free = int.from_bytes(raw[at : at + width], "little") & ~taken
+            low = free & -free
+            taken |= low
+            col_of.append(low.bit_length() - 1)
+        matchings.append(col_of)
+    return list(zip(u.tolist(), v.tolist(), matchings))
 
-    The solve is the Hungarian method with duals u (rows) and v (columns)
-    that keep every reduced cost ``cost[i][j] - u[i] - v[j]`` nonnegative.
-    They start from a row reduction followed by a column reduction, as in
-    Jonker & Volgenant (1987), and each row greedily takes its first free
-    column of reduced cost 0.  A shortest augmenting path, in the form of
-    Crouse (2016), then places every row left over.  With the final duals,
-    the optimal assignments are exactly the perfect matchings on the tight
-    edges (reduced cost 0).  The tie-break fixes rows in order: a row keeps
-    its column or swaps, along one alternating cycle of tight edges among
-    the rows after it, to the smallest tight column such a cycle reaches.
-    One backward search from the row's column finds them all, so the pass
-    is O(m^3), like the solve.
+
+def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> list[int]:
+    """Complete a partial matching of one cost matrix to an optimal one.
+
+    ``u``, ``v`` and ``col_of`` are as ``_start`` gives them, and are
+    updated in place.  Each row left free is placed by a shortest
+    augmenting path over the reduced costs, in the form of Crouse (2016)
+    that scipy's ``linear_sum_assignment`` also uses: it scans only
+    unscanned columns, prefers a free column on a tie, and moves the duals
+    once per augmentation.  Returns ``row_of``, the row of each column.
     """
     m = len(cost)
-    u = [min(row) for row in cost]
-    v = [min(cost[i][j] - u[i] for i in range(m)) for j in range(m)]
-    # col_of[i] is the column of row i and row_of[j] the row of column j,
-    # or -1.  Each row first takes its first free column of reduced cost 0.
-    col_of = [-1] * m
     row_of = [-1] * m
-    for i, row in enumerate(cost):
-        for j in range(m):
-            if row_of[j] < 0 and row[j] - u[i] == v[j]:
-                col_of[i], row_of[j] = j, i
-                break
-
+    for i, j in enumerate(col_of):
+        if j >= 0:
+            row_of[j] = i
     inf = float("inf")
     for free in range(m):
         if col_of[free] >= 0:
@@ -142,8 +166,29 @@ def _assignment_lex(cost: list[list[int]]) -> tuple[int, list[int]]:
             col_of[i], j = j, col_of[i]
             if i == free:
                 break
+    return row_of
 
-    tight = [[j for j in range(m) if cost[i][j] - u[i] == v[j]] for i in range(m)]
+
+def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
+    """Minimum-cost assignment over one integer cost matrix, exactly.
+
+    Returns (total cost, assignment) where assignment[i] is the column
+    given to row i: among all optimal assignments, the lexicographically
+    smallest.  ``cost`` is a square int64 or ``object`` array.
+
+    ``_start`` and ``_augment`` find one optimal assignment.  With the
+    final duals, the optimal assignments are exactly the perfect matchings
+    on the tight edges (reduced cost 0).  The tie-break fixes rows in
+    order: a row keeps its column or swaps, along one alternating cycle of
+    tight edges among the rows after it, to the smallest tight column such
+    a cycle reaches.  One backward search from the row's column finds them
+    all, so the pass is O(m^3), like the solve.
+    """
+    ((u, v, col_of),) = _start(cost[None])
+    rows = cost.tolist()
+    row_of = _augment(rows, u, v, col_of)
+    m = len(rows)
+    tight = [[j for j in range(m) if rows[i][j] - u[i] == v[j]] for i in range(m)]
     tight_rows: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         for j in tight[i]:
@@ -172,7 +217,26 @@ def _assignment_lex(cost: list[list[int]]) -> tuple[int, list[int]]:
         for i, c in moves:
             col_of[i] = c
             row_of[c] = i
-    return sum(cost[i][col_of[i]] for i in range(m)), col_of
+    return sum(rows[i][j] for i, j in enumerate(col_of)), col_of
+
+
+def _totals(cost: np.ndarray) -> list[int]:
+    """Optimal assignment totals of a block of cost matrices.
+
+    Where ``_start`` matches every row, the matching is tight under
+    feasible duals and so optimal, and its total is the dual objective.
+    Only the other pairs go through ``_augment``.  No tie-break is needed:
+    every optimal matching has the same total.
+    """
+    totals = []
+    for b, (u, v, col_of) in enumerate(_start(cost)):
+        if -1 in col_of:
+            rows = cost[b].tolist()
+            _augment(rows, u, v, col_of)
+            totals.append(sum(rows[i][j] for i, j in enumerate(col_of)))
+        else:
+            totals.append(sum(u) + sum(v))
+    return totals
 
 
 def _prefix_sums(x: FrequencyMatrix) -> np.ndarray:
@@ -182,34 +246,78 @@ def _prefix_sums(x: FrequencyMatrix) -> np.ndarray:
     return np.cumsum(np.array(x.counts, dtype=dtype), axis=0)
 
 
-def _prefixed_distance(
-    x: FrequencyMatrix, px: np.ndarray, y: FrequencyMatrix, py: np.ndarray
-) -> DistanceRecord:
-    """``positionwise(x, y)`` given both matrices' ``_prefix_sums``."""
-    if x.m != y.m:
-        raise ValueError(f"matrix sizes differ: {x.m} vs {y.m}")
-    m = x.m
-    scale = lcm(x.denominator, y.denominator)
-    # Scaled prefix sums lie in [0, scale], so a cost entry is at most
-    # m * scale; past int64 the arithmetic moves to Python integers.
-    dtype = np.int64 if m * scale < 2**62 else object
-    px = px.astype(dtype, copy=False) * (scale // x.denominator)
-    py = py.astype(dtype, copy=False) * (scale // y.denominator)
-    # cost[i][j] = sum over positions p of |px[p, i] - py[p, j]|, summed in
-    # blocks of positions that keep the temporary under 2**16 entries
-    step = max(1, 2**16 // (m * m))
-    cost = sum(
-        np.abs(px[p : p + step, :, None] - py[p : p + step, None, :]).sum(axis=0)
-        for p in range(0, m, step)
-    )
-    total, assignment = _assignment_lex(cost.tolist())
-    return DistanceRecord(Fraction(total, scale), tuple(assignment))
+def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Cost matrices of a block of pairs from their scaled prefix sums:
+    ``cost[b, i, j]`` is the sum over positions p of
+    ``|px[b, p, i] - py[b, p, j]|``.  Positions are summed in chunks that
+    keep the reused temporary under ``_BLOCK`` entries.  The last position
+    adds nothing: there every column's prefix sum is the whole scale."""
+    pairs, m, _ = px.shape
+    step = max(1, min(m - 1, _BLOCK // (pairs * m * m)))
+    cost = np.zeros((pairs, m, m), dtype=px.dtype)
+    diff = np.empty((pairs, step, m, m), dtype=px.dtype)
+    for p in range(0, m - 1, step):
+        q = min(p + step, m - 1)
+        d = diff[:, : q - p]
+        np.subtract(px[:, p:q, :, None], py[:, p:q, None, :], out=d)
+        cost += np.abs(d, out=d).sum(axis=1)
+    return cost
+
+
+def _dtype(m: int, scale: int) -> type:
+    """Scaled prefix sums lie in [0, scale], so a cost entry is at most
+    m * scale: int64 below 2**62, Python integers from there on."""
+    return np.int64 if m * scale < 2**62 else object
+
+
+def _common_size(items: Sequence[FrequencyMatrix]) -> int:
+    m = items[0].m
+    for z in items:
+        if z.m != m:
+            raise ValueError(f"matrix sizes differ: {m} vs {z.m}")
+    return m
+
+
+def _values(
+    xs: Sequence[FrequencyMatrix],
+    ys: Sequence[FrequencyMatrix],
+    pairs: Sequence[tuple[int, int]],
+) -> list[Fraction]:
+    """Exact distance of ``xs[i]`` and ``ys[j]`` for each pair (i, j)."""
+    if not pairs:
+        return []
+    m = _common_size([*xs, *ys])
+    sx = np.stack([_prefix_sums(x) for x in xs])
+    sy = sx if ys is xs else np.stack([_prefix_sums(y) for y in ys])
+    scales = [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
+    out = [Fraction(0)] * len(pairs)
+    size = max(1, _BLOCK // m**3)
+    dtypes = [_dtype(m, s) for s in scales]
+    for dtype in (np.int64, object):
+        todo = [k for k, d in enumerate(dtypes) if d is dtype]
+        for at in range(0, len(todo), size):
+            block = todo[at : at + size]
+            ii = [pairs[k][0] for k in block]
+            jj = [pairs[k][1] for k in block]
+            ax = np.array([scales[k] // xs[i].denominator for k, i in zip(block, ii)], dtype=dtype)
+            ay = np.array([scales[k] // ys[j].denominator for k, j in zip(block, jj)], dtype=dtype)
+            px = sx[ii].astype(dtype, copy=False) * ax[:, None, None]
+            py = sy[jj].astype(dtype, copy=False) * ay[:, None, None]
+            for k, total in zip(block, _totals(_costs(px, py))):
+                out[k] = Fraction(total, scales[k])
+    return out
 
 
 def positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
     """Positionwise distance: minimum over column matchings of the summed
     per-column earth mover's distances."""
-    return _prefixed_distance(x, _prefix_sums(x), y, _prefix_sums(y))
+    m = _common_size([x, y])
+    scale = lcm(x.denominator, y.denominator)
+    dtype = _dtype(m, scale)
+    pxy = np.cumsum(np.array([x.counts, y.counts], dtype=dtype), axis=1)
+    pxy *= np.array([scale // x.denominator, scale // y.denominator], dtype=dtype)[:, None, None]
+    total, assignment = _assignment_lex(_costs(pxy[:1], pxy[1:])[0])
+    return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 
 def positionwise_elections(e: Election, f: Election) -> DistanceRecord:
@@ -218,20 +326,34 @@ def positionwise_elections(e: Election, f: Election) -> DistanceRecord:
     return positionwise(frequency_matrix(e), frequency_matrix(f))
 
 
+def cross_distances(
+    xs: Sequence[FrequencyMatrix], ys: Sequence[FrequencyMatrix]
+) -> list[list[Fraction]]:
+    """Positionwise distance values of every x in ``xs`` to every y in
+    ``ys``: row i holds ``positionwise(xs[i], y).value`` for each y.
+
+    All matrices must share m.  Pairs are solved in blocks, without the
+    tie-break that only ``positionwise`` needs for its permutation.
+    """
+    pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+    values = _values(xs, ys, pairs)
+    k = len(ys)
+    return [values[i * k : (i + 1) * k] for i in range(len(xs))]
+
+
 def distance_matrix(items: Sequence[FrequencyMatrix]) -> list[list[Fraction]]:
-    """Symmetric matrix of pairwise positionwise distances.
+    """Symmetric matrix of pairwise positionwise distance values, solved
+    like ``cross_distances`` over the pairs above the diagonal.
 
     Pairs are independent of one another, so evaluation order (or a
     parallel map) cannot change the result.
     """
     k = len(items)
-    prefixes = [_prefix_sums(x) for x in items]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     out = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = _prefixed_distance(items[i], prefixes[i], items[j], prefixes[j]).value
-            out[i][j] = d
-            out[j][i] = d
+    for (i, j), d in zip(pairs, _values(items, items, pairs)):
+        out[i][j] = d
+        out[j][i] = d
     return out
 
 

@@ -7,13 +7,15 @@ instead of recurrences.  Two exceptions are the library's earlier code,
 kept as references for what replaced it: ``fraction_positionwise``, the
 positionwise distance over tuples of ``Fraction``s,
 ``composite_assignment_lex``, the assignment solver that broke ties by
-folding a positional digit into every cost, and ``gradient_embed``, the
-map layout by gradient descent from seeded random points.
+folding a positional digit into every cost, ``pairwise_fit_mallows``, the
+dispersion fit that compared one pair at a time, and ``gradient_embed``,
+the map layout by gradient descent from seeded random points.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +24,11 @@ from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
-from prefmap.core import FrequencyMatrix
+from prefmap.cli import FitResult
+from prefmap.core import Election, FrequencyMatrix, frequency_matrix
+from prefmap.cultures import sample_mallows_norm
 from prefmap.embed import MapLayout
-from prefmap.metric import DistanceRecord
+from prefmap.metric import DistanceRecord, normalization_constant
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -175,6 +179,41 @@ def fraction_positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRec
     ]
     total, assignment = composite_assignment_lex(cost)
     return DistanceRecord(Fraction(total, scale), tuple(assignment))
+
+
+def pairwise_fit_mallows(
+    dataset: Sequence[Election],
+    grid: Sequence[float],
+    samples_per_value: int,
+    seed: int,
+    votes_per_sample: int = 100,
+) -> FitResult:
+    """``fit_mallows`` one pair at a time, with ``fraction_positionwise``
+    and the per-sample seeds written out."""
+    m = dataset[0].m
+    norm = normalization_constant(m)
+    data = [frequency_matrix(e) for e in dataset]
+    best: tuple[float, float] | None = None
+    best_per_election: list[float] = []
+    for gi, relphi in enumerate(grid):
+        samples = []
+        for s in range(samples_per_value):
+            child = (seed * 1_000_003 + gi + 1) * 1_000_003 + s + 1
+            samples.append(frequency_matrix(sample_mallows_norm(m, votes_per_sample, relphi, child)))
+        per_election = []
+        for x in data:
+            total = Fraction(0)
+            for y in samples:
+                total += fraction_positionwise(x, y).value
+            per_election.append(float(total / (samples_per_value * norm)))
+        mean = sum(per_election) / len(per_election)
+        if best is None or (mean, relphi) < best:
+            best = (mean, relphi)
+            best_per_election = per_election
+    assert best is not None
+    mean, relphi = best
+    var = sum((v - mean) ** 2 for v in best_per_election) / len(best_per_election)
+    return FitResult(relphi=relphi, mean_distance=mean, std_distance=math.sqrt(var))
 
 
 def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> float:

@@ -8,8 +8,9 @@ from xml.etree import ElementTree
 
 import pytest
 
+import oracles
 from prefmap import ingest
-from prefmap.cli import main
+from prefmap.cli import fit_mallows, main
 from prefmap.compass import compass_matrix
 from prefmap.matrixio import read_matrix_csv, write_matrix_csv
 
@@ -341,6 +342,18 @@ def test_fit_mallows_small_run(capsys, tmp_path):
     assert out.startswith("relphi=")
     value = float(out.split()[0].split("=")[1])
     assert value in (0.0, 0.25, 0.5)
+
+
+def test_fit_mallows_matches_pairwise_oracle():
+    from prefmap.cultures import sample_mallows_norm
+
+    # mixed voter counts, so the dataset's denominators differ; grid values
+    # above 1/2 sample around the reversed order
+    dataset = [sample_mallows_norm(5, 20 + 7 * i, 0.3, seed=70 + i) for i in range(4)]
+    grid = [0.0, 0.25, 0.3, 0.55, 0.8, 1.0]
+    for seed in (0, 5):
+        expected = oracles.pairwise_fit_mallows(dataset, grid, 3, seed, votes_per_sample=30)
+        assert fit_mallows(dataset, grid, 3, seed, votes_per_sample=30) == expected
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -6,10 +6,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from prefmap.cultures import (
     CultureSpec,
+    derive_seed,
     election_is_single_peaked,
     expected_swaps,
     is_single_peaked,
@@ -287,6 +290,27 @@ def test_mallows_norm_above_half_mirrors_below():
     cap = m * (m - 1) // 2
     mean_rel = sum(swap_distance(v, identity) for v in e.votes) / (n * cap)
     assert abs(mean_rel - 0.8) <= 0.02
+
+
+def test_mallows_norm_samples_match_uncached_calibration():
+    for relphi in (0.0, 0.2, 0.5, 0.7, 0.95, 1.0):
+        calibrated = relphi if relphi <= 0.5 else 1 - relphi
+        central = tuple(range(7)) if relphi <= 0.5 else tuple(range(6, -1, -1))
+        for _ in range(2):  # a fresh calibration, then a memoized one
+            e = sample_mallows_norm(7, 50, relphi, seed=3)
+            phi = relphi_to_phi.__wrapped__(7, calibrated)
+            assert e.meta["phi"] == phi
+            assert e.votes == sample_mallows(7, 50, phi, seed=3, central=central).votes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**40), st.integers(-3, 60), st.integers(-3, 10**4))
+def test_derive_seed_keeps_both_former_formulas(seed, a, b):
+    p = 1_000_003
+    # the ingest pipeline's (seed, stage, index) and fit-mallows' (seed,
+    # grid index, sample index) children, shifted by one
+    assert derive_seed(seed, a, b) == (seed * p + a) * p + b
+    assert derive_seed(seed, a + 1, b + 1) == (seed * p + a + 1) * p + b + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import numpy as np
@@ -167,6 +168,20 @@ def test_embed_validation():
         embed_distances([[0, 1], [1, 0]], seed=0, ids=["a"])
     with pytest.raises(ValueError):
         embed_distances([[0, 1], [1, 0]], seed=0, iterations=0)
+
+
+def test_embed_validation_is_exact():
+    # differences far below float resolution are still differences
+    tiny = Fraction(1, 10**30)
+    assert float(1 + tiny) == 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        embed_distances([[0, 1, 2], [1, 0, 1], [2, 1 + tiny, 0]], seed=0)
+    with pytest.raises(ValueError, match="symmetric"):
+        embed_distances([[0, 1, 2 + tiny], [1, 0, 1], [2, 1, 0]], seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        embed_distances([[0, -tiny], [-tiny, 0]], seed=0)
+    with pytest.raises(ValueError, match="diagonal"):
+        embed_distances([[0, 1], [1, tiny]], seed=0)
 
 
 def test_default_styling_groups():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_election
-from prefmap import cultures
+from prefmap import cultures, metric
 from prefmap.compass import compass_matrix
 from prefmap.core import Election, FrequencyMatrix, frequency_matrix
 from prefmap.metric import (
     _assignment_lex,
+    cross_distances,
     distance_matrix,
     emd,
     normalization_constant,
@@ -226,12 +228,21 @@ def test_positionwise_rejects_size_mismatch():
         positionwise(id3, id4)
 
 
+def _assign(cost: list[list[int]]) -> tuple[int, list[int]]:
+    """``_assignment_lex`` on Python integers, checked against the int64
+    solve wherever the costs fit it."""
+    out = _assignment_lex(np.array(cost, dtype=object))
+    if max(map(max, cost)) < 2**62:
+        assert _assignment_lex(np.array(cost, dtype=np.int64)) == out
+    return out
+
+
 def test_assignment_solver_against_brute_force():
     rng = random.Random(123)
     for _ in range(300):
         m = rng.randint(1, 5)
         cost = [[rng.randint(0, 12) for _ in range(m)] for _ in range(m)]
-        total, assignment = _assignment_lex(cost)
+        total, assignment = _assign(cost)
         best_val, best_perm = oracles.brute_force_assignment(cost)
         assert total == best_val
         assert tuple(assignment) == best_perm
@@ -288,13 +299,13 @@ def _fixed_m100_costs():
 @settings(max_examples=400, deadline=None)
 @given(_tie_heavy_costs())
 def test_assignment_matches_composite_oracle(cost):
-    total, assignment = _assignment_lex(cost)
+    total, assignment = _assign(cost)
     assert (total, assignment) == oracles.composite_assignment_lex(cost)
 
 
 @pytest.mark.parametrize("cost", _fixed_m100_costs())
 def test_assignment_matches_composite_oracle_m100(cost):
-    total, assignment = _assignment_lex(cost)
+    total, assignment = _assign(cost)
     assert (total, assignment) == oracles.composite_assignment_lex(cost)
 
 
@@ -325,6 +336,76 @@ def test_distance_matrix_matches_positionwise_on_mixed_denominators():
     for i, x in enumerate(mats):
         for j, y in enumerate(mats):
             assert table[i][j] == positionwise(x, y).value
+
+
+def _tie_heavy(m):
+    """Matrices with many optimal matchings: permutation matrices, UN
+    (every column alike), and even mixes of a permutation and one
+    transposition of it (two equal columns)."""
+    perm = st.permutations(range(m))
+    un = FrequencyMatrix([[Fraction(1, m)] * m for _ in range(m)])
+
+    def doubled(p, a, b):
+        q = list(p)
+        q[a], q[b] = q[b], q[a]
+        return _mix([(Fraction(1), tuple(p)), (Fraction(1), tuple(q))])
+
+    return st.one_of(
+        perm.map(lambda p: _mix([(Fraction(1), tuple(p))])),
+        st.just(un),
+        st.builds(doubled, perm, st.integers(0, m - 1), st.integers(0, m - 1)),
+    )
+
+
+def _blocks():
+    """Lists of same-size matrices mixing small denominators, denominators
+    that take a pair past 2**62, and tie-heavy matrices; m = 1 included."""
+    return st.integers(1, 9).flatmap(
+        lambda m: st.lists(st.one_of(_bistochastic(m), _tie_heavy(m)), min_size=1, max_size=7)
+    )
+
+
+_CROSSING_BLOCK = [  # pairs on both sides of the int64 bound, m = 3
+    _mix([(Fraction(1), (0, 1, 2)), (Fraction(1, 3), (2, 0, 1))]),
+    _mix([(Fraction(1, 2**61), (1, 2, 0)), (Fraction(1), (0, 2, 1))]),
+    _mix([(Fraction(1), (2, 1, 0))]),
+    FrequencyMatrix([[Fraction(1, 3)] * 3 for _ in range(3)]),
+    _mix([(Fraction(5, 2**80 + 1), (1, 0, 2)), (Fraction(1, 7), (2, 1, 0))]),
+]
+
+
+@pytest.mark.parametrize("block_entries", [2**16, 9])
+@settings(max_examples=150, deadline=None)
+@given(_blocks(), st.integers(0, 7))
+@example(_CROSSING_BLOCK, 2)
+def test_batched_values_match_fraction_oracle(block_entries, items, cut):
+    # a tiny block bound splits the pairs into many blocks and the
+    # positions into many chunks
+    expected = [[oracles.fraction_positionwise(x, y).value for y in items] for x in items]
+    with mock.patch.object(metric, "_BLOCK", block_entries):
+        table = distance_matrix(items)
+        cross = cross_distances(items[:cut], items[cut:])
+    assert table == expected
+    assert cross == [row[cut:] for row in expected[:cut]]
+
+
+def test_batched_values_match_positionwise_at_m100():
+    m = 100
+    items = [compass_matrix(kind, m).matrix for kind in ("ID", "UN", "ST", "AN")]
+    items.append(frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.3, 8)))
+    table = distance_matrix(items)
+    assert table == [[positionwise(x, y).value for y in items] for x in items]
+    assert cross_distances(items[:2], items) == table[:2]
+
+
+def test_batched_values_check_sizes():
+    id3 = compass_matrix("ID", 3).matrix
+    id4 = compass_matrix("ID", 4).matrix
+    with pytest.raises(ValueError, match="matrix sizes differ: 4 vs 3"):
+        cross_distances([id4], [id4, id3])
+    assert cross_distances([], [id3, id4]) == []
+    assert cross_distances([id3, id4], []) == [[], []]
+    assert distance_matrix([]) == []
 
 
 def test_normalization_constant_values():
