@@ -20,7 +20,7 @@ from typing import Sequence
 from . import compass as compass_mod
 from . import cultures, embed, ingest, matrixio
 from .core import Election, FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
-from .metric import cross_distances, distance_matrix, normalization_constant, positionwise
+from .metric import cross_distances, distance_matrix, normalized, positionwise
 from .recovery import election_from_frequency_matrix, election_from_position_matrix
 
 
@@ -75,7 +75,6 @@ def fit_mallows(
     if samples_per_value < 1:
         raise ValueError("samples_per_value must be positive")
     m = sizes.pop()
-    norm = normalization_constant(m)
     data = [frequency_matrix(e) for e in dataset]
 
     best: tuple[float, float] | None = None  # (mean, relphi)
@@ -88,7 +87,7 @@ def fit_mallows(
             for s in range(samples_per_value)
         ]
         per_election = [
-            float(sum(row, Fraction(0)) / (samples_per_value * norm))
+            float(normalized(sum(row, Fraction(0)) / samples_per_value, m))
             for row in cross_distances(data, samples)
         ]
         mean = sum(per_election) / len(per_election)
@@ -155,7 +154,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     record = positionwise(x, y)
     value = record.value
     if args.normalized:
-        value = value / normalization_constant(x.m)
+        value = normalized(value, x.m)
     print(f"{_fmt_decimal(value)} (exact {value.numerator}/{value.denominator})")
     return 0
 
@@ -172,10 +171,7 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             fh.write(",".join(["id"] + labels) + "\n")
             for label, row in zip(labels, table):
-                fh.write(
-                    ",".join([label] + [matrixio.format_rational(v) for v in row])
-                    + "\n"
-                )
+                fh.write(",".join([label] + [str(v) for v in row]) + "\n")
     _say(args, f"wrote {len(items)}x{len(items)} distance matrix to {args.out}")
     return 0
 
@@ -270,6 +266,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distance_cells(path: str, cells: list[str]) -> list[float]:
+    out = []
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: bad distance {cell!r}: expected a finite number")
+        out.append(value)
+    return out
+
+
 def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -286,11 +295,11 @@ def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
                 raise ValueError(f"{path}: row label {label!r} is not in the header")
             if index[label] in by_index:
                 raise ValueError(f"{path}: row label {label!r} is repeated")
-            by_index[index[label]] = [float(c) for c in cells]
+            by_index[index[label]] = _distance_cells(path, cells)
         rows = [by_index[k] for k in sorted(by_index)]
     else:
         labels = [str(i) for i in range(len(lines))]
-        rows = [[float(c) for c in ln.split(",")] for ln in lines]
+        rows = [_distance_cells(path, ln.split(",")) for ln in lines]
     if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
         raise ValueError(f"{path}: distance matrix must be square")
     return labels, rows
@@ -314,6 +323,15 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_mallows(args: argparse.Namespace) -> int:
+    if args.coarse:
+        step, samples = 0.01, 20
+    else:
+        step, samples = args.grid_step, args.samples
+        if not (math.isfinite(step) and 0 < step <= 0.5):
+            raise UsageError(
+                f"fit-mallows: --grid-step (config key grid_step) must be a "
+                f"finite number in (0, 0.5], got {step!r}"
+            )
     paths = sorted(
         os.path.join(args.dataset, name)
         for name in os.listdir(args.dataset)
@@ -322,10 +340,6 @@ def _cmd_fit_mallows(args: argparse.Namespace) -> int:
     if not paths:
         raise ValueError(f"no .soc files in {args.dataset}")
     dataset = [ingest.load_election(p) for p in paths]
-    if args.coarse:
-        step, samples = 0.01, 20
-    else:
-        step, samples = args.grid_step, args.samples
     count = int(round(0.5 / step)) + 1
     grid = [min(k * step, 0.5) for k in range(count)]
     result = fit_mallows(dataset, grid, samples, args.seed)
@@ -423,7 +437,7 @@ def build_parser() -> _Parser:
         "fit-mallows", parents=[common], help="fit normalized dispersion to a dataset"
     )
     p.add_argument("--dataset", required=True, help="directory of .soc elections")
-    p.add_argument("--grid-step", type=float, default=0.001, help="grid resolution")
+    p.add_argument("--grid-step", type=float, default=0.001, help="grid resolution, in (0, 0.5]")
     p.add_argument("--samples", type=int, default=100, help="samples per grid value")
     p.add_argument("--coarse", action="store_true",
                    help="coarse preset: step 0.01, 20 samples")

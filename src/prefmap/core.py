@@ -156,15 +156,11 @@ class FrequencyMatrix:
         """Build from rows of exact rationals; every line must sum to 1."""
         rows = [[Fraction(x) for x in row] for row in entries]
         d = lcm(*(x.denominator for row in rows for x in row))
-        counts, total = _line_total(
-            ([x.numerator * (d // x.denominator) for x in row] for row in rows),
-            "frequency matrix",
-            d,
-        )
+        counts = ([x.numerator * (d // x.denominator) for x in row] for row in rows)
+        counts, total = _line_total(counts, "frequency matrix", d)
         if total != d:
             raise ValueError("frequency matrix lines must sum to 1 exactly")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "denominator", d)
+        vars(self).update(vars(_frequency(counts, d)))
 
     @property
     def m(self) -> int:
@@ -175,8 +171,14 @@ class FrequencyMatrix:
         d = self.denominator
         return tuple(tuple(Fraction(c, d) for c in row) for row in self.counts)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(row[j], self.denominator) for row in self.counts)
+
+def _frequency(counts: IntRows, denominator: int) -> FrequencyMatrix:
+    """``counts / denominator`` in lowest terms, for valid counts whose lines sum to it."""
+    g = gcd(denominator, *(c for row in counts for c in row))
+    freq = object.__new__(FrequencyMatrix)
+    object.__setattr__(freq, "counts", tuple(tuple(c // g for c in row) for row in counts))
+    object.__setattr__(freq, "denominator", denominator // g)
+    return freq
 
 
 def position_matrix(election: Election) -> PositionMatrix:
@@ -197,12 +199,7 @@ def frequency_matrix(election: Election) -> FrequencyMatrix:
 def frequency_from_position(pos: PositionMatrix) -> FrequencyMatrix:
     """``pos / pos.n`` in lowest terms.  Any validated position matrix, of
     voters or of cleared denominators, gives a frequency matrix this way."""
-    g = gcd(pos.n, *(c for row in pos.entries for c in row))
-    freq = object.__new__(FrequencyMatrix)
-    counts = tuple(tuple(c // g for c in row) for row in pos.entries)
-    object.__setattr__(freq, "counts", counts)
-    object.__setattr__(freq, "denominator", pos.n // g)
-    return freq
+    return _frequency(pos.entries, pos.n)
 
 
 def borda_scores(election: Election) -> dict[Candidate, int]:

@@ -189,23 +189,6 @@ def relphi_to_phi(m: int, relphi: float) -> float:
     return phi
 
 
-def swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
-    """Number of candidate pairs ordered differently by the two votes."""
-    m = len(u)
-    if sorted(u) != list(range(m)) or sorted(v) != list(range(m)):
-        raise ValueError("votes must be permutations of the same candidates")
-    pos_v = [0] * m
-    for rank, c in enumerate(v):
-        pos_v[c] = rank
-    seq = [pos_v[c] for c in u]
-    count = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if seq[i] > seq[j]:
-                count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -449,26 +432,6 @@ def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:
             "seed": seed,
         },
     )
-
-
-def is_single_peaked(vote: Sequence[int], axis: Sequence[int]) -> bool:
-    """True if every prefix of the vote is an interval of the axis."""
-    m = len(axis)
-    axis_pos = {c: k for k, c in enumerate(axis)}
-    if len(axis_pos) != m or len(vote) != m:
-        raise ValueError("vote and axis must be permutations of the same set")
-    lo = hi = axis_pos[vote[0]]
-    for t, c in enumerate(vote[1:], start=2):
-        p = axis_pos[c]
-        lo = min(lo, p)
-        hi = max(hi, p)
-        if hi - lo + 1 != t:
-            return False
-    return True
-
-
-def election_is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
-    return all(is_single_peaked(v, axis) for v in election.votes)
 
 
 def _check_mn(m: int, n: int) -> None:

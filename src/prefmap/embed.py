@@ -325,18 +325,3 @@ def write_coordinates(layout: MapLayout, path: str | os.PathLike[str]) -> None:
             group = layout.styling.get(pid, ("", "", ""))[2]
             writer.writerow([str(pid), repr(x), repr(y), group])
 
-
-def read_coordinates(
-    path: str | os.PathLike[str],
-) -> list[tuple[str, float, float, str]]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "x", "y", "group"]:
-            raise ValueError(f"{path}: expected header id,x,y,group")
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"{path}: expected 4 columns, got {len(row)}")
-            out.append((row[0], float(row[1]), float(row[2]), row[3]))
-    return out

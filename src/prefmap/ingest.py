@@ -212,32 +212,6 @@ def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _format_vote(vote: PartialVote) -> str:
-    parts = []
-    for group in vote:
-        if len(group) == 1:
-            parts.append(str(group[0]))
-        else:
-            parts.append("{" + ",".join(str(c) for c in group) + "}")
-    return ",".join(parts)
-
-
-def serialize_profile(
-    profile: PartialProfile,
-    path: str | os.PathLike[str],
-    comments: Sequence[str] = (),
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(f"{profile.m}\n")
-        for cid in profile.candidates:
-            fh.write(f"{cid}, {profile.names.get(cid, f'c{cid}')}\n")
-        fh.write(f"{profile.n}, {profile.n}, {len(profile.votes)}\n")
-        for vote, count in zip(profile.votes, profile.multiplicities):
-            fh.write(f"{count}, {_format_vote(vote)}\n")
-
-
 def serialize_election(
     election: Election,
     path: str | os.PathLike[str],

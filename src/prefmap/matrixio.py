@@ -2,7 +2,8 @@
 
 Format: m lines with m comma-separated values each, no header.  Rationals
 are serialized as ``p/q`` (plain ``p`` for integers), so a file written by
-this module reads back with no precision loss.
+this module reads back with no precision loss.  Reading goes straight to
+integer counts over one common denominator; it builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
-from .core import FrequencyMatrix, PositionMatrix
+from .core import FrequencyMatrix, PositionMatrix, _frequency, _line_total
 
 Matrix = Union[PositionMatrix, FrequencyMatrix]
 
@@ -21,29 +23,30 @@ Matrix = Union[PositionMatrix, FrequencyMatrix]
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def format_rational(value: Fraction) -> str:
-    # str(Fraction) already yields "p" or "p/q" in lowest terms
-    return str(Fraction(value))
-
-
-def parse_rational(token: str) -> Fraction:
+def _split(token: str) -> tuple[int, int]:
+    """Numerator and positive denominator as written: "2/4" gives (2, 4)."""
     match = _RATIONAL.fullmatch(token.strip())
     if match is None:
         raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")
     num, den, decimals = match.groups()
     try:
-        if decimals is not None:
-            return Fraction(int(num + decimals), 10 ** len(decimals))
-        return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = (int(num + decimals), 10**len(decimals)) if decimals else (int(num), int(den or 1))
+    except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"bad rational {token!r}: {exc}") from None
+    if q == 0:
+        raise ValueError(f"bad rational {token!r}: Fraction({p}, 0)")
+    return p, q
+
+
+def parse_rational(token: str) -> Fraction:
+    return Fraction(*_split(token))
 
 
 def write_matrix_csv(matrix: Matrix, path: str | os.PathLike[str]) -> None:
+    # str of an int or a Fraction is "p" or "p/q" in lowest terms
     with open(path, "w", encoding="utf-8") as fh:
         for row in matrix.entries:
-            fh.write(",".join(format_rational(x) for x in row))
-            fh.write("\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
@@ -54,13 +57,13 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
     permutation matrix is both; it reads as a FrequencyMatrix with
     denominator 1.
     """
-    rows: list[list[Fraction]] = []
+    rows: list[list[tuple[int, int]]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([parse_rational(tok) for tok in line.split(",")])
+            rows.append([_split(tok) for tok in line.split(",")])
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     m = len(rows)
@@ -68,12 +71,14 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
         if len(row) != m:
             raise ValueError(f"{path}: expected a square {m}x{m} matrix")
 
-    if all(sum(row) == 1 for row in rows):
-        return FrequencyMatrix(tuple(tuple(row) for row in rows))
-    if all(x.denominator == 1 for row in rows for x in row):
-        return PositionMatrix(
-            tuple(tuple(x.numerator for x in row) for row in rows)
-        )
+    # over the lcm of its denominators, a row summing to 1 sums to that lcm
+    units = [lcm(*(q for _, q in row)) for row in rows]
+    if all(sum(p * (d // q) for p, q in row) == d for row, d in zip(rows, units)):
+        d = lcm(*units)
+        counts = ([p * (d // q) for p, q in row] for row in rows)
+        return _frequency(_line_total(counts, "frequency matrix", d)[0], d)
+    if all(p % q == 0 for row in rows for p, q in row):
+        return PositionMatrix(tuple(tuple(p // q for p, q in row) for row in rows))
     raise ValueError(
         f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
     )

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Election, FrequencyMatrix, frequency_matrix
+from .core import FrequencyMatrix
 
 # entries allowed in one temporary array of the batched solve
 _BLOCK = 2**16
@@ -45,29 +46,6 @@ class DistanceRecord:
 
     value: Fraction
     column_permutation: tuple[int, ...]
-
-
-def emd(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
-    """Earth mover's distance between two distributions over positions
-    0..m-1 with unit spacing: sum of |prefix(x) - prefix(y)|."""
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
-    if len(xs) != len(ys):
-        raise ValueError("vectors must have equal length")
-    if not xs:
-        raise ValueError("vectors must be nonempty")
-    if any(v < 0 for v in xs) or any(v < 0 for v in ys):
-        raise ValueError("distributions must be nonnegative")
-    if sum(xs) != 1 or sum(ys) != 1:
-        raise ValueError("distributions must sum to 1")
-    total = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for a, b in zip(xs, ys):
-        cx += a
-        cy += b
-        total += abs(cx - cy)
-    return total
 
 
 def _start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
@@ -182,9 +160,12 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     order: a row keeps its column or swaps, along one alternating cycle of
     tight edges among the rows after it, to the smallest tight column such
     a cycle reaches.  One backward search from the row's column finds them
-    all, so the pass is O(m^3), like the solve.
+    all, so the pass is O(m^3), like the solve.  It is skipped when
+    ``_start`` matches every row, each to its smallest tight column left free.
     """
     ((u, v, col_of),) = _start(cost[None])
+    if -1 not in col_of:
+        return sum(u) + sum(v), col_of
     rows = cost.tolist()
     row_of = _augment(rows, u, v, col_of)
     m = len(rows)
@@ -239,13 +220,6 @@ def _totals(cost: np.ndarray) -> list[int]:
     return totals
 
 
-def _prefix_sums(x: FrequencyMatrix) -> np.ndarray:
-    """Columns of ``x.counts`` prefix-summed down the positions.  They lie
-    in [0, x.denominator]: int64 while that fits, Python integers beyond."""
-    dtype = np.int64 if x.denominator < 2**62 else object
-    return np.cumsum(np.array(x.counts, dtype=dtype), axis=0)
-
-
 def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Cost matrices of a block of pairs from their scaled prefix sums:
     ``cost[b, i, j]`` is the sum over positions p of
@@ -264,18 +238,39 @@ def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _dtype(m: int, scale: int) -> type:
-    """Scaled prefix sums lie in [0, scale], so a cost entry is at most
-    m * scale: int64 below 2**62, Python integers from there on."""
-    return np.int64 if m * scale < 2**62 else object
-
-
-def _common_size(items: Sequence[FrequencyMatrix]) -> int:
-    m = items[0].m
-    for z in items:
+def _cost_blocks(
+    xs: Sequence[FrequencyMatrix],
+    ys: Sequence[FrequencyMatrix],
+    pairs: Sequence[tuple[int, int]],
+) -> Iterator[tuple[list[int], list[int], np.ndarray]]:
+    """Cost tensors of ``xs[i]`` against ``ys[j]`` for the pairs (i, j), in
+    blocks: yields the block's indices into ``pairs``, their scales and the
+    ``_costs`` of their prefix sums multiplied up to the scale lcm(Dx, Dy).
+    Those lie in [0, scale], so a cost is at most m * scale: int64 for
+    pairs below 2**62, Python integers for the others."""
+    if not pairs:
+        return
+    zs, off = (xs, 0) if ys is xs else ([*xs, *ys], len(xs))  # each matrix once
+    m = zs[0].m
+    for z in zs:
         if z.m != m:
             raise ValueError(f"matrix sizes differ: {m} vs {z.m}")
-    return m
+    # column prefix sums lie in [0, denominator]; fromiter over the flat
+    # counts is faster than np.array on nested tuples
+    kind = np.int64 if max(z.denominator for z in zs) < 2**62 else object
+    flat = chain.from_iterable(chain.from_iterable(z.counts for z in zs))
+    sums = np.add.accumulate(np.fromiter(flat, kind, len(zs) * m * m).reshape(-1, m, m), axis=1)
+    scales = [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
+    size = max(1, _BLOCK // m**3)
+    for dtype in (np.int64, object):
+        todo = [k for k, s in enumerate(scales) if (m * s < 2**62) == (dtype is np.int64)]
+        for at in range(0, len(todo), size):
+            block = todo[at : at + size]
+            picks = [(k, pairs[k][0]) for k in block] + [(k, off + pairs[k][1]) for k in block]
+            up = np.array([scales[k] // zs[z].denominator for k, z in picks], dtype=dtype)
+            p = sums.take([z for _, z in picks], axis=0).astype(dtype, copy=False)
+            p *= up[:, None, None]
+            yield block, [scales[k] for k in block], _costs(p[: len(block)], p[len(block) :])
 
 
 def _values(
@@ -284,46 +279,19 @@ def _values(
     pairs: Sequence[tuple[int, int]],
 ) -> list[Fraction]:
     """Exact distance of ``xs[i]`` and ``ys[j]`` for each pair (i, j)."""
-    if not pairs:
-        return []
-    m = _common_size([*xs, *ys])
-    sx = np.stack([_prefix_sums(x) for x in xs])
-    sy = sx if ys is xs else np.stack([_prefix_sums(y) for y in ys])
-    scales = [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
     out = [Fraction(0)] * len(pairs)
-    size = max(1, _BLOCK // m**3)
-    dtypes = [_dtype(m, s) for s in scales]
-    for dtype in (np.int64, object):
-        todo = [k for k, d in enumerate(dtypes) if d is dtype]
-        for at in range(0, len(todo), size):
-            block = todo[at : at + size]
-            ii = [pairs[k][0] for k in block]
-            jj = [pairs[k][1] for k in block]
-            ax = np.array([scales[k] // xs[i].denominator for k, i in zip(block, ii)], dtype=dtype)
-            ay = np.array([scales[k] // ys[j].denominator for k, j in zip(block, jj)], dtype=dtype)
-            px = sx[ii].astype(dtype, copy=False) * ax[:, None, None]
-            py = sy[jj].astype(dtype, copy=False) * ay[:, None, None]
-            for k, total in zip(block, _totals(_costs(px, py))):
-                out[k] = Fraction(total, scales[k])
+    for block, scales, cost in _cost_blocks(xs, ys, pairs):
+        for k, scale, total in zip(block, scales, _totals(cost)):
+            out[k] = Fraction(total, scale)
     return out
 
 
 def positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRecord:
     """Positionwise distance: minimum over column matchings of the summed
     per-column earth mover's distances."""
-    m = _common_size([x, y])
-    scale = lcm(x.denominator, y.denominator)
-    dtype = _dtype(m, scale)
-    pxy = np.cumsum(np.array([x.counts, y.counts], dtype=dtype), axis=1)
-    pxy *= np.array([scale // x.denominator, scale // y.denominator], dtype=dtype)[:, None, None]
-    total, assignment = _assignment_lex(_costs(pxy[:1], pxy[1:])[0])
+    ((_, (scale,), cost),) = _cost_blocks([x], [y], [(0, 0)])
+    total, assignment = _assignment_lex(cost[0])
     return DistanceRecord(Fraction(total, scale), tuple(assignment))
-
-
-def positionwise_elections(e: Election, f: Election) -> DistanceRecord:
-    """Positionwise distance between two elections' frequency matrices.
-    The elections may have different voter counts but must share m."""
-    return positionwise(frequency_matrix(e), frequency_matrix(f))
 
 
 def cross_distances(

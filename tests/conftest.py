@@ -28,6 +28,25 @@ def make_random_election(seed: int, m: int, n: int) -> Election:
     return Election(candidates=tuple(range(m)), votes=tuple(votes))
 
 
+def weighted_permutations(weight, max_m: int = 6, max_size: int = 5):
+    """Strategy: (weight, permutation) pairs over one m in 1..max_m."""
+    return st.integers(1, max_m).flatmap(
+        lambda m: st.lists(
+            st.tuples(weight, st.permutations(range(m))), min_size=1, max_size=max_size
+        )
+    )
+
+
+def stacked(parts):
+    """sum(w * P) over the weighted permutation matrices P."""
+    m = len(parts[0][1])
+    rows = [[0] * m for _ in range(m)]
+    for w, perm in parts:
+        for i, c in enumerate(perm):
+            rows[i][c] += w
+    return rows
+
+
 # Bytes that make or break the tokens of the text formats, plus 0xff,
 # which is never valid UTF-8.
 _NOISE = st.sampled_from([bytes([b]) for b in b"0123456789,{}/-+#.e \n\t\xff"])

@@ -3,20 +3,26 @@
 Everything here is deliberately written along a different algorithmic
 route than the library: greedy transport instead of prefix sums,
 exhaustive search instead of combinatorial optimization, full enumeration
-instead of recurrences.  Two exceptions are the library's earlier code,
+instead of recurrences.  Some are helpers that only the tests need: the
+Fraction ``emd`` of one column pair, ``swap_distance`` and the
+single-peakedness checks.  Others are the library's earlier code,
 kept as references for what replaced it: ``fraction_positionwise``, the
 positionwise distance over tuples of ``Fraction``s,
 ``composite_assignment_lex``, the assignment solver that broke ties by
 folding a positional digit into every cost, ``pairwise_fit_mallows``, the
-dispersion fit that compared one pair at a time, and ``gradient_embed``,
-the map layout by gradient descent from seeded random points.
+dispersion fit that compared one pair at a time, ``gradient_embed``, the
+map layout by gradient descent from seeded random points, and
+``fraction_read_matrix_csv``, the matrix reader that parsed every entry
+into a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -25,7 +31,7 @@ from typing import Hashable, Iterator, Sequence
 import numpy as np
 
 from prefmap.cli import FitResult
-from prefmap.core import Election, FrequencyMatrix, frequency_matrix
+from prefmap.core import Election, FrequencyMatrix, PositionMatrix, frequency_matrix
 from prefmap.cultures import sample_mallows_norm
 from prefmap.embed import MapLayout
 from prefmap.metric import DistanceRecord, normalization_constant
@@ -49,6 +55,29 @@ def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fracti
             i += 1
         if j < m and ys[j] == 0:
             j += 1
+    return total
+
+
+def emd(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
+    """Earth mover's distance between two distributions over positions
+    0..m-1 with unit spacing: sum of |prefix(x) - prefix(y)|."""
+    xs = [Fraction(v) for v in x]
+    ys = [Fraction(v) for v in y]
+    if len(xs) != len(ys):
+        raise ValueError("vectors must have equal length")
+    if not xs:
+        raise ValueError("vectors must be nonempty")
+    if any(v < 0 for v in xs) or any(v < 0 for v in ys):
+        raise ValueError("distributions must be nonnegative")
+    if sum(xs) != 1 or sum(ys) != 1:
+        raise ValueError("distributions must sum to 1")
+    total = Fraction(0)
+    cx = Fraction(0)
+    cy = Fraction(0)
+    for a, b in zip(xs, ys):
+        cx += a
+        cy += b
+        total += abs(cx - cy)
     return total
 
 
@@ -181,6 +210,48 @@ def fraction_positionwise(x: FrequencyMatrix, y: FrequencyMatrix) -> DistanceRec
     return DistanceRecord(Fraction(total, scale), tuple(assignment))
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def fraction_parse_rational(token: str) -> Fraction:
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")
+    num, den, decimals = match.groups()
+    try:
+        if decimals is not None:
+            return Fraction(int(num + decimals), 10 ** len(decimals))
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {token!r}: {exc}") from None
+
+
+def fraction_read_matrix_csv(path: str | os.PathLike[str]) -> FrequencyMatrix | PositionMatrix:
+    """``read_matrix_csv`` by ``Fraction`` arithmetic: rows of ``Fraction``
+    entries summing to 1 give a FrequencyMatrix, integer entries a
+    PositionMatrix."""
+    rows: list[list[Fraction]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append([fraction_parse_rational(tok) for tok in line.split(",")])
+    if not rows:
+        raise ValueError(f"{path}: no matrix rows found")
+    m = len(rows)
+    for row in rows:
+        if len(row) != m:
+            raise ValueError(f"{path}: expected a square {m}x{m} matrix")
+    if all(sum(row) == 1 for row in rows):
+        return FrequencyMatrix(tuple(tuple(row) for row in rows))
+    if all(x.denominator == 1 for row in rows for x in row):
+        return PositionMatrix(tuple(tuple(x.numerator for x in row) for row in rows))
+    raise ValueError(
+        f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
+    )
+
+
 def pairwise_fit_mallows(
     dataset: Sequence[Election],
     grid: Sequence[float],
@@ -222,23 +293,48 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
     weights = []
     swaps = []
     for perm in itertools.permutations(range(m)):
-        k = inversions_between(perm, central)
+        k = swap_distance(perm, central)
         swaps.append(k)
         weights.append(phi**k)
     z = sum(weights)
     return sum(k * w for k, w in zip(swaps, weights)) / z
 
 
-def inversions_between(u: Sequence[int], v: Sequence[int]) -> int:
-    """Pairs ordered differently by the two permutations."""
-    pos = {c: r for r, c in enumerate(v)}
-    seq = [pos[c] for c in u]
-    return sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
+def swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
+    """Number of candidate pairs ordered differently by the two votes."""
+    m = len(u)
+    if sorted(u) != list(range(m)) or sorted(v) != list(range(m)):
+        raise ValueError("votes must be permutations of the same candidates")
+    pos_v = [0] * m
+    for rank, c in enumerate(v):
+        pos_v[c] = rank
+    seq = [pos_v[c] for c in u]
+    count = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            if seq[i] > seq[j]:
+                count += 1
+    return count
+
+
+def is_single_peaked(vote: Sequence[int], axis: Sequence[int]) -> bool:
+    """True if every prefix of the vote is an interval of the axis."""
+    m = len(axis)
+    axis_pos = {c: k for k, c in enumerate(axis)}
+    if len(axis_pos) != m or len(vote) != m:
+        raise ValueError("vote and axis must be permutations of the same set")
+    lo = hi = axis_pos[vote[0]]
+    for t, c in enumerate(vote[1:], start=2):
+        p = axis_pos[c]
+        lo = min(lo, p)
+        hi = max(hi, p)
+        if hi - lo + 1 != t:
+            return False
+    return True
+
+
+def election_is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
+    return all(is_single_peaked(v, axis) for v in election.votes)
 
 
 def all_position_matrices(m: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -14,6 +14,8 @@ from oracles import (
     brute_force_expected_swaps,
     brute_force_min_deviation,
     chi_square_critical_1pct,
+    election_is_single_peaked,
+    swap_distance,
 )
 
 from prefmap.cli import fit_mallows, main
@@ -28,12 +30,10 @@ from prefmap.compass import (
 from prefmap.core import FrequencyMatrix, position_matrix
 from prefmap.cultures import (
     CultureSpec,
-    election_is_single_peaked,
     expected_swaps,
     mahonian_table,
     relphi_to_phi,
     sample,
-    swap_distance,
 )
 from prefmap.embed import embed_distances
 from prefmap.matrixio import write_matrix_csv

@@ -311,6 +311,19 @@ def test_embed_reads_distance_rows_by_label(capsys, tmp_path):
         assert label in err
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "x"])
+@pytest.mark.parametrize("header", ["", "id,a,b\n"])
+def test_embed_rejects_bad_distance_cells(capsys, tmp_path, cell, header):
+    labels = ("a,", "b,") if header else ("", "")
+    dist = tmp_path / "d.csv"
+    dist.write_text(f"{header}{labels[0]}0,{cell}\n{labels[1]}{cell},0\n")
+    code, _, err = run(capsys, "embed", "--distances", str(dist),
+                       "--coords", str(tmp_path / "coords.csv"))
+    assert code == 1
+    assert str(dist) in err and repr(cell) in err
+    assert "finite" in err
+
+
 def test_embed_without_outputs_fails(capsys, tmp_path):
     dist = tmp_path / "d.csv"
     dist.write_text("0,1\n1,0\n")
@@ -342,6 +355,42 @@ def test_fit_mallows_small_run(capsys, tmp_path):
     assert out.startswith("relphi=")
     value = float(out.split()[0].split("=")[1])
     assert value in (0.0, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.1", "0.6"])
+def test_fit_mallows_rejects_bad_grid_step(capsys, tmp_path, step):
+    dataset = mallows_dataset(tmp_path)
+    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                       "--grid-step", step, "--samples", "1")
+    assert code == 1
+    assert "--grid-step" in err
+    config = tmp_path / "fit.cfg"
+    config.write_text(f"grid_step={step}\n")
+    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                       "--config", str(config), "--samples", "1")
+    assert code == 1
+    assert "--grid-step" in err
+
+
+def test_normalization_needs_two_candidates(capsys, tmp_path):
+    from prefmap.core import Election
+
+    one = tmp_path / "one.csv"
+    one.write_text("1\n")
+    code, out, _ = run(capsys, "distance", "--a", str(one), "--b", str(one))
+    assert code == 0 and out.startswith("0 ")
+    code, _, err = run(capsys, "distance", "--a", str(one), "--b", str(one), "--normalized")
+    assert code == 1
+    assert "normalization needs at least two candidates" in err
+
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    election = Election(candidates=(0,), votes=((0,),), multiplicities=(5,))
+    ingest.serialize_election(election, dataset / "d.soc")
+    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                       "--grid-step", "0.5", "--samples", "1")
+    assert code == 1
+    assert "normalization needs at least two candidates" in err
 
 
 def test_fit_mallows_matches_pairwise_oracle():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_election, mutated
+import oracles
+from conftest import make_random_election, mutated, stacked, weighted_permutations
 from prefmap.core import (
     Election,
     FrequencyMatrix,
@@ -257,23 +258,6 @@ def test_matrix_csv_rejects_garbage(tmp_path):
         read_matrix_csv(bad)
 
 
-def _weighted_permutations(weight):
-    """Strategy: (weight, permutation) pairs over one m in 1..6."""
-    return st.integers(1, 6).flatmap(
-        lambda m: st.lists(st.tuples(weight, st.permutations(range(m))), min_size=1, max_size=5)
-    )
-
-
-def _stacked(parts):
-    """sum(w * P) over the weighted permutation matrices P."""
-    m = len(parts[0][1])
-    rows = [[0] * m for _ in range(m)]
-    for w, perm in parts:
-        for i, c in enumerate(perm):
-            rows[i][c] += w
-    return rows
-
-
 def _round_trip(matrix):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.csv")
@@ -282,17 +266,17 @@ def _round_trip(matrix):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_weighted_permutations(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)))
+@given(weighted_permutations(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)))
 def test_matrix_csv_round_trip_property_frequency(parts):
     total = sum(w for w, _ in parts)
-    freq = FrequencyMatrix([[v / total for v in row] for row in _stacked(parts)])
+    freq = FrequencyMatrix([[v / total for v in row] for row in stacked(parts)])
     assert _round_trip(freq) == freq
 
 
 @settings(max_examples=100, deadline=None)
-@given(_weighted_permutations(st.integers(1, 10**6)))
+@given(weighted_permutations(st.integers(1, 10**6)))
 def test_matrix_csv_round_trip_property_position(parts):
-    pos = PositionMatrix(_stacked(parts))
+    pos = PositionMatrix(stacked(parts))
     # one voter's 0/1 matrix is also a frequency matrix, and reads as one
     expected = frequency_from_position(pos) if pos.n == 1 else pos
     assert _round_trip(pos) == expected
@@ -314,6 +298,104 @@ def test_read_matrix_csv_rejects_mutations_with_value_error(data):
         except ValueError:
             return
     assert isinstance(matrix, (FrequencyMatrix, PositionMatrix))
+
+
+@st.composite
+def _token(draw, value: Fraction) -> str:
+    """``value`` in one of the token forms the reader accepts: p/q,
+    unreduced, decimal with trailing zeros, with a sign, leading zeros or
+    spaces."""
+    sign, value = "-" * (value < 0), abs(value)
+    p, q = value.numerator, value.denominator
+    decimal_places = next((k for k in range(1, 8) if 10**k % q == 0), None)
+    form = draw(st.sampled_from(["plain", "unreduced", "decimal"]))
+    if form == "unreduced":
+        k = draw(st.integers(1, 5))
+        tok = f"{p * k}/{q * k}"
+    elif form == "decimal" and decimal_places is not None:
+        places = decimal_places + draw(st.integers(0, 2))
+        digits = str(p * 10**places // q).rjust(places + 1, "0")
+        tok = f"{digits[:-places]}.{digits[-places:]}"
+    else:
+        tok = str(value)
+    if draw(st.booleans()):
+        tok = "0" * draw(st.integers(1, 2)) + tok
+    tok = (sign or draw(st.sampled_from(["", "+"] + ["-"] * (p == 0)))) + tok
+    return " " * draw(st.integers(0, 1)) + tok + " " * draw(st.integers(0, 1))
+
+
+@st.composite
+def _matrix_text(draw, valid: bool = True) -> str:
+    """A frequency or position matrix CSV with mixed token forms, comment
+    lines and blank lines: a sum of n permutation matrices, divided by n or
+    not.  Unless ``valid``, some mass may move within a row, which keeps
+    the row sums and can break a column sum or the sign of an entry."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 25, 100]))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
+    perms = draw(st.lists(st.permutations(range(m)), min_size=len(weights), max_size=len(weights)))
+    unit = n if draw(st.booleans()) else 1
+    counts = stacked(list(zip(weights, perms)))
+    if not valid:
+        i, a, b = (draw(st.integers(0, m - 1)) for _ in range(3))
+        moved = draw(st.integers(0, n))
+        counts[i][a] -= moved
+        counts[i][b] += moved
+    lines = [
+        ",".join(draw(_token(Fraction(c, unit))) for c in row)
+        for row in counts
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def _both_readers(data: bytes):
+    """(new reader, Fraction oracle) on the file ``data``: each a matrix or
+    the message of the ValueError it raised."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for read in (read_matrix_csv, oracles.fraction_read_matrix_csv):
+            try:
+                outcomes.append(read(path))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_text())
+def test_read_matrix_csv_matches_fraction_oracle(text):
+    new, old = _both_readers(text.encode())
+    assert isinstance(new, (FrequencyMatrix, PositionMatrix))
+    assert type(new) is type(old) and new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([_FREQUENCY_CSV, _POSITION_CSV]).flatmap(mutated),
+        _matrix_text().map(str.encode).flatmap(mutated),
+        _matrix_text(valid=False).map(str.encode),
+    )
+)
+def test_read_matrix_csv_matches_fraction_oracle_on_bad_files(data):
+    new, old = _both_readers(data)
+    assert type(new) is type(old) and new == old
+
+
+def test_read_matrix_csv_keeps_integer_tokens_integers(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("2/2,+3,0.0\n1.0,0,6/2\n2,2/2,1\n")
+    assert read_matrix_csv(path) == PositionMatrix(((1, 3, 0), (1, 0, 3), (2, 1, 1)))
+    path.write_text("1/2,2/4\n0.50,+5/10\n")
+    freq = read_matrix_csv(path)
+    assert isinstance(freq, FrequencyMatrix)
+    assert freq.counts == ((1, 1), (1, 1)) and freq.denominator == 2
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import election_is_single_peaked, is_single_peaked, swap_distance
 from prefmap.cultures import (
     CultureSpec,
     derive_seed,
-    election_is_single_peaked,
     expected_swaps,
-    is_single_peaked,
     mahonian_table,
     rank_by_distance,
     relative_expected_swaps,
@@ -29,7 +28,6 @@ from prefmap.cultures import (
     sample_urn,
     sample_urn_gamma,
     sample_walsh,
-    swap_distance,
 )
 
 
@@ -59,7 +57,7 @@ def test_mahonian_matches_direct_enumeration():
     t = mahonian_table(6)
     for m in (2, 3, 4, 5, 6):
         counts = Counter(
-            oracles.inversions_between(perm, tuple(range(m)))
+            swap_distance(perm, tuple(range(m)))
             for perm in itertools.permutations(range(m))
         )
         assert tuple(counts[i] for i in range(m * (m - 1) // 2 + 1)) == t.row(m)
@@ -254,7 +252,7 @@ def test_mallows_exact_distribution_m3():
     counts = Counter(e.votes)
     central = (0, 1, 2)
     perms = sorted(itertools.permutations(range(3)))
-    expected = [n * phi ** oracles.inversions_between(p, central) / z for p in perms]
+    expected = [n * phi ** swap_distance(p, central) / z for p in perms]
     observed = [counts[p] for p in perms]
     stat = oracles.chi_square_statistic(observed, expected)
     assert stat <= oracles.chi_square_critical_1pct(5)

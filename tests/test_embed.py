@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from xml.etree import ElementTree
@@ -14,11 +15,24 @@ from prefmap.embed import (
     default_styling,
     embed_distances,
     layout_stress,
-    read_coordinates,
     render_svg,
     write_coordinates,
 )
 from prefmap.metric import distance_matrix
+
+
+def read_coordinates(path) -> list[tuple[str, float, float, str]]:
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id", "x", "y", "group"]:
+            raise ValueError(f"{path}: expected header id,x,y,group")
+        for row in reader:
+            if len(row) != 4:
+                raise ValueError(f"{path}: expected 4 columns, got {len(row)}")
+            out.append((row[0], float(row[1]), float(row[2]), row[3]))
+    return out
 
 
 def point_distance(layout, i, j):

@@ -14,6 +14,7 @@ from prefmap.core import Election
 from prefmap.ingest import (
     PRESETS,
     PartialProfile,
+    PartialVote,
     PipelineConfig,
     complete_votes,
     load_election,
@@ -23,8 +24,30 @@ from prefmap.ingest import (
     sample_dataset,
     select_top_k,
     serialize_election,
-    serialize_profile,
 )
+
+
+def _format_vote(vote: PartialVote) -> str:
+    parts = []
+    for group in vote:
+        if len(group) == 1:
+            parts.append(str(group[0]))
+        else:
+            parts.append("{" + ",".join(str(c) for c in group) + "}")
+    return ",".join(parts)
+
+
+def serialize_profile(profile: PartialProfile, path, comments=()) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write(f"{profile.m}\n")
+        for cid in profile.candidates:
+            fh.write(f"{cid}, {profile.names.get(cid, f'c{cid}')}\n")
+        fh.write(f"{profile.n}, {profile.n}, {len(profile.votes)}\n")
+        for vote, count in zip(profile.votes, profile.multiplicities):
+            fh.write(f"{count}, {_format_vote(vote)}\n")
+
 
 STRICT_FILE = """# source: synthetic
 3

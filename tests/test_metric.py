@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import emd
 from conftest import make_random_election
 from prefmap import cultures, metric
 from prefmap.compass import compass_matrix
@@ -19,12 +20,20 @@ from prefmap.metric import (
     _assignment_lex,
     cross_distances,
     distance_matrix,
-    emd,
     normalization_constant,
     normalized,
     positionwise,
-    positionwise_elections,
 )
+
+
+def _column(x: FrequencyMatrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(row[j], x.denominator) for row in x.counts)
+
+
+def positionwise_elections(e: Election, f: Election):
+    """Positionwise distance between two elections' frequency matrices.
+    The elections may have different voter counts but must share m."""
+    return positionwise(frequency_matrix(e), frequency_matrix(f))
 
 
 def test_emd_identical_is_zero():
@@ -141,7 +150,7 @@ def test_positionwise_matches_brute_force_including_tie_break():
         x, y = frequency_matrix(e), frequency_matrix(f)
         rec = positionwise(x, y)
         cost = [
-            [oracles.greedy_transport_emd(x.column(i), y.column(j)) for j in range(m)]
+            [oracles.greedy_transport_emd(_column(x, i), _column(y, j)) for j in range(m)]
             for i in range(m)
         ]
         best_val, best_perm = oracles.brute_force_assignment(cost)
@@ -157,7 +166,7 @@ def test_positionwise_tie_break_with_duplicate_columns():
     cost = [
         [
             oracles.greedy_transport_emd(
-                frequency_matrix(e).column(i), un6.column(j)
+                _column(frequency_matrix(e), i), _column(un6, j)
             )
             for j in range(6)
         ]
@@ -217,7 +226,7 @@ def test_column_permutation_reproduces_value():
         rec = positionwise(x, y)
         sigma = rec.column_permutation
         assert sorted(sigma) == list(range(5))
-        total = sum(emd(x.column(i), y.column(sigma[i])) for i in range(5))
+        total = sum(emd(_column(x, i), _column(y, sigma[i])) for i in range(5))
         assert total == rec.value
 
 

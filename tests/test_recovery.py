@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import make_random_election
+from conftest import make_random_election, stacked, weighted_permutations
 from prefmap.compass import compass_matrix
 from prefmap.core import (
     Election,
     FrequencyMatrix,
     PositionMatrix,
+    frequency_from_position,
     frequency_matrix,
     position_matrix,
 )
@@ -52,6 +55,44 @@ def test_decomposition_round_trip_random():
         recovered = election_from_position_matrix(pos)
         assert position_matrix(recovered) == pos
         assert len(set(recovered.votes)) <= m * m - m + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_permutations(st.integers(1, 20), max_m=7, max_size=12))
+def test_decomposition_contract_property(parts):
+    pos = PositionMatrix(stacked(parts))
+    recovered = election_from_position_matrix(pos)
+    assert position_matrix(recovered) == pos
+    assert len(recovered.vote_counter()) <= pos.m * pos.m - pos.m + 1
+
+
+def _frequency_matrices(max_m: int):
+    """Strategy: frequency matrices of weighted sums of permutations."""
+    parts = weighted_permutations(st.integers(1, 30), max_m=max_m, max_size=8)
+    return parts.map(lambda p: frequency_from_position(PositionMatrix(stacked(p))))
+
+
+def _deviation(x: FrequencyMatrix, n: int, p: PositionMatrix) -> Fraction:
+    return sum(
+        abs(n * v - c) for xr, pr in zip(x.entries, p.entries) for v, c in zip(xr, pr)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frequency_matrices(7), st.integers(1, 40))
+def test_rounding_contract_property(x, n):
+    p = round_position_matrix(x, n)
+    assert p.m == x.m and p.n == n
+    for xr, pr in zip(x.entries, p.entries):
+        for v, c in zip(xr, pr):
+            assert abs(n * v - c) <= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frequency_matrices(3), st.integers(1, 4))
+def test_rounding_minimal_deviation_property(x, n):
+    p = round_position_matrix(x, n)
+    assert _deviation(x, n, p) == oracles.brute_force_min_deviation(x.entries, n)
 
 
 def test_decomposition_respects_tighter_observed_bound_mostly():
