@@ -140,7 +140,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_item(path: str) -> FrequencyMatrix:
-    if path.endswith((".soc", ".soi", ".toc")):
+    if path.endswith(ingest.PREFLIB_SUFFIXES):
         return frequency_matrix(ingest.load_election(path))
     matrix = matrixio.read_matrix_csv(path)
     if isinstance(matrix, PositionMatrix):
@@ -237,10 +237,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     paths = sorted(
         os.path.join(args.indir, name)
         for name in os.listdir(args.indir)
-        if name.endswith((".soc", ".soi", ".toc"))
+        if name.endswith(ingest.PREFLIB_SUFFIXES)
     )
     if not paths:
-        raise ValueError(f"no .soc/.soi/.toc files in {args.indir}")
+        raise ValueError(f"no {'/'.join(ingest.PREFLIB_SUFFIXES)} files in {args.indir}")
     profiles = [ingest.parse_preflib(p) for p in paths]
     elections, manifest = ingest.run_pipeline(profiles, config, args.seed)
     os.makedirs(args.out, exist_ok=True)

@@ -234,8 +234,8 @@ def _urn_votes(m: int, n: int, alpha: float, rng: random.Random) -> list[tuple[i
 def sample_urn(m: int, n: int, alpha: float, seed: int) -> Election:
     """Urn model with contagion alpha >= 0 (alpha = 0 reduces to IC)."""
     _check_mn(m, n)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be a finite nonnegative number, got {alpha!r}")
     rng = random.Random(seed)
     votes = _urn_votes(m, n, alpha, rng)
     return _election(m, votes, {"culture": "URN", "alpha": alpha, "seed": seed})

@@ -24,6 +24,8 @@ from xml.etree import ElementTree
 
 import numpy as np
 
+from .compass import CORNER_KINDS
+
 # styling entry: (css color, marker shape, group label)
 Styling = Mapping[Hashable, tuple[str, str, str]]
 
@@ -182,11 +184,10 @@ def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, s
     Bare anchor names become emphasized corners; ``A-B:k/K`` labels group
     by their path; everything else lands in an unnamed group.
     """
-    corner_kinds = {"ID", "UN", "ST", "AN"}
     groups: list[str] = []
     for pid in ids:
         text = str(pid)
-        if text in corner_kinds:
+        if text in CORNER_KINDS:
             groups.append("corner")
         elif ":" in text:
             groups.append(text.split(":", 1)[0])
@@ -212,15 +213,6 @@ def _marker_element(shape: str, x: float, y: float, size: float, color: str):
             ang = math.pi / 2 + i * math.pi / 5
             pts.append(f"{x + r * math.cos(ang):.3f},{y - r * math.sin(ang):.3f}")
         el = ElementTree.Element("polygon", points=" ".join(pts), fill=color)
-    elif shape == "square":
-        el = ElementTree.Element(
-            "rect",
-            x=f"{x - size:.3f}",
-            y=f"{y - size:.3f}",
-            width=f"{2 * size:.3f}",
-            height=f"{2 * size:.3f}",
-            fill=color,
-        )
     else:  # dot / circle
         el = ElementTree.Element(
             "circle", cx=f"{x:.3f}", cy=f"{y:.3f}", r=f"{size:.3f}", fill=color

@@ -2,14 +2,18 @@
 
 The on-disk format is the classic PrefLib layout: a candidate count, one
 ``id, name`` line per candidate, a ``voters, sum_of_counts, distinct``
-line, then one ``count, ranking`` line per distinct ballot.  Tie groups
-appear in braces, partial ballots just stop early.  Incomplete profiles
-pass through coverage pruning, random tie-breaking, and statistical vote
-completion before they become strict-complete elections.
+line, then one ``count, ranking`` line per distinct ballot.  A ranking is
+comma-separated candidate ids, best first; ids in braces form one tie
+group, and partial ballots just stop early.  Text right before a ``{`` is
+an item of its own, so ``1{2}`` reads as 1 then the group {2}.
+Incomplete profiles pass through coverage pruning, random tie-breaking,
+and statistical vote completion before they become strict-complete
+elections.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -17,6 +21,9 @@ from typing import Mapping, Sequence
 
 from .core import Election, borda_scores, restrict_to_candidates
 from .cultures import derive_seed
+
+# extensions of the PrefLib files the command line reads
+PREFLIB_SUFFIXES = (".soc", ".soi", ".toc")
 
 # A partial vote is a sequence of tie groups; each group is a tuple of
 # candidate ids ranked together, groups ordered best to worst.
@@ -82,45 +89,26 @@ def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
         raise ValueError(f"line {lineno}: bad count {head!r}") from None
     if count < 1:
         raise ValueError(f"line {lineno}: count must be positive")
-    groups: list[TieGroup] = []
-    token = ""
-    in_braces = False
-    group_buf: list[int] = []
 
-    def flush_single() -> None:
-        tok = token.strip()
-        if tok:
-            groups.append((int(tok),))
+    def ids(text: str) -> list[int]:
+        if "}" in text:
+            raise ValueError(f"line {lineno}: unbalanced braces")
+        return [int(tok) for tok in map(str.strip, text.split(",")) if tok]
 
-    for ch in rest:
-        if ch == "{":
-            if in_braces:
-                raise ValueError(f"line {lineno}: nested braces")
-            in_braces = True
-            group_buf = []
-        elif ch == "}":
-            if not in_braces:
-                raise ValueError(f"line {lineno}: unbalanced braces")
-            if token.strip():
-                group_buf.append(int(token.strip()))
-            token = ""
-            in_braces = False
-            if not group_buf:
-                raise ValueError(f"line {lineno}: empty tie group")
-            groups.append(tuple(group_buf))
-        elif ch == ",":
-            if in_braces:
-                if token.strip():
-                    group_buf.append(int(token.strip()))
-                token = ""
-            else:
-                flush_single()
-                token = ""
-        else:
-            token = token + ch
-    if in_braces:
-        raise ValueError(f"line {lineno}: unbalanced braces")
-    flush_single()
+    # text before the first "{", then per "{": its group up to "}" and the
+    # text after that; so "1{2}" reads as 1 then {2}, like "{1,2}3"
+    first, *opened = rest.split("{")
+    groups = [(c,) for c in ids(first)]
+    for k, part in enumerate(opened):
+        inside, closed, after = part.partition("}")
+        if not closed:
+            fault = "nested" if k + 1 < len(opened) else "unbalanced"
+            raise ValueError(f"line {lineno}: {fault} braces")
+        group = tuple(ids(inside))
+        if not group:
+            raise ValueError(f"line {lineno}: empty tie group")
+        groups.append(group)
+        groups += [(c,) for c in ids(after)]
     if not groups:
         raise ValueError(f"line {lineno}: empty ranking")
     return count, tuple(groups)
@@ -129,12 +117,7 @@ def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
 def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
     """Parse a PrefLib-style file (strict, tied, or partial ballots)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    rows = [
-        (idx + 1, ln.strip())
-        for idx, ln in enumerate(lines)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+        rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
     if not rows:
         raise ValueError(f"{path}: empty file")
     it = iter(rows)
@@ -262,85 +245,52 @@ def prune_to_coverage(
 
     A candidate must appear in at least ``threshold`` of the votes; a vote
     must rank at least ``threshold`` of the candidates.  The worst
-    offender goes first (candidates before votes on equal badness, lowest
-    index first) and coverage is recomputed after every removal.  Returns
-    the pruned profile plus removal counts.
+    offender goes first, by the key (coverage, side, index): candidates
+    before votes on equal coverage, then the lowest index.  Coverage is
+    recomputed after every removal.  Returns the pruned profile plus
+    removal counts.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
     cands = list(profile.candidates)
-    votes = [list(v) for v in profile.votes]
-    mults = list(profile.multiplicities)
-    removed_candidates = 0
-    removed_votes = 0
-
-    while cands and votes:
-        m = len(cands)
-        n = sum(mults)
-        cand_cov = {c: 0 for c in cands}
-        vote_len = []
-        for vote, k in zip(votes, mults):
-            ranked = sum(len(g) for g in vote)
-            vote_len.append(ranked)
-            for group in vote:
-                for c in group:
-                    cand_cov[c] += k
-
-        worst_cand = None
-        worst_cand_cov = 1.0
-        for idx, c in enumerate(cands):
-            cov = cand_cov[c] / n
-            if cov < threshold and cov < worst_cand_cov:
-                worst_cand_cov = cov
-                worst_cand = idx
-        worst_vote = None
-        worst_vote_cov = 1.0
-        for idx, ranked in enumerate(vote_len):
-            cov = ranked / m
-            if cov < threshold and cov < worst_vote_cov:
-                worst_vote_cov = cov
-                worst_vote = idx
-
-        if worst_cand is None and worst_vote is None:
+    ballots = list(zip(profile.votes, profile.multiplicities))
+    stats = {"removed_candidates": 0, "removed_votes": 0}
+    while cands and ballots:
+        n = sum(k for _, k in ballots)
+        cover = dict.fromkeys(cands, 0)
+        for vote, k in ballots:
+            for c in itertools.chain(*vote):
+                cover[c] += k
+        cov, side, idx = min(
+            [(cover[c] / n, 0, i) for i, c in enumerate(cands)]
+            + [(sum(map(len, v)) / len(cands), 1, i) for i, (v, _) in enumerate(ballots)]
+        )
+        if cov >= threshold:
             break
-        # candidate wins ties on equal badness
-        if worst_cand is not None and (
-            worst_vote is None or worst_cand_cov <= worst_vote_cov
-        ):
-            gone = cands.pop(worst_cand)
-            removed_candidates += 1
-            new_votes = []
-            new_mults = []
-            for vote, k in zip(votes, mults):
-                stripped = tuple(
-                    tuple(c for c in group if c != gone) for group in vote
-                )
-                stripped = tuple(g for g in stripped if g)
-                if stripped:
-                    new_votes.append(list(stripped))
-                    new_mults.append(k)
-                else:
-                    removed_votes += k
-            votes = new_votes
-            mults = new_mults
-        else:
-            del votes[worst_vote]
-            removed_votes += mults[worst_vote]
-            del mults[worst_vote]
+        if side:
+            stats["removed_votes"] += ballots.pop(idx)[1]
+            continue
+        gone = cands.pop(idx)
+        stats["removed_candidates"] += 1
+        kept = []
+        for vote, k in ballots:
+            groups = (tuple(c for c in group if c != gone) for group in vote)
+            vote = tuple(g for g in groups if g)
+            if vote:
+                kept.append((vote, k))
+            else:
+                stats["removed_votes"] += k
+        ballots = kept
 
-    if not cands or not votes:
+    if not cands or not ballots:
         raise ValueError("pruning removed the entire profile")
     pruned = PartialProfile(
         candidates=tuple(cands),
-        votes=tuple(tuple(tuple(g) for g in v) for v in votes),
-        multiplicities=tuple(mults),
+        votes=tuple(v for v, _ in ballots),
+        multiplicities=tuple(k for _, k in ballots),
         names=dict(profile.names),
         source=profile.source,
     )
-    stats = {
-        "removed_candidates": removed_candidates,
-        "removed_votes": removed_votes,
-    }
     return pruned, stats
 
 
@@ -492,28 +442,22 @@ def run_pipeline(
     intermediates: list[Election] = []
     for idx, profile in enumerate(profiles):
         record: dict[str, object] = {"source": profile.source or f"profile-{idx}"}
+        records.append(record)
         if config.prune:
             profile, stats = prune_to_coverage(profile, config.coverage_threshold)
             record.update(stats)
         if profile.m < config.min_candidates:
             record["dropped"] = f"fewer than {config.min_candidates} candidates"
-            records.append(record)
-            continue
-        if config.max_candidates is not None and profile.m > config.max_candidates:
+        elif config.max_candidates is not None and profile.m > config.max_candidates:
             record["dropped"] = f"more than {config.max_candidates} candidates"
-            records.append(record)
-            continue
-        election = complete_votes(profile, derive_seed(seed, 1, idx))
-        election = select_top_k(election, config.top_k)
-        if config.min_voters is not None and election.n < config.min_voters:
-            record["dropped"] = f"fewer than {config.min_voters} voters"
-            records.append(record)
-            continue
-        record["kept"] = True
-        record["m"] = election.m
-        record["n"] = election.n
-        records.append(record)
-        intermediates.append(election)
+        else:
+            election = complete_votes(profile, derive_seed(seed, 1, idx))
+            election = select_top_k(election, config.top_k)
+            if config.min_voters is not None and election.n < config.min_voters:
+                record["dropped"] = f"fewer than {config.min_voters} voters"
+            else:
+                record.update(kept=True, m=election.m, n=election.n)
+                intermediates.append(election)
     if not intermediates:
         raise ValueError("no profile survived the pipeline filters")
     sampled = sample_dataset(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .core import FrequencyMatrix, PositionMatrix, _frequency, _line_total
@@ -42,11 +42,20 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(*_split(token))
 
 
+def _ratio(c: int, d: int) -> str:
+    """c/d as str of a Fraction prints it: "p", or "p/q" in lowest terms."""
+    g = gcd(c, d)
+    return str(c // g) if g == d else f"{c // g}/{d // g}"
+
+
 def write_matrix_csv(matrix: Matrix, path: str | os.PathLike[str]) -> None:
-    # str of an int or a Fraction is "p" or "p/q" in lowest terms
+    if isinstance(matrix, FrequencyMatrix):
+        rows, d = matrix.counts, matrix.denominator
+    else:
+        rows, d = matrix.entries, 1
     with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix.entries:
-            fh.write(",".join(map(str, row)) + "\n")
+        for row in rows:
+            fh.write(",".join(_ratio(c, d) for c in row) + "\n")
 
 
 def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:

@@ -13,7 +13,9 @@ folding a positional digit into every cost, ``pairwise_fit_mallows``, the
 dispersion fit that compared one pair at a time, ``gradient_embed``, the
 map layout by gradient descent from seeded random points, and
 ``fraction_read_matrix_csv``, the matrix reader that parsed every entry
-into a ``Fraction``.
+into a ``Fraction``, ``charwise_parse_vote_line``, the ballot parser that
+read one character at a time, and ``scan_prune_to_coverage``, the
+coverage prune that scanned candidates and votes separately.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from prefmap.cli import FitResult
 from prefmap.core import Election, FrequencyMatrix, PositionMatrix, frequency_matrix
 from prefmap.cultures import sample_mallows_norm
 from prefmap.embed import MapLayout
+from prefmap.ingest import PartialProfile, PartialVote
 from prefmap.metric import DistanceRecord, normalization_constant
 
 
@@ -250,6 +253,147 @@ def fraction_read_matrix_csv(path: str | os.PathLike[str]) -> FrequencyMatrix | 
     raise ValueError(
         f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
     )
+
+
+def charwise_parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
+    """``count, ranking`` by a per-character state machine.  Text right
+    before a ``{`` is glued onto the group's first id, so ``1{2}`` reads
+    as the one id 12."""
+    head, sep, rest = line.partition(",")
+    if not sep:
+        raise ValueError(f"line {lineno}: expected 'count, ranking'")
+    try:
+        count = int(head.strip())
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad count {head!r}") from None
+    if count < 1:
+        raise ValueError(f"line {lineno}: count must be positive")
+    groups: list[tuple[int, ...]] = []
+    token = ""
+    in_braces = False
+    group_buf: list[int] = []
+
+    def flush_single() -> None:
+        tok = token.strip()
+        if tok:
+            groups.append((int(tok),))
+
+    for ch in rest:
+        if ch == "{":
+            if in_braces:
+                raise ValueError(f"line {lineno}: nested braces")
+            in_braces = True
+            group_buf = []
+        elif ch == "}":
+            if not in_braces:
+                raise ValueError(f"line {lineno}: unbalanced braces")
+            if token.strip():
+                group_buf.append(int(token.strip()))
+            token = ""
+            in_braces = False
+            if not group_buf:
+                raise ValueError(f"line {lineno}: empty tie group")
+            groups.append(tuple(group_buf))
+        elif ch == ",":
+            if in_braces:
+                if token.strip():
+                    group_buf.append(int(token.strip()))
+                token = ""
+            else:
+                flush_single()
+                token = ""
+        else:
+            token = token + ch
+    if in_braces:
+        raise ValueError(f"line {lineno}: unbalanced braces")
+    flush_single()
+    if not groups:
+        raise ValueError(f"line {lineno}: empty ranking")
+    return count, tuple(groups)
+
+
+def scan_prune_to_coverage(
+    profile: PartialProfile, threshold: float = 0.70
+) -> tuple[PartialProfile, dict[str, int]]:
+    """``prune_to_coverage`` by two worst-offender scans, one over the
+    candidates and one over the votes, and a separate rule that takes the
+    candidate on equal coverage."""
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must lie in (0, 1]")
+    cands = list(profile.candidates)
+    votes = [list(v) for v in profile.votes]
+    mults = list(profile.multiplicities)
+    removed_candidates = 0
+    removed_votes = 0
+
+    while cands and votes:
+        m = len(cands)
+        n = sum(mults)
+        cand_cov = {c: 0 for c in cands}
+        vote_len = []
+        for vote, k in zip(votes, mults):
+            ranked = sum(len(g) for g in vote)
+            vote_len.append(ranked)
+            for group in vote:
+                for c in group:
+                    cand_cov[c] += k
+
+        worst_cand = None
+        worst_cand_cov = 1.0
+        for idx, c in enumerate(cands):
+            cov = cand_cov[c] / n
+            if cov < threshold and cov < worst_cand_cov:
+                worst_cand_cov = cov
+                worst_cand = idx
+        worst_vote = None
+        worst_vote_cov = 1.0
+        for idx, ranked in enumerate(vote_len):
+            cov = ranked / m
+            if cov < threshold and cov < worst_vote_cov:
+                worst_vote_cov = cov
+                worst_vote = idx
+
+        if worst_cand is None and worst_vote is None:
+            break
+        # candidate wins ties on equal badness
+        if worst_cand is not None and (
+            worst_vote is None or worst_cand_cov <= worst_vote_cov
+        ):
+            gone = cands.pop(worst_cand)
+            removed_candidates += 1
+            new_votes = []
+            new_mults = []
+            for vote, k in zip(votes, mults):
+                stripped = tuple(
+                    tuple(c for c in group if c != gone) for group in vote
+                )
+                stripped = tuple(g for g in stripped if g)
+                if stripped:
+                    new_votes.append(list(stripped))
+                    new_mults.append(k)
+                else:
+                    removed_votes += k
+            votes = new_votes
+            mults = new_mults
+        else:
+            del votes[worst_vote]
+            removed_votes += mults[worst_vote]
+            del mults[worst_vote]
+
+    if not cands or not votes:
+        raise ValueError("pruning removed the entire profile")
+    pruned = PartialProfile(
+        candidates=tuple(cands),
+        votes=tuple(tuple(tuple(g) for g in v) for v in votes),
+        multiplicities=tuple(mults),
+        names=dict(profile.names),
+        source=profile.source,
+    )
+    stats = {
+        "removed_candidates": removed_candidates,
+        "removed_votes": removed_votes,
+    }
+    return pruned, stats
 
 
 def pairwise_fit_mallows(

@@ -75,6 +75,18 @@ def test_generate_missing_parameter_fails(capsys, tmp_path):
     assert "phi" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_generate_urn_rejects_non_finite_alpha(capsys, tmp_path, alpha):
+    out = tmp_path / "urn.soc"
+    code, _, err = run(
+        capsys, "generate", "--culture", "urn", "--m", "3", "--n", "5",
+        "--alpha", alpha, "--out", str(out),
+    )
+    assert code == 1
+    assert f"alpha must be a finite nonnegative number, got {alpha}" in err
+    assert not out.exists()
+
+
 def test_distance_reports_decimal_and_exact(capsys, tmp_path):
     a = write_corner(tmp_path, "ID")
     b = write_corner(tmp_path, "UN")

@@ -262,6 +262,9 @@ def _round_trip(matrix):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.csv")
         write_matrix_csv(matrix, path)
+        with open(path, encoding="utf-8") as fh:
+            # each entry as str of its Fraction (or int) prints it
+            assert fh.read() == "".join(",".join(map(str, row)) + "\n" for row in matrix.entries)
         return read_matrix_csv(path)
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import os
 import random
+import re
 import tempfile
 from collections import Counter
 
@@ -9,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import mutated
+from prefmap.cli import main
 from prefmap.core import Election
 from prefmap.ingest import (
     PRESETS,
     PartialProfile,
     PartialVote,
     PipelineConfig,
+    _parse_vote_line,
     complete_votes,
     load_election,
     parse_preflib,
@@ -166,6 +171,131 @@ def test_load_election_rejects_ties_and_gaps(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the ballot parser against the per-character oracle
+
+# Text right before a "{" (after the count): the oracle glues it onto the
+# group's first id, the parser reads it as an item of its own.
+_GLUE = re.compile(r"[^,{}\s]\s*\{")
+
+
+def _glued(line: str) -> bool:
+    return _GLUE.search(line.partition(",")[2]) is not None
+
+
+def _outcome(parse, line: str):
+    try:
+        return parse(line, 7)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def _ballot_lines(draw):
+    """A ``count, ranking`` line of a small tie/partial grammar, with the
+    (count, vote) it stands for."""
+    m = draw(st.integers(1, 9))
+    ranked = draw(st.permutations(range(1, m + 1)))[: draw(st.integers(1, m))]
+    cuts = draw(st.lists(st.booleans(), min_size=len(ranked), max_size=len(ranked)))
+    groups, group = [], []
+    for c, cut in zip(ranked, cuts):
+        group.append(c)
+        if cut:
+            groups.append(tuple(group))
+            group = []
+    if group:
+        groups.append(tuple(group))
+    space = st.sampled_from(["", " ", "  "])
+    items = []
+    for g in groups:
+        ids = ("," + draw(space)).join(map(str, g))
+        braced = len(g) > 1 or draw(st.booleans())
+        items.append(draw(space) + ("{" + ids + "}" if braced else ids) + draw(space))
+    count = draw(st.integers(1, 20))
+    return f"{count}," + ",".join(items), (count, tuple(groups))
+
+
+def _decoded(data: bytes) -> str:
+    return data.decode("utf-8", "replace")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ballot_lines())
+def test_parse_vote_line_reads_grammar_lines(case):
+    line, expected = case
+    assert _parse_vote_line(line, 7) == expected
+    assert oracles.charwise_parse_vote_line(line, 7) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        _ballot_lines().map(lambda case: case[0].encode()).flatmap(mutated).map(_decoded),
+        st.sampled_from([STRICT_FILE, PARTIAL_FILE]).map(str.encode).flatmap(mutated).map(_decoded),
+    )
+)
+def test_parse_vote_line_matches_charwise_oracle(text):
+    # outside the glue class both accept with equal groups or both reject
+    for line in map(str.strip, text.splitlines()):
+        if not _glued(line):
+            expected = _outcome(oracles.charwise_parse_vote_line, line)
+            assert _outcome(_parse_vote_line, line) == expected
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("3 1 2", "line 7: expected 'count, ranking'"),
+        ("x, 1,2", "line 7: bad count 'x'"),
+        ("0, 1,2", "line 7: count must be positive"),
+        ("3, {1,{2}}", "line 7: nested braces"),
+        ("3, 1,{2,3", "line 7: unbalanced braces"),
+        ("3, 1,2}", "line 7: unbalanced braces"),
+        ("3, {1,2}},3", "line 7: unbalanced braces"),
+        ("3, 1,{},2", "line 7: empty tie group"),
+        ("3, { , },2", "line 7: empty tie group"),
+        ("3, , ,", "line 7: empty ranking"),
+        ("3, 1,x", "invalid literal for int() with base 10: 'x'"),
+        ("3, {1, x }", "invalid literal for int() with base 10: 'x'"),
+        ("3, {1,2}x", "invalid literal for int() with base 10: 'x'"),
+        ("3, 1 2", "invalid literal for int() with base 10: '1 2'"),
+    ],
+)
+def test_parse_vote_line_messages(line, message):
+    for parse in (_parse_vote_line, oracles.charwise_parse_vote_line):
+        with pytest.raises(ValueError) as err:
+            parse(line, 7)
+        assert str(err.value) == message
+
+
+def _ballot_file(m: int, ballots: list[str]) -> str:
+    names = "".join(f"{c}, c{c}\n" for c in range(1, m + 1))
+    n = sum(int(b.partition(",")[0]) for b in ballots)
+    return f"{m}\n{names}{n}, {n}, {len(ballots)}\n" + "".join(b + "\n" for b in ballots)
+
+
+def test_text_before_a_brace_is_its_own_item(tmp_path, capsys):
+    # the per-character reading glued "1{2}" into the one candidate 12
+    assert _parse_vote_line("3, 1{2},3", 7) == (3, ((1,), (2,), (3,)))
+    with pytest.raises(ValueError, match="'\\+'"):
+        _parse_vote_line("1,+{4,1}", 7)
+    ranking = ",".join(map(str, range(1, 13)))
+    path = tmp_path / "twelve.toc"
+    path.write_text(_ballot_file(12, ["3, 1{2},3", f"2, {ranking}"]))
+    assert parse_preflib(path).votes[0] == ((1,), (2,), (3,))
+
+    # ten candidates: there is no candidate 12 to invent
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    ranking = ",".join(map(str, range(1, 11)))
+    (raw / "glue.toc").write_text(_ballot_file(10, ["3, 1{2},3", f"5, {ranking}"]))
+    out = tmp_path / "clean"
+    code = main(["ingest", "--in", str(raw), "--out", str(out), "--seed", "1", "--quiet"])
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["profiles"][0]["kept"] is True
+
+
+# ---------------------------------------------------------------------------
 # pruning
 
 
@@ -218,6 +348,50 @@ def test_prune_validates_threshold():
     profile = strict_profile([(1, 2)], [1], 2)
     with pytest.raises(ValueError):
         prune_to_coverage(profile, 0.0)
+
+
+@st.composite
+def _partial_profiles(draw):
+    """Ballots of any length (empty too) with ties and multiplicities."""
+    m = draw(st.integers(1, 7))
+    votes = []
+    for _ in range(draw(st.integers(1, 8))):
+        ranked = draw(st.permutations(range(1, m + 1)))[: draw(st.integers(0, m))]
+        groups: list[list[int]] = []
+        for c in ranked:
+            if groups and draw(st.integers(0, 3)) == 0:
+                groups[-1].append(c)
+            else:
+                groups.append([c])
+        votes.append(groups)
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(votes), max_size=len(votes)))
+    return PartialProfile(
+        candidates=tuple(range(1, m + 1)),
+        votes=votes,
+        multiplicities=mults,
+        names={c: f"c{c}" for c in range(1, m + 1)},
+        source="random",
+    )
+
+
+def _prune_outcome(prune, profile, threshold):
+    try:
+        return prune(profile, threshold)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _partial_profiles(),
+    st.one_of(
+        st.sampled_from([0.25, 0.5, 2 / 3, 0.7, 0.75, 0.9, 1.0]),
+        st.floats(0.01, 1.0),
+    ),
+)
+def test_prune_matches_scan_oracle(profile, threshold):
+    expected = _prune_outcome(oracles.scan_prune_to_coverage, profile, threshold)
+    assert _prune_outcome(prune_to_coverage, profile, threshold) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -216,6 +217,54 @@ _MERSENNE_61 = 2**61 - 1  # m * D = 2**62 - 2, the largest int64 case at m = 2
 def test_positionwise_matches_fraction_oracle(pair):
     x, y = pair
     assert positionwise(x, y) == oracles.fraction_positionwise(x, y)
+
+
+def _brute_force_distance(x: FrequencyMatrix, y: FrequencyMatrix) -> Fraction:
+    m = x.m
+    cost = [[emd(_column(x, i), _column(y, j)) for j in range(m)] for i in range(m)]
+    return oracles.brute_force_assignment(cost)[0]
+
+
+def _columns_permuted(x: FrequencyMatrix, perm) -> FrequencyMatrix:
+    return FrequencyMatrix(tuple(tuple(row[c] for c in perm) for row in x.entries))
+
+
+@st.composite
+def _identity_pairs(draw):
+    """(x, y) over one m <= 4: y is x with its columns permuted, or any
+    matrix of that size."""
+    m = draw(st.integers(1, 4))
+    x = draw(_bistochastic(m))
+    if draw(st.booleans()):
+        return x, _columns_permuted(x, draw(st.permutations(range(m))))
+    return x, draw(st.one_of(_bistochastic(m), _tie_heavy(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_identity_pairs())
+def test_metric_identity_property(pair):
+    x, y = pair
+    value = positionwise(x, y).value
+    assert value == _brute_force_distance(x, y)
+    permutes = any(
+        _columns_permuted(y, perm) == x for perm in itertools.permutations(range(x.m))
+    )
+    assert (value == 0) == permutes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.one_of(_bistochastic(m), _tie_heavy(m)), min_size=3, max_size=3)))
+def test_metric_symmetry_and_triangle_property(triple):
+    x, y, z = triple
+    d = {(a, b): positionwise(u, v).value
+         for a, u in enumerate(triple) for b, v in enumerate(triple)}
+    for (a, b), value in d.items():
+        assert value == _brute_force_distance(triple[a], triple[b])
+        assert value == d[b, a]
+        assert value >= 0
+    for a, b, c in itertools.permutations(range(3)):
+        assert d[a, c] <= d[a, b] + d[b, c]
 
 
 def test_column_permutation_reproduces_value():
