@@ -4,6 +4,10 @@ Subcommands: generate, distance, distance-matrix, recover, compass,
 mallows-table, ingest, embed, fit-mallows.  Every run is deterministic
 for a fixed --seed.  Exit codes: 0 on success, 1 for usage or input
 errors, 2 for internal failures.
+
+Options are settled by argparse alone: a --config file and the --coarse
+preset only become defaults, so an explicit flag wins, then --coarse,
+then the config file, then the built-in default.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # set by build_parser
+
     # argparse exits with 2 on bad flags; the contract here is exit 1
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -110,22 +116,18 @@ def _say(args: argparse.Namespace, message: str) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    tag = args.culture.replace("-", "_").upper()
-    if tag == "URN_GAMMA":
-        spec = cultures.CultureSpec(
-            tag="URN", m=args.m, n=args.n, seed=args.seed, gamma_alpha=True
-        )
-    else:
-        spec = cultures.CultureSpec(
-            tag=tag,
-            m=args.m,
-            n=args.n,
-            seed=args.seed,
-            alpha=args.alpha,
-            phi=args.phi,
-            relphi=args.relphi,
-            dimension=args.dim,
-        )
+    gamma = args.culture == "urn-gamma"
+    spec = cultures.CultureSpec(
+        tag="URN" if gamma else args.culture.replace("-", "_").upper(),
+        m=args.m,
+        n=args.n,
+        seed=args.seed,
+        alpha=args.alpha,
+        gamma_alpha=gamma,
+        phi=args.phi,
+        relphi=args.relphi,
+        dimension=args.dim,
+    )
     election = cultures.sample(spec)
     comments = [f"culture={args.culture}", f"m={args.m}", f"n={args.n}", f"seed={args.seed}"]
     for key in ("alpha", "phi", "relphi"):
@@ -163,15 +165,12 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
     items = [_load_item(p) for p in args.inputs]
     labels = [os.path.splitext(os.path.basename(p))[0] for p in args.inputs]
     table = distance_matrix(items)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["id"] + labels) + "\n")
-        for label, row in zip(labels, table):
-            fh.write(",".join([label] + [_fmt_decimal(v) for v in row]) + "\n")
-    if args.sidecar:
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["id"] + labels) + "\n")
-            for label, row in zip(labels, table):
-                fh.write(",".join([label] + [str(v) for v in row]) + "\n")
+    for path, fmt in ((args.out, _fmt_decimal), (args.sidecar, str)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(",".join(["id"] + labels) + "\n")
+                for label, row in zip(labels, table):
+                    fh.write(",".join([label] + [fmt(v) for v in row]) + "\n")
     _say(args, f"wrote {len(items)}x{len(items)} distance matrix to {args.out}")
     return 0
 
@@ -212,19 +211,33 @@ def _cmd_compass(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mallows_table(args: argparse.Namespace) -> int:
-    ms = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
+def _m_list(text: str) -> list[int]:
+    try:
+        ms = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ms = []
     if not ms or any(m < 2 for m in ms):
-        raise UsageError("mallows-table: --m-list needs integers >= 2")
-    rels = [k / 20 for k in range(11)]  # 0.00, 0.05, ..., 0.50
-    header = ["rel-phi"] + [f"m={m}" for m in ms]
-    print("\t".join(header))
-    for rel in rels:
-        row = [f"{rel:.2f}"]
-        for m in ms:
-            row.append(f"{cultures.relphi_to_phi(m, rel):.3f}")
-        print("\t".join(row))
+        raise argparse.ArgumentTypeError(f"needs comma-separated integers >= 2, got {text!r}")
+    return ms
+
+
+def _cmd_mallows_table(args: argparse.Namespace) -> int:
+    print("\t".join(["rel-phi"] + [f"m={m}" for m in args.m_list]))
+    for rel in (k / 20 for k in range(11)):  # 0.00, 0.05, ..., 0.50
+        phis = [f"{cultures.relphi_to_phi(m, rel):.3f}" for m in args.m_list]
+        print("\t".join([f"{rel:.2f}"] + phis))
     return 0
+
+
+def _listing(directory: str, suffixes: tuple[str, ...]) -> list[str]:
+    paths = sorted(
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.endswith(suffixes)
+    )
+    if not paths:
+        raise ValueError(f"no {'/'.join(suffixes)} files in {directory}")
+    return paths
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -234,13 +247,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(ingest.PRESETS))}"
         )
     config = ingest.PRESETS[args.preset]
-    paths = sorted(
-        os.path.join(args.indir, name)
-        for name in os.listdir(args.indir)
-        if name.endswith(ingest.PREFLIB_SUFFIXES)
-    )
-    if not paths:
-        raise ValueError(f"no {'/'.join(ingest.PREFLIB_SUFFIXES)} files in {args.indir}")
+    paths = _listing(args.indir, ingest.PREFLIB_SUFFIXES)
     profiles = [ingest.parse_preflib(p) for p in paths]
     elections, manifest = ingest.run_pipeline(profiles, config, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -323,26 +330,16 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_mallows(args: argparse.Namespace) -> int:
-    if args.coarse:
-        step, samples = 0.01, 20
-    else:
-        step, samples = args.grid_step, args.samples
-        if not (math.isfinite(step) and 0 < step <= 0.5):
-            raise UsageError(
-                f"fit-mallows: --grid-step (config key grid_step) must be a "
-                f"finite number in (0, 0.5], got {step!r}"
-            )
-    paths = sorted(
-        os.path.join(args.dataset, name)
-        for name in os.listdir(args.dataset)
-        if name.endswith(".soc")
-    )
-    if not paths:
-        raise ValueError(f"no .soc files in {args.dataset}")
-    dataset = [ingest.load_election(p) for p in paths]
+    step = args.grid_step
+    if not (math.isfinite(step) and 0 < step <= 0.5):
+        raise UsageError(
+            f"fit-mallows: --grid-step (config key grid_step) must be a "
+            f"finite number in (0, 0.5], got {step!r}"
+        )
+    dataset = [ingest.load_election(p) for p in _listing(args.dataset, (".soc",))]
     count = int(round(0.5 / step)) + 1
     grid = [min(k * step, 0.5) for k in range(count)]
-    result = fit_mallows(dataset, grid, samples, args.seed)
+    result = fit_mallows(dataset, grid, args.samples, args.seed)
     print(
         f"relphi={result.relphi:.4f} mean={result.mean_distance:.6f} "
         f"std={result.std_distance:.6f}"
@@ -362,11 +359,8 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")
-    common.add_argument(
-        "--config",
-        default=None,
-        help="key=value file supplying defaults; explicit flags win",
-    )
+    common.add_argument("--config", default=None,
+                        help="key=value file of defaults; explicit flags and --coarse win")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("generate", parents=[common], help="sample an election")
@@ -417,7 +411,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "mallows-table", parents=[common], help="relphi -> phi calibration table"
     )
-    p.add_argument("--m-list", default="5,10,20,50,100", help="comma-separated m values")
+    p.add_argument("--m-list", type=_m_list, default="5,10,20,50,100",
+                   help="comma-separated m values, each >= 2")
     p.set_defaults(func=_cmd_mallows_table)
 
     p = sub.add_parser("ingest", parents=[common], help="preset dataset pipeline")
@@ -440,63 +435,47 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-step", type=float, default=0.001, help="grid resolution, in (0, 0.5]")
     p.add_argument("--samples", type=int, default=100, help="samples per grid value")
     p.add_argument("--coarse", action="store_true",
-                   help="coarse preset: step 0.01, 20 samples")
+                   help="coarse preset: step 0.01, 20 samples; "
+                        "explicit --grid-step/--samples win")
     p.set_defaults(func=_cmd_fit_mallows)
 
+    parser.commands = sub.choices
     return parser
 
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "quiet": lambda v: v.lower() in ("1", "true", "yes"),
-    "iters": int,
-    "scale": int,
-    "samples": int,
-    "grid_step": float,
-    "m": int,
-    "n": int,
-    "alpha": float,
-    "phi": float,
-    "relphi": float,
-    "dim": int,
-    "preset": str,
-}
+_CONFIG_KEYS = "seed quiet iters scale samples grid_step m n alpha phi relphi dim preset".split()
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep:
-                raise ValueError(f"{args.config} line {lineno}: expected key=value")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{args.config} line {lineno}: unknown key {key!r}")
-            if key in explicit:
-                continue  # explicit flags win
-            if hasattr(args, key):
-                setattr(args, key, _CONFIG_KEYS[key](value))
+def _defaults(args: argparse.Namespace) -> dict[str, object]:
+    """The subcommand's --config values, with the --coarse preset over them.
+    Config values stay strings for argparse to convert; quiet reads 1/true/yes."""
+    values: dict[str, object] = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                key, sep, value = map(str.strip, line.partition("="))
+                if key.startswith("#") or not (key or sep):
+                    continue
+                if not sep:
+                    raise ValueError(f"{args.config} line {lineno}: expected key=value")
+                if key not in _CONFIG_KEYS:
+                    raise ValueError(f"{args.config} line {lineno}: unknown key {key!r}")
+                values[key] = value.lower() in ("1", "true", "yes") if key == "quiet" else value
+    if getattr(args, "coarse", False):
+        values.update(grid_step=0.01, samples=20)
+    return {key: value for key, value in values.items() if hasattr(args, key)}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
-        if not argv:
-            raise UsageError(parser.format_usage())
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             raise UsageError(parser.format_usage())
-        _apply_config(args, argv)
+        defaults = _defaults(args)
+        if defaults:  # explicit flags win over defaults by construction
+            parser.commands[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -39,14 +39,15 @@ CORNER_PAIRS = (
     ("AN", "ST"),
 )
 
-# Limits of the normalized pairwise distances as m grows.
-_NORMALIZED_LIMITS: dict[frozenset[str], Fraction] = {
-    frozenset(("ID", "UN")): Fraction(1),
-    frozenset(("ID", "AN")): Fraction(3, 4),
-    frozenset(("ID", "ST")): Fraction(1, 2),
-    frozenset(("UN", "AN")): Fraction(1, 2),
-    frozenset(("UN", "ST")): Fraction(3, 4),
-    frozenset(("AN", "ST")): Fraction(13, 16),
+# When 4 divides m, the distance of each anchor pair is a*m*m + b for its
+# (a, b).  Normalizing divides by (m*m - 1)/3, so the large-m limit is 3a.
+_CLOSED_FORMS: dict[frozenset[str], tuple[Fraction, Fraction]] = {
+    frozenset(("ID", "UN")): (Fraction(1, 3), Fraction(-1, 3)),
+    frozenset(("ID", "AN")): (Fraction(1, 4), Fraction(0)),
+    frozenset(("UN", "ST")): (Fraction(1, 4), Fraction(0)),
+    frozenset(("ID", "ST")): (Fraction(1, 6), Fraction(-2, 3)),
+    frozenset(("UN", "AN")): (Fraction(1, 6), Fraction(-2, 3)),
+    frozenset(("AN", "ST")): (Fraction(13, 48), Fraction(-1, 3)),
 }
 
 
@@ -83,15 +84,8 @@ def closed_form_distance(a: str, b: str, m: int) -> Fraction:
         raise ValueError("closed forms hold when m is a positive multiple of 4")
     if a == b:
         return Fraction(0)
-    pair = frozenset((a, b))
-    if pair == frozenset(("ID", "UN")):
-        return Fraction(m * m - 1, 3)
-    if pair in (frozenset(("ID", "AN")), frozenset(("UN", "ST"))):
-        return Fraction(m * m, 4)
-    if pair in (frozenset(("ID", "ST")), frozenset(("UN", "AN"))):
-        return Fraction(2, 3) * (Fraction(m * m, 4) - 1)
-    # AN vs ST
-    return Fraction(13 * m * m, 48) - Fraction(1, 3)
+    slope, offset = _CLOSED_FORMS[frozenset((a, b))]
+    return slope * m * m + offset
 
 
 def normalized_limit(a: str, b: str) -> Fraction:
@@ -101,7 +95,7 @@ def normalized_limit(a: str, b: str) -> Fraction:
             raise ValueError(f"no normalized limit for kind {kind!r}")
     if a == b:
         return Fraction(0)
-    return _NORMALIZED_LIMITS[frozenset((a, b))]
+    return 3 * _CLOSED_FORMS[frozenset((a, b))][0]
 
 
 def convex_combination(

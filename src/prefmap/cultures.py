@@ -124,7 +124,14 @@ def mahonian_table(m_max: int) -> MahonianTable:
 
 @lru_cache(maxsize=256)
 def _float_inversion_row(m: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in mahonian_table(m).row(m))
+    """Row m of the Mahonian table as floats.  Where a count would overflow
+    (m >= 172), all are divided by one power of two that also keeps the sums
+    in expected_swaps finite; it uses only their ratios."""
+    row = mahonian_table(m).row(m)
+    shift = 0
+    if max(row).bit_length() > 1023:
+        shift = (math.factorial(m) * len(row)).bit_length() - 1000
+    return tuple(v / (1 << shift) for v in row)
 
 
 def expected_swaps(m: int, phi: float) -> float:

@@ -14,8 +14,11 @@ dispersion fit that compared one pair at a time, ``gradient_embed``, the
 map layout by gradient descent from seeded random points, and
 ``fraction_read_matrix_csv``, the matrix reader that parsed every entry
 into a ``Fraction``, ``charwise_parse_vote_line``, the ballot parser that
-read one character at a time, and ``scan_prune_to_coverage``, the
-coverage prune that scanned candidates and votes separately.
+read one character at a time, ``scan_prune_to_coverage``, the
+coverage prune that scanned candidates and votes separately, and
+``unscaled_float_inversion_row``, the Mahonian row converted to floats
+as it is, which overflows from m = 172 on.  ``exact_relative_expected_swaps``
+is the relative swap share on exact integers, rounded once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from prefmap.cli import FitResult
 from prefmap.core import Election, FrequencyMatrix, PositionMatrix, frequency_matrix
-from prefmap.cultures import sample_mallows_norm
+from prefmap.cultures import mahonian_table, sample_mallows_norm
 from prefmap.embed import MapLayout
 from prefmap.ingest import PartialProfile, PartialVote
 from prefmap.metric import DistanceRecord, normalization_constant
@@ -442,6 +445,24 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
         weights.append(phi**k)
     z = sum(weights)
     return sum(k * w for k, w in zip(swaps, weights)) / z
+
+
+def unscaled_float_inversion_row(m: int) -> tuple[float, ...]:
+    return tuple(float(v) for v in mahonian_table(m).row(m))
+
+
+def exact_relative_expected_swaps(m: int, phi: float) -> float:
+    """sum(i * c_i * phi**i) / sum(c_i * phi**i) over the Mahonian row c of m,
+    divided by m*(m-1)/2, in integers: phi = p / 2**e, and both sums are
+    taken times 2**(e * top) by Horner's rule.  One rounding at the end."""
+    row = mahonian_table(m).row(m)
+    p, q = Fraction(phi).as_integer_ratio()
+    e = q.bit_length() - 1
+    total = mean = 0
+    for k, i in enumerate(reversed(range(len(row)))):
+        total = total * p + (row[i] << (e * k))
+        mean = mean * p + (i * row[i] << (e * k))
+    return 2 * mean / (total * m * (m - 1))
 
 
 def swap_distance(u: Sequence[int], v: Sequence[int]) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from xml.etree import ElementTree
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 from prefmap import ingest
-from prefmap.cli import fit_mallows, main
+from prefmap.cli import build_parser, fit_mallows, main
 from prefmap.compass import compass_matrix
 from prefmap.matrixio import read_matrix_csv, write_matrix_csv
 
@@ -237,6 +238,28 @@ def test_compass_odd_m_fails(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize("m_list", ["5,x", "1", "5,1", ",", "2.5"])
+def test_mallows_table_rejects_bad_m_list(capsys, m_list):
+    code, out, err = run(capsys, "mallows-table", "--m-list", m_list)
+    assert code == 1 and out == ""
+    assert "--m-list" in err and repr(m_list) in err
+
+
+def test_calibration_at_m_172(capsys, tmp_path):
+    # the Mahonian counts of m = 172 overflow a float
+    from prefmap.cultures import mahonian_table
+
+    out = tmp_path / "e.soc"
+    try:
+        code, _, err = run(capsys, "generate", "--culture", "mallows-norm", "--relphi", "0.2",
+                           "--m", "172", "--n", "3", "--out", str(out))
+    finally:
+        mahonian_table.cache_clear()
+    assert code == 0, err
+    election = ingest.load_election(out)
+    assert election.m == 172 and election.n == 3
+
+
 def test_mallows_table_known_value(capsys):
     code, out, _ = run(capsys, "mallows-table", "--m-list", "5,10")
     assert code == 0
@@ -384,6 +407,37 @@ def test_fit_mallows_rejects_bad_grid_step(capsys, tmp_path, step):
     assert "--grid-step" in err
 
 
+@pytest.mark.parametrize("argv, config, plain", [
+    # explicit flags beat --coarse
+    (["--coarse", "--samples", "3"], "", ["--grid-step", "0.01", "--samples", "3"]),
+    (["--coarse", "--grid-step", "0.25"], "", ["--grid-step", "0.25", "--samples", "20"]),
+    # --coarse beats the config file
+    (["--coarse", "--grid-step=0.25"], "samples=3\n", ["--grid-step", "0.25", "--samples", "20"]),
+    # an abbreviated explicit flag beats the config file
+    (["--sam", "1"], "grid_step=0.5\nsamples=2\n", ["--grid-step", "0.5", "--samples", "1"]),
+])
+def test_fit_mallows_option_precedence(capsys, tmp_path, argv, config, plain):
+    dataset = mallows_dataset(tmp_path)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(config)
+    code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset), "--seed", "2",
+                         "--config", str(cfg), *argv)
+    assert code == 0, err
+    expected = run(capsys, "fit-mallows", "--dataset", str(dataset), "--seed", "2", *plain)
+    assert (code, out, err) == expected
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--samples", "0"], "samples_per_value must be positive"),
+    (["--grid-step", "nan"], "--grid-step"),
+])
+def test_fit_mallows_coarse_checks_explicit_values(capsys, tmp_path, argv, flag):
+    dataset = mallows_dataset(tmp_path)
+    code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset), "--coarse", *argv)
+    assert code == 1 and out == ""
+    assert flag in err
+
+
 def test_normalization_needs_two_candidates(capsys, tmp_path):
     from prefmap.core import Election
 
@@ -436,6 +490,37 @@ def test_config_unknown_key_fails(capsys, tmp_path):
                        "--config", str(config), "--out", str(tmp_path / "x.soc"))
     assert code == 1
     assert "volume" in err
+
+
+def test_config_abbreviated_flag_wins(capsys, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("seed=9\n")
+    out = tmp_path / "a.soc"
+    code, _, _ = run(capsys, "generate", "--culture", "ic", "--m", "3", "--n", "2",
+                     "--config", str(config), "--se", "4", "--out", str(out))
+    assert code == 0
+    assert "# seed=4" in out.read_text()
+
+
+def test_config_bad_value_names_the_flag(capsys, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("scale=abc\n")
+    code, _, err = run(capsys, "compass", "--m", "4", "--config", str(config),
+                       "--out", str(tmp_path / "c"))
+    assert code == 1
+    assert "--scale" in err and "'abc'" in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("value, quiet", [("false", False), ("0", False), ("yes", True),
+                                          ("TRUE", True), ("1", True)])
+def test_config_quiet_key(capsys, tmp_path, value, quiet):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"quiet={value}\n")
+    code, _, err = run(capsys, "compass", "--m", "4", "--scale", "0",
+                       "--config", str(config), "--out", str(tmp_path / "c"))
+    assert code == 0
+    assert (err == "") == quiet
 
 
 def test_config_grid_step_key(capsys, tmp_path):
@@ -498,6 +583,19 @@ def test_missing_file_is_reported_not_raised(capsys, tmp_path):
                        "--b", str(tmp_path / "no2.csv"))
     assert code == 1
     assert "error" in err.lower()
+
+
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("prefmap ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])  # a stale flag raises UsageError
+        assert args.command == line.split()[1]
 
 
 def test_python_m_runs_the_cli(tmp_path):

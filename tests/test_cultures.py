@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import election_is_single_peaked, is_single_peaked, swap_distance
+from prefmap import cultures
 from prefmap.cultures import (
     CultureSpec,
     derive_seed,
@@ -105,6 +106,32 @@ def test_relphi_to_phi_inverts_calibration():
         for rel in (0.05, 0.2, 0.35, 0.45):
             phi = relphi_to_phi(m, rel)
             assert abs(relative_expected_swaps(m, phi) - rel) <= 1e-10
+
+
+def test_float_inversion_row_matches_unscaled_oracle(monkeypatch):
+    # Equal rows make expected_swaps, relphi_to_phi and every sample
+    # bit-identical for any phi.  One table holds every row up to 171;
+    # a table per m would take about 17 s.
+    table = mahonian_table(171)
+    for module in (cultures, oracles):
+        monkeypatch.setattr(module, "mahonian_table", lambda m_max: table)
+    cultures._float_inversion_row.cache_clear()
+    try:
+        for m in range(2, 172):
+            assert cultures._float_inversion_row(m) == oracles.unscaled_float_inversion_row(m)
+    finally:
+        cultures._float_inversion_row.cache_clear()
+        mahonian_table.cache_clear()
+
+
+def test_relative_swaps_past_float_range():
+    # the counts of m = 172 overflow a float; phi near 1 also overflowed the sums
+    try:
+        for phi in (relphi_to_phi(172, 0.2), 0.5, 511 / 512):
+            exact = oracles.exact_relative_expected_swaps(172, phi)
+            assert abs(relative_expected_swaps(172, phi) - exact) <= 1e-12
+    finally:
+        mahonian_table.cache_clear()
 
 
 def test_relphi_to_phi_rejects_out_of_range():
