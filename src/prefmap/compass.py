@@ -11,7 +11,6 @@ elections can be measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FrequencyMatrix, PositionMatrix, frequency_from_position
@@ -51,14 +50,7 @@ _CLOSED_FORMS: dict[frozenset[str], tuple[Fraction, Fraction]] = {
 }
 
 
-@dataclass(frozen=True)
-class CompassMatrix:
-    kind: str
-    m: int
-    matrix: FrequencyMatrix
-
-
-def compass_matrix(kind: str, m: int) -> CompassMatrix:
+def compass_matrix(kind: str, m: int) -> FrequencyMatrix:
     """Build one of the named matrices for m candidates.
 
     ST and AN need an even m; ID, UN, and rID (reversed identity) work for
@@ -72,7 +64,7 @@ def compass_matrix(kind: str, m: int) -> CompassMatrix:
         raise ValueError(f"{kind} requires an even number of candidates")
     support = _SUPPORT[kind]
     counts = [[int(support(m, i, j)) for j in range(m)] for i in range(m)]
-    return CompassMatrix(kind, m, frequency_from_position(PositionMatrix(counts)))
+    return frequency_from_position(PositionMatrix(counts))
 
 
 def closed_form_distance(a: str, b: str, m: int) -> Fraction:
@@ -118,26 +110,6 @@ def convex_combination(
     return frequency_from_position(PositionMatrix(counts))
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """One point on the segment between two endpoint matrices.
-
-    ``point`` equals alpha * endpoints[0] + (1 - alpha) * endpoints[1];
-    it is bistochastic whenever both endpoints are.
-    """
-
-    endpoints: tuple[FrequencyMatrix, FrequencyMatrix]
-    alpha: Fraction
-    point: FrequencyMatrix
-
-    @classmethod
-    def at(
-        cls, x: FrequencyMatrix, y: FrequencyMatrix, alpha: Fraction
-    ) -> "PathSpec":
-        alpha = Fraction(alpha)
-        return cls((x, y), alpha, convex_combination(x, y, alpha))
-
-
 def default_point_count(a: str, b: str, scale: int = 50) -> int:
     """Number of interior points for an anchor pair: ceil(scale * limit)."""
     if scale < 0:
@@ -149,16 +121,18 @@ def path_points(
     x: FrequencyMatrix,
     y: FrequencyMatrix,
     count: int,
-) -> list[PathSpec]:
-    """``count`` evenly spaced interior points between y and x.
+) -> list[tuple[Fraction, FrequencyMatrix]]:
+    """``count`` evenly spaced interior points between y and x, as
+    ``(alpha, alpha * x + (1 - alpha) * y)`` pairs.
 
     Point k (k = 1..count) sits at alpha = k / (count + 1), so endpoints
-    themselves are not included.
+    themselves are not included.  Each point is bistochastic whenever both
+    endpoints are.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    denom = count + 1
-    return [PathSpec.at(x, y, Fraction(k, denom)) for k in range(1, count + 1)]
+    alphas = [Fraction(k, count + 1) for k in range(1, count + 1)]
+    return [(alpha, convex_combination(x, y, alpha)) for alpha in alphas]
 
 
 def full_compass(
@@ -172,13 +146,12 @@ def full_compass(
     """
     if m < 2 or m % 2:
         raise ValueError("the full compass needs an even m >= 2")
-    corners = {kind: compass_matrix(kind, m).matrix for kind in CORNER_KINDS}
+    corners = {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
     out: list[tuple[str, FrequencyMatrix]] = [
         (kind, corners[kind]) for kind in CORNER_KINDS
     ]
     for a, b in CORNER_PAIRS:
         count = default_point_count(a, b, scale)
-        for spec in path_points(corners[a], corners[b], count):
-            label = f"{a}-{b}:{spec.alpha.numerator}/{spec.alpha.denominator}"
-            out.append((label, spec.point))
+        for alpha, point in path_points(corners[a], corners[b], count):
+            out.append((f"{a}-{b}:{alpha.numerator}/{alpha.denominator}", point))
     return out

@@ -5,7 +5,7 @@ insertion), single-peaked models (uniform-peak interval growth and the
 balanced bottom-up walk), and points-in-a-hypercube.  The normalized
 Mallows variant replaces the raw dispersion phi by the expected number of
 swaps relative to its maximum, which makes elections with different m
-comparable.  That calibration runs through the swap-count table
+comparable.  That calibration runs through the swap counts
 T[m][i] = number of permutations of m elements with i inversions.
 
 Every sampler takes an integer seed and is fully deterministic given it.
@@ -81,57 +81,37 @@ def sample(spec: CultureSpec) -> Election:
 
 
 # ---------------------------------------------------------------------------
-# swap-count table and dispersion calibration
+# swap counts and dispersion calibration
 
 
-@dataclass(frozen=True)
-class MahonianTable:
-    """Rows of inversion counts: rows[m][i] = permutations of m elements
-    with exactly i inversions, for m up to m_max (row 0 is the empty
-    permutation)."""
+def mahonian_row(m: int) -> tuple[int, ...]:
+    """Inversion counts of m elements: entry i is the number of permutations
+    with exactly i inversions (m = 0 is the empty permutation).
 
-    m_max: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, m: int) -> tuple[int, ...]:
-        if m < 0 or m > self.m_max:
-            raise ValueError(f"row {m} outside table (m_max={self.m_max})")
-        return self.rows[m]
-
-
-@lru_cache(maxsize=64)
-def mahonian_table(m_max: int) -> MahonianTable:
-    """Build the table with the standard recurrence
-    T[m][i] = T[m][i-1] + T[m-1][i] - T[m-1][i-m] (out of range = 0)."""
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for m in range(1, m_max + 1):
-        top = m * (m - 1) // 2
-        prev = rows[m - 1]
-        row = [0] * (top + 1)
-        row[0] = 1
-        for i in range(1, top + 1):
-            val = row[i - 1]
-            if i < len(prev):
-                val += prev[i]
-            if 0 <= i - m < len(prev):
-                val -= prev[i - m]
-            row[i] = val
-        rows.append(tuple(row))
-    return MahonianTable(m_max, tuple(rows))
+    Row m is row m-1 times 1 + x + ... + x^(m-1), one running sum over a
+    window of m entries; only the previous row is kept."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    row = [1]
+    for k in range(2, m + 1):
+        acc = 0
+        out = []
+        for new, old in zip(row + [0] * (k - 1), [0] * k + row):
+            acc += new - old
+            out.append(acc)
+        row = out
+    return tuple(row)
 
 
 @lru_cache(maxsize=256)
 def _float_inversion_row(m: int) -> tuple[float, ...]:
-    """Row m of the Mahonian table as floats.  Where a count would overflow
-    (m >= 172), all are divided by one power of two that also keeps the sums
-    in expected_swaps finite; it uses only their ratios."""
-    row = mahonian_table(m).row(m)
-    shift = 0
-    if max(row).bit_length() > 1023:
-        shift = (math.factorial(m) * len(row)).bit_length() - 1000
-    return tuple(v / (1 << shift) for v in row)
+    """mahonian_row(m) as floats, divided by one power of two so that each
+    count and the sums in expected_swaps stay finite; that only shifts
+    exponents, and expected_swaps uses only ratios.  Up to m = 165 the
+    power is 1."""
+    row = mahonian_row(m)
+    scale = 1 << max(0, (math.factorial(m) * len(row)).bit_length() - 1000)
+    return tuple(v / scale for v in row)
 
 
 def expected_swaps(m: int, phi: float) -> float:

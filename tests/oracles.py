@@ -15,10 +15,12 @@ map layout by gradient descent from seeded random points, and
 ``fraction_read_matrix_csv``, the matrix reader that parsed every entry
 into a ``Fraction``, ``charwise_parse_vote_line``, the ballot parser that
 read one character at a time, ``scan_prune_to_coverage``, the
-coverage prune that scanned candidates and votes separately, and
-``unscaled_float_inversion_row``, the Mahonian row converted to floats
-as it is, which overflows from m = 172 on.  ``exact_relative_expected_swaps``
-is the relative swap share on exact integers, rounded once.
+coverage prune that scanned candidates and votes separately,
+``mahonian_table``, the inversion counts built as a table of every row up
+to m, and ``unscaled_float_inversion_row``, the Mahonian row converted to
+floats as it is, which overflows from m = 172 on.
+``exact_relative_expected_swaps`` is the relative swap share on exact
+integers, rounded once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from prefmap.cli import FitResult
 from prefmap.core import Election, FrequencyMatrix, PositionMatrix, frequency_matrix
-from prefmap.cultures import mahonian_table, sample_mallows_norm
+from prefmap.cultures import sample_mallows_norm
 from prefmap.embed import MapLayout
 from prefmap.ingest import PartialProfile, PartialVote
 from prefmap.metric import DistanceRecord, normalization_constant
@@ -447,15 +449,37 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
     return sum(k * w for k, w in zip(swaps, weights)) / z
 
 
+def mahonian_table(m_max: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..m_max of inversion counts, by the standard recurrence
+    T[m][i] = T[m][i-1] + T[m-1][i] - T[m-1][i-m] (out of range = 0)."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    rows: list[tuple[int, ...]] = [(1,)]
+    for m in range(1, m_max + 1):
+        top = m * (m - 1) // 2
+        prev = rows[m - 1]
+        row = [0] * (top + 1)
+        row[0] = 1
+        for i in range(1, top + 1):
+            val = row[i - 1]
+            if i < len(prev):
+                val += prev[i]
+            if 0 <= i - m < len(prev):
+                val -= prev[i - m]
+            row[i] = val
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def unscaled_float_inversion_row(m: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in mahonian_table(m).row(m))
+    return tuple(float(v) for v in mahonian_table(m)[m])
 
 
 def exact_relative_expected_swaps(m: int, phi: float) -> float:
     """sum(i * c_i * phi**i) / sum(c_i * phi**i) over the Mahonian row c of m,
     divided by m*(m-1)/2, in integers: phi = p / 2**e, and both sums are
     taken times 2**(e * top) by Horner's rule.  One rounding at the end."""
-    row = mahonian_table(m).row(m)
+    row = mahonian_table(m)[m]
     p, q = Fraction(phi).as_integer_ratio()
     e = q.bit_length() - 1
     total = mean = 0

@@ -31,7 +31,7 @@ from prefmap.core import FrequencyMatrix, position_matrix
 from prefmap.cultures import (
     CultureSpec,
     expected_swaps,
-    mahonian_table,
+    mahonian_row,
     relphi_to_phi,
     sample,
 )
@@ -50,7 +50,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def corner_matrices(m):
-    return {kind: compass_matrix(kind, m).matrix for kind in CORNER_KINDS}
+    return {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
 
 
 def test_closed_form_compass_distances():
@@ -238,7 +238,7 @@ def test_path_additivity_and_counterexample():
             right = positionwise(z, mats[b]).value
             if left + right != total:
                 broken.append((a, b, alpha))
-    reversed_id = compass_matrix("rID", m).matrix
+    reversed_id = compass_matrix("rID", m)
     midpoint = convex_combination(mats["ID"], reversed_id, Fraction(1, 2))
     corners_coincide = positionwise(mats["ID"], reversed_id).value == 0
     bulge = positionwise(mats["ID"], midpoint).value
@@ -253,7 +253,7 @@ def test_path_additivity_and_counterexample():
 def test_mallows_sampling_distribution():
     m, phi, n = 4, 0.5, 100_000
     election = sample(CultureSpec(tag="MALLOWS", m=m, n=n, seed=2024, phi=phi))
-    table = mahonian_table(m).row(m)
+    table = mahonian_row(m)
     z = sum(t * phi**i for i, t in enumerate(table))
     counts = [0] * len(table)
     central = tuple(range(m))
@@ -363,7 +363,7 @@ def test_cli_determinism(tmp_path, capsys):
     corners = {}
     for kind in CORNER_KINDS:
         path = corner_dir / f"{kind}.csv"
-        write_matrix_csv(compass_matrix(kind, 4).matrix, path)
+        write_matrix_csv(compass_matrix(kind, 4), path)
         corners[kind] = str(path)
 
     profiles = tmp_path / "profiles"

@@ -24,7 +24,7 @@ def run(capsys, *argv):
 
 def write_corner(tmp_path, kind, m=4, name=None):
     path = tmp_path / (name or f"{kind.lower()}.csv")
-    write_matrix_csv(compass_matrix(kind, m).matrix, path)
+    write_matrix_csv(compass_matrix(kind, m), path)
     return str(path)
 
 
@@ -173,7 +173,7 @@ def test_recover_from_position_matrix(capsys, tmp_path):
 
 
 def test_recover_from_frequency_needs_n(capsys, tmp_path):
-    matrix = compass_matrix("AN", 2).matrix
+    matrix = compass_matrix("AN", 2)
     path = tmp_path / "an.csv"
     write_matrix_csv(matrix, path)
     code, _, err = run(capsys, "recover", "--matrix", str(path),
@@ -245,19 +245,28 @@ def test_mallows_table_rejects_bad_m_list(capsys, m_list):
     assert "--m-list" in err and repr(m_list) in err
 
 
-def test_calibration_at_m_172(capsys, tmp_path):
-    # the Mahonian counts of m = 172 overflow a float
-    from prefmap.cultures import mahonian_table
+def generate_mallows_norm(capsys, tmp_path, relphi, m):
+    from prefmap.cultures import _float_inversion_row
 
     out = tmp_path / "e.soc"
     try:
-        code, _, err = run(capsys, "generate", "--culture", "mallows-norm", "--relphi", "0.2",
-                           "--m", "172", "--n", "3", "--out", str(out))
+        code, _, err = run(capsys, "generate", "--culture", "mallows-norm", "--relphi", relphi,
+                           "--m", str(m), "--n", "3", "--out", str(out))
     finally:
-        mahonian_table.cache_clear()
+        _float_inversion_row.cache_clear()
     assert code == 0, err
     election = ingest.load_election(out)
-    assert election.m == 172 and election.n == 3
+    assert election.m == m and election.n == 3
+
+
+def test_calibration_at_m_172(capsys, tmp_path):
+    # the Mahonian counts of m = 172 overflow a float
+    generate_mallows_norm(capsys, tmp_path, "0.2", 172)
+
+
+def test_calibration_at_m_171_near_phi_one(capsys, tmp_path):
+    # no count of m = 171 overflows a float, but the sums near phi = 1 did
+    generate_mallows_norm(capsys, tmp_path, "0.49", 171)
 
 
 def test_mallows_table_known_value(capsys):
@@ -585,17 +594,35 @@ def test_missing_file_is_reported_not_raised(capsys, tmp_path):
     assert "error" in err.lower()
 
 
-def test_readme_command_lines_parse():
+def readme_block(section, language):
+    """The first ``language`` code block under README's ``## section``."""
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
-        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        text = fh.read().split(f"## {section}", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = readme_block("Command line", "sh")
     lines = [ln for ln in block.splitlines() if ln.startswith("prefmap ")]
     assert len(lines) >= 9
     parser = build_parser()
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])  # a stale flag raises UsageError
         assert args.command == line.split()[1]
+
+
+def test_readme_library_tour_runs():
+    block = readme_block("Library tour", "python")
+    exec(compile(block, "README.md", "exec"), {})  # a removed name raises here
+
+
+def test_public_api_names_resolve():
+    import prefmap
+
+    assert len(set(prefmap.__all__)) == len(prefmap.__all__)
+    for name in prefmap.__all__:
+        assert hasattr(prefmap, name), name
 
 
 def test_python_m_runs_the_cli(tmp_path):

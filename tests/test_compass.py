@@ -7,7 +7,6 @@ import pytest
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
-    PathSpec,
     closed_form_distance,
     compass_matrix,
     convex_combination,
@@ -20,13 +19,13 @@ from prefmap.metric import normalization_constant, positionwise
 
 
 def test_an_2_is_uniform():
-    an2 = compass_matrix("AN", 2).matrix
+    an2 = compass_matrix("AN", 2)
     half = Fraction(1, 2)
     assert an2.entries == ((half, half), (half, half))
 
 
 def test_st_4_blocks():
-    st4 = compass_matrix("ST", 4).matrix
+    st4 = compass_matrix("ST", 4)
     half = Fraction(1, 2)
     zero = Fraction(0)
     assert st4.entries == (
@@ -38,20 +37,20 @@ def test_st_4_blocks():
 
 
 def test_un_3_uniform():
-    un3 = compass_matrix("UN", 3).matrix
+    un3 = compass_matrix("UN", 3)
     third = Fraction(1, 3)
     assert all(v == third for row in un3.entries for v in row)
 
 
 def test_id_and_reverse():
-    id3 = compass_matrix("ID", 3).matrix
-    rid3 = compass_matrix("rID", 3).matrix
+    id3 = compass_matrix("ID", 3)
+    rid3 = compass_matrix("rID", 3)
     assert id3.entries[0] == (1, 0, 0)
     assert rid3.entries[0] == (0, 0, 1)
     # AN is the even mix of ID and its reverse
-    an4 = compass_matrix("AN", 4).matrix
+    an4 = compass_matrix("AN", 4)
     mix = convex_combination(
-        compass_matrix("ID", 4).matrix, compass_matrix("rID", 4).matrix, Fraction(1, 2)
+        compass_matrix("ID", 4), compass_matrix("rID", 4), Fraction(1, 2)
     )
     assert an4 == mix
 
@@ -77,7 +76,7 @@ def test_closed_form_values():
 
 def test_closed_forms_match_computed_distances():
     for m in (4, 8):
-        mats = {kind: compass_matrix(kind, m).matrix for kind in CORNER_KINDS}
+        mats = {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
         for a, b in CORNER_PAIRS:
             expected = closed_form_distance(a, b, m)
             assert positionwise(mats[a], mats[b]).value == expected
@@ -95,31 +94,31 @@ def test_normalized_limits():
 
 
 def test_convex_combination_endpoints_and_validation():
-    id4 = compass_matrix("ID", 4).matrix
-    un4 = compass_matrix("UN", 4).matrix
+    id4 = compass_matrix("ID", 4)
+    un4 = compass_matrix("UN", 4)
     assert convex_combination(id4, un4, Fraction(1)) == id4
     assert convex_combination(id4, un4, Fraction(0)) == un4
     with pytest.raises(ValueError):
         convex_combination(id4, un4, Fraction(3, 2))
     with pytest.raises(ValueError):
-        convex_combination(id4, compass_matrix("UN", 6).matrix, Fraction(1, 2))
+        convex_combination(id4, compass_matrix("UN", 6), Fraction(1, 2))
 
 
 def test_path_points_alphas_and_bistochasticity():
-    id4 = compass_matrix("ID", 4).matrix
-    un4 = compass_matrix("UN", 4).matrix
-    specs = path_points(id4, un4, 3)
-    assert [s.alpha for s in specs] == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    for s in specs:
+    id4 = compass_matrix("ID", 4)
+    un4 = compass_matrix("UN", 4)
+    points = path_points(id4, un4, 3)
+    assert [alpha for alpha, _ in points] == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    for alpha, point in points:
         # FrequencyMatrix construction already enforces bistochasticity
-        assert s.point.m == 4
-        assert s.endpoints == (id4, un4)
+        assert point.m == 4
+        assert point == convex_combination(id4, un4, alpha)
 
 
 def test_path_midpoint_is_equidistant():
-    id4 = compass_matrix("ID", 4).matrix
-    un4 = compass_matrix("UN", 4).matrix
-    mid = PathSpec.at(id4, un4, Fraction(1, 2)).point
+    id4 = compass_matrix("ID", 4)
+    un4 = compass_matrix("UN", 4)
+    mid = convex_combination(id4, un4, Fraction(1, 2))
     d_total = positionwise(id4, un4).value
     assert positionwise(id4, mid).value == d_total / 2
     assert positionwise(mid, un4).value == d_total / 2
@@ -127,12 +126,12 @@ def test_path_midpoint_is_equidistant():
 
 def test_path_distances_are_additive_between_anchors():
     m = 8
-    mats = {kind: compass_matrix(kind, m).matrix for kind in CORNER_KINDS}
+    mats = {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
     for a, b in CORNER_PAIRS:
         x, y = mats[a], mats[b]
         total = positionwise(x, y).value
         for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            z = PathSpec.at(x, y, alpha).point
+            z = convex_combination(x, y, alpha)
             left = positionwise(x, z).value
             right = positionwise(z, y).value
             assert left + right == total
@@ -145,8 +144,8 @@ def test_additivity_fails_without_alignment():
     # midpoint sits strictly away from both, so naive interpolation of
     # distances is wrong for unaligned endpoints
     m = 8
-    id_m = compass_matrix("ID", m).matrix
-    rid_m = compass_matrix("rID", m).matrix
+    id_m = compass_matrix("ID", m)
+    rid_m = compass_matrix("rID", m)
     assert positionwise(id_m, rid_m).value == 0
     mid = convex_combination(id_m, rid_m, Fraction(1, 2))
     d = positionwise(id_m, mid).value

@@ -16,7 +16,7 @@ from prefmap.cultures import (
     CultureSpec,
     derive_seed,
     expected_swaps,
-    mahonian_table,
+    mahonian_row,
     rank_by_distance,
     relative_expected_swaps,
     relphi_to_phi,
@@ -37,17 +37,16 @@ from prefmap.cultures import (
 
 
 def test_mahonian_small_rows():
-    t = mahonian_table(4)
-    assert t.row(1) == (1,)
-    assert t.row(2) == (1, 1)
-    assert t.row(3) == (1, 2, 2, 1)
-    assert t.row(4) == (1, 3, 5, 6, 5, 3, 1)
+    assert mahonian_row(0) == (1,)
+    assert mahonian_row(1) == (1,)
+    assert mahonian_row(2) == (1, 1)
+    assert mahonian_row(3) == (1, 2, 2, 1)
+    assert mahonian_row(4) == (1, 3, 5, 6, 5, 3, 1)
 
 
 def test_mahonian_row_properties():
-    t = mahonian_table(8)
     for m in range(1, 9):
-        row = t.row(m)
+        row = mahonian_row(m)
         assert row[0] == 1
         assert row == row[::-1]  # symmetric
         assert sum(row) == math.factorial(m)
@@ -55,13 +54,20 @@ def test_mahonian_row_properties():
 
 
 def test_mahonian_matches_direct_enumeration():
-    t = mahonian_table(6)
     for m in (2, 3, 4, 5, 6):
         counts = Counter(
             swap_distance(perm, tuple(range(m)))
             for perm in itertools.permutations(range(m))
         )
-        assert tuple(counts[i] for i in range(m * (m - 1) // 2 + 1)) == t.row(m)
+        assert tuple(counts[i] for i in range(m * (m - 1) // 2 + 1)) == mahonian_row(m)
+
+
+def test_mahonian_row_matches_table_oracle():
+    table = oracles.mahonian_table(171)
+    for m in [*range(41), 171]:
+        assert mahonian_row(m) == table[m]
+    with pytest.raises(ValueError):
+        mahonian_row(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +115,47 @@ def test_relphi_to_phi_inverts_calibration():
 
 
 def test_float_inversion_row_matches_unscaled_oracle(monkeypatch):
-    # Equal rows make expected_swaps, relphi_to_phi and every sample
-    # bit-identical for any phi.  One table holds every row up to 171;
-    # a table per m would take about 17 s.
-    table = mahonian_table(171)
-    for module in (cultures, oracles):
-        monkeypatch.setattr(module, "mahonian_table", lambda m_max: table)
+    # Up to m = 165 the rows are equal, which makes expected_swaps,
+    # relphi_to_phi and every sample bit-identical for any phi.  From 166 on
+    # the row is the unscaled one times an exact power of two, which keeps
+    # expected_swaps bit-identical wherever the unscaled sums are finite.
+    # One table holds every row up to 171; a table per m would take about 17 s.
+    table = oracles.mahonian_table(171)
+    monkeypatch.setattr(cultures, "mahonian_row", lambda m: table[m])
+    monkeypatch.setattr(oracles, "mahonian_table", lambda m_max: table)
+    unscaled = {m: oracles.unscaled_float_inversion_row(m) for m in range(2, 172)}
+    phis = [k / 20 for k in range(1, 20)] + [0.99, 0.999, 0.9999]
     cultures._float_inversion_row.cache_clear()
     try:
-        for m in range(2, 172):
-            assert cultures._float_inversion_row(m) == oracles.unscaled_float_inversion_row(m)
+        for m in range(2, 166):
+            assert cultures._float_inversion_row(m) == unscaled[m]
+        for m in range(166, 172):
+            row = cultures._float_inversion_row(m)
+            scale = 1 / row[0]  # the count 1, divided by 2**shift
+            assert scale > 1 and math.frexp(scale)[0] == 0.5
+            assert tuple(v * scale for v in row) == unscaled[m]
+            for phi in phis:
+                scaled = expected_swaps(m, phi)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cultures, "_float_inversion_row", unscaled.__getitem__)
+                    oracle = expected_swaps(m, phi)
+                assert math.isfinite(scaled)
+                if math.isfinite(oracle):
+                    assert scaled == oracle
     finally:
         cultures._float_inversion_row.cache_clear()
-        mahonian_table.cache_clear()
 
 
-def test_relative_swaps_past_float_range():
+def test_relative_swaps_past_float_range(monkeypatch):
     # the counts of m = 172 overflow a float; phi near 1 also overflowed the sums
+    table = oracles.mahonian_table(172)
+    monkeypatch.setattr(oracles, "mahonian_table", lambda m_max: table)
     try:
         for phi in (relphi_to_phi(172, 0.2), 0.5, 511 / 512):
             exact = oracles.exact_relative_expected_swaps(172, phi)
             assert abs(relative_expected_swaps(172, phi) - exact) <= 1e-12
     finally:
-        mahonian_table.cache_clear()
+        cultures._float_inversion_row.cache_clear()
 
 
 def test_relphi_to_phi_rejects_out_of_range():

@@ -79,7 +79,7 @@ def test_embedding_centered_at_origin():
 
 
 def test_stress_non_increasing_over_final_stretch():
-    corners = [compass_matrix(kind, 4).matrix for kind in CORNER_KINDS]
+    corners = [compass_matrix(kind, 4) for kind in CORNER_KINDS]
     d = [[float(v) for v in row] for row in distance_matrix(corners)]
     stresses = []
     for iters in (900, 910, 920, 930, 940, 950, 960, 970, 980, 990, 1000):
@@ -90,7 +90,7 @@ def test_stress_non_increasing_over_final_stretch():
 
 
 def test_compass_corner_rank_order_preserved():
-    corners = [compass_matrix(kind, 4).matrix for kind in CORNER_KINDS]
+    corners = [compass_matrix(kind, 4) for kind in CORNER_KINDS]
     ids = list(CORNER_KINDS)
     exact = distance_matrix(corners)
     layout = embed_distances(exact, seed=2, ids=ids)

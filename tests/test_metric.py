@@ -87,14 +87,14 @@ def test_positionwise_zero_iff_column_permutation():
         tuple(tuple(row[perm[j]] for j in range(5)) for row in x.entries)
     )
     assert positionwise(x, shuffled).value == 0
-    id5 = compass_matrix("ID", 5).matrix
-    un5 = compass_matrix("UN", 5).matrix
+    id5 = compass_matrix("ID", 5)
+    un5 = compass_matrix("UN", 5)
     assert positionwise(id5, un5).value > 0
 
 
 def test_positionwise_id_un_4():
-    id4 = compass_matrix("ID", 4).matrix
-    un4 = compass_matrix("UN", 4).matrix
+    id4 = compass_matrix("ID", 4)
+    un4 = compass_matrix("UN", 4)
     rec = positionwise(id4, un4)
     assert rec.value == 5
     # every matching is optimal here, so the lex-smallest one must win
@@ -102,8 +102,8 @@ def test_positionwise_id_un_4():
 
 
 def test_positionwise_an_st_4():
-    an4 = compass_matrix("AN", 4).matrix
-    st4 = compass_matrix("ST", 4).matrix
+    an4 = compass_matrix("AN", 4)
+    st4 = compass_matrix("ST", 4)
     assert positionwise(an4, st4).value == 4
 
 
@@ -161,7 +161,7 @@ def test_positionwise_matches_brute_force_including_tie_break():
 
 def test_positionwise_tie_break_with_duplicate_columns():
     # UN's columns are all identical: every matching is optimal
-    un6 = compass_matrix("UN", 6).matrix
+    un6 = compass_matrix("UN", 6)
     e = make_random_election(5, 6, 4)
     rec = positionwise(frequency_matrix(e), un6)
     cost = [
@@ -280,8 +280,8 @@ def test_column_permutation_reproduces_value():
 
 
 def test_positionwise_rejects_size_mismatch():
-    id3 = compass_matrix("ID", 3).matrix
-    id4 = compass_matrix("ID", 4).matrix
+    id3 = compass_matrix("ID", 3)
+    id4 = compass_matrix("ID", 4)
     with pytest.raises(ValueError):
         positionwise(id3, id4)
 
@@ -349,7 +349,7 @@ def _fixed_m100_costs():
     ic = frequency_matrix(cultures.sample(cultures.CultureSpec(tag="IC", m=m, n=100, seed=7)))
     mallows = frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.3, 8))
     for kind in ("ID", "UN", "ST", "AN"):
-        anchor = compass_matrix(kind, m).matrix
+        anchor = compass_matrix(kind, m)
         yield pytest.param(_l1_cost(anchor, ic), id=f"{kind}_vs_IC")
         yield pytest.param(_l1_cost(anchor, mallows), id=f"{kind}_vs_Mallows")
 
@@ -382,9 +382,9 @@ def test_distance_matrix_structure():
 
 def test_distance_matrix_matches_positionwise_on_mixed_denominators():
     mats = [
-        compass_matrix("ID", 6).matrix,
-        compass_matrix("UN", 6).matrix,
-        compass_matrix("ST", 6).matrix,
+        compass_matrix("ID", 6),
+        compass_matrix("UN", 6),
+        compass_matrix("ST", 6),
         frequency_matrix(make_random_election(3, 6, 7)),
         frequency_matrix(make_random_election(4, 6, 11)),
         _mix([(Fraction(1, 2**70 + 3), (5, 4, 3, 2, 1, 0)), (Fraction(1), (0, 1, 2, 3, 4, 5))]),
@@ -449,7 +449,7 @@ def test_batched_values_match_fraction_oracle(block_entries, items, cut):
 
 def test_batched_values_match_positionwise_at_m100():
     m = 100
-    items = [compass_matrix(kind, m).matrix for kind in ("ID", "UN", "ST", "AN")]
+    items = [compass_matrix(kind, m) for kind in ("ID", "UN", "ST", "AN")]
     items.append(frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.3, 8)))
     table = distance_matrix(items)
     assert table == [[positionwise(x, y).value for y in items] for x in items]
@@ -457,8 +457,8 @@ def test_batched_values_match_positionwise_at_m100():
 
 
 def test_batched_values_check_sizes():
-    id3 = compass_matrix("ID", 3).matrix
-    id4 = compass_matrix("ID", 4).matrix
+    id3 = compass_matrix("ID", 3)
+    id4 = compass_matrix("ID", 4)
     with pytest.raises(ValueError, match="matrix sizes differ: 4 vs 3"):
         cross_distances([id4], [id4, id3])
     assert cross_distances([], [id3, id4]) == []
@@ -470,8 +470,8 @@ def test_normalization_constant_values():
     assert normalization_constant(10) == 33
     assert normalization_constant(4) == 5
     assert normalization_constant(2) == 1
-    id10 = compass_matrix("ID", 10).matrix
-    un10 = compass_matrix("UN", 10).matrix
+    id10 = compass_matrix("ID", 10)
+    un10 = compass_matrix("UN", 10)
     assert normalized(positionwise(id10, un10).value, 10) == 1
 
 

@@ -114,7 +114,7 @@ def test_decomposition_respects_tighter_observed_bound_mostly():
 
 
 def test_rounding_uniform_two_candidates_three_voters():
-    un2 = compass_matrix("UN", 2).matrix
+    un2 = compass_matrix("UN", 2)
     p = round_position_matrix(un2, 3)
     assert p.entries in (((2, 1), (1, 2)), ((1, 2), (2, 1)))
     deviation = sum(
@@ -124,13 +124,13 @@ def test_rounding_uniform_two_candidates_three_voters():
 
 
 def test_rounding_exact_when_divisible():
-    un3 = compass_matrix("UN", 3).matrix
+    un3 = compass_matrix("UN", 3)
     p = round_position_matrix(un3, 3)
     assert p.entries == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
 
 
 def test_rounding_identity_any_n():
-    id5 = compass_matrix("ID", 5).matrix
+    id5 = compass_matrix("ID", 5)
     for n in (1, 4, 11):
         e = election_from_frequency_matrix(id5, n)
         assert e.vote_counter() == {(0, 1, 2, 3, 4): n}
@@ -187,7 +187,7 @@ def test_frequency_recovery_round_trip_when_integral():
 
 
 def test_frequency_recovery_rejects_bad_n():
-    un2 = compass_matrix("UN", 2).matrix
+    un2 = compass_matrix("UN", 2)
     with pytest.raises(ValueError):
         election_from_frequency_matrix(un2, 0)
 
