@@ -4,11 +4,9 @@ from .core import (
     Election,
     FrequencyMatrix,
     PositionMatrix,
-    borda_scores,
     frequency_from_position,
     frequency_matrix,
     position_matrix,
-    restrict_to_candidates,
 )
 from .metric import (
     DistanceRecord,
@@ -33,19 +31,11 @@ from .compass import (
 )
 from .cultures import (
     CultureSpec,
-    expected_swaps,
-    mahonian_row,
-    relative_expected_swaps,
+    FitResult,
+    fit_mallows,
     relphi_to_phi,
     sample,
-    sample_conitzer,
-    sample_hypercube,
-    sample_ic,
-    sample_mallows,
     sample_mallows_norm,
-    sample_urn,
-    sample_urn_gamma,
-    sample_walsh,
 )
 from .embed import MapLayout, embed_distances, render_svg, write_coordinates
 
@@ -55,11 +45,9 @@ __all__ = [
     "Election",
     "FrequencyMatrix",
     "PositionMatrix",
-    "borda_scores",
     "frequency_from_position",
     "frequency_matrix",
     "position_matrix",
-    "restrict_to_candidates",
     "DistanceRecord",
     "cross_distances",
     "distance_matrix",
@@ -76,19 +64,11 @@ __all__ = [
     "normalized_limit",
     "path_points",
     "CultureSpec",
-    "expected_swaps",
-    "mahonian_row",
-    "relative_expected_swaps",
+    "FitResult",
+    "fit_mallows",
     "relphi_to_phi",
     "sample",
-    "sample_conitzer",
-    "sample_hypercube",
-    "sample_ic",
-    "sample_mallows",
     "sample_mallows_norm",
-    "sample_urn",
-    "sample_urn_gamma",
-    "sample_walsh",
     "MapLayout",
     "embed_distances",
     "render_svg",

@@ -1,4 +1,4 @@
-"""Command-line interface and the dispersion-fitting routine.
+"""Command-line interface.
 
 Subcommands: generate, distance, distance-matrix, recover, compass,
 mallows-table, ingest, embed, fit-mallows.  Every run is deterministic
@@ -17,14 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import compass as compass_mod
 from . import cultures, embed, ingest, matrixio
-from .core import Election, FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
-from .metric import cross_distances, distance_matrix, normalized, positionwise
+from .core import FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
+from .metric import cross_distances, distance_matrix, normalized
 from .recovery import election_from_frequency_matrix, election_from_position_matrix
 
 
@@ -42,68 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_decimal(value: Fraction) -> str:
     return f"{float(value):.12g}"
-
-
-@dataclass(frozen=True)
-class FitResult:
-    relphi: float
-    mean_distance: float
-    std_distance: float
-
-
-def fit_mallows(
-    dataset: Sequence[Election],
-    grid: Sequence[float],
-    samples_per_value: int,
-    seed: int,
-    votes_per_sample: int = 100,
-) -> FitResult:
-    """Fit a normalized-Mallows dispersion to a dataset of elections.
-
-    For every grid value, sample ``samples_per_value`` normalized-Mallows
-    elections with the dataset's m, then score the value by the mean
-    normalized positionwise distance to the dataset.  Returns the best
-    grid value (ties to the smaller), its mean, and the standard
-    deviation over per-dataset-election mean distances at that value.
-    Grid points use independent derived seeds, so they can be evaluated
-    in any order (or concurrently) with identical results.
-    """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    sizes = {e.m for e in dataset}
-    if len(sizes) != 1:
-        raise ValueError(f"dataset mixes candidate counts: {sorted(sizes)}")
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    for g in grid:
-        if not 0 <= g <= 1:
-            raise ValueError("grid values must lie in [0, 1]")
-    if samples_per_value < 1:
-        raise ValueError("samples_per_value must be positive")
-    m = sizes.pop()
-    data = [frequency_matrix(e) for e in dataset]
-
-    best: tuple[float, float] | None = None  # (mean, relphi)
-    best_per_election: list[float] = []
-    for gi, relphi in enumerate(grid):
-        samples = [
-            frequency_matrix(cultures.sample_mallows_norm(
-                m, votes_per_sample, relphi, cultures.derive_seed(seed, gi + 1, s + 1)
-            ))
-            for s in range(samples_per_value)
-        ]
-        per_election = [
-            float(normalized(sum(row, Fraction(0)) / samples_per_value, m))
-            for row in cross_distances(data, samples)
-        ]
-        mean = sum(per_election) / len(per_election)
-        if best is None or (mean, relphi) < best:
-            best = (mean, relphi)
-            best_per_election = per_election
-    assert best is not None
-    mean, relphi = best
-    var = sum((v - mean) ** 2 for v in best_per_election) / len(best_per_election)
-    return FitResult(relphi=relphi, mean_distance=mean, std_distance=math.sqrt(var))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +90,7 @@ def _load_item(path: str) -> FrequencyMatrix:
 def _cmd_distance(args: argparse.Namespace) -> int:
     x = _load_item(args.a)
     y = _load_item(args.b)
-    record = positionwise(x, y)
-    value = record.value
+    value = cross_distances([x], [y])[0][0]
     if args.normalized:
         value = normalized(value, x.m)
     print(f"{_fmt_decimal(value)} (exact {value.numerator}/{value.denominator})")
@@ -339,7 +275,7 @@ def _cmd_fit_mallows(args: argparse.Namespace) -> int:
     dataset = [ingest.load_election(p) for p in _listing(args.dataset, (".soc",))]
     count = int(round(0.5 / step)) + 1
     grid = [min(k * step, 0.5) for k in range(count)]
-    result = fit_mallows(dataset, grid, args.samples, args.seed)
+    result = cultures.fit_mallows(dataset, grid, args.samples, args.seed)
     print(
         f"relphi={result.relphi:.4f} mean={result.mean_distance:.6f} "
         f"std={result.std_distance:.6f}"

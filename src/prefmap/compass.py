@@ -16,13 +16,11 @@ from fractions import Fraction
 from .core import FrequencyMatrix, PositionMatrix, frequency_from_position
 
 CORNER_KINDS = ("ID", "UN", "ST", "AN")
-KINDS = CORNER_KINDS + ("rID",)
 
-# Each named matrix is 0/1 counts over their common line sum: ID and rID
-# over 1, UN over m, ST over m/2 and AN over 2.
+# Each corner is 0/1 counts over their common line sum: ID over 1, UN over
+# m, ST over m/2 and AN over 2.
 _SUPPORT = {
     "ID": lambda m, i, j: i == j,
-    "rID": lambda m, i, j: i == m - 1 - j,
     "UN": lambda m, i, j: True,
     "ST": lambda m, i, j: (i < m // 2) == (j < m // 2),
     "AN": lambda m, i, j: i == j or i == m - 1 - j,
@@ -51,13 +49,12 @@ _CLOSED_FORMS: dict[frozenset[str], tuple[Fraction, Fraction]] = {
 
 
 def compass_matrix(kind: str, m: int) -> FrequencyMatrix:
-    """Build one of the named matrices for m candidates.
+    """Build one of the four corner matrices for m candidates.
 
-    ST and AN need an even m; ID, UN, and rID (reversed identity) work for
-    any m >= 1.
+    ST and AN need an even m; ID and UN work for any m >= 1.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown compass kind {kind!r}, expected one of {KINDS}")
+    if kind not in CORNER_KINDS:
+        raise ValueError(f"unknown compass kind {kind!r}, expected one of {CORNER_KINDS}")
     if m < 1:
         raise ValueError("m must be positive")
     if kind in ("ST", "AN") and m % 2:

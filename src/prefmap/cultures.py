@@ -6,7 +6,9 @@ balanced bottom-up walk), and points-in-a-hypercube.  The normalized
 Mallows variant replaces the raw dispersion phi by the expected number of
 swaps relative to its maximum, which makes elections with different m
 comparable.  That calibration runs through the swap counts
-T[m][i] = number of permutations of m elements with i inversions.
+T[m][i] = number of permutations of m elements with i inversions, and
+``fit_mallows`` picks the normalized dispersion that best matches a
+dataset of elections under the positionwise distance.
 
 Every sampler takes an integer seed and is fully deterministic given it.
 """
@@ -16,10 +18,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Election
+from .core import Election, frequency_matrix
+from .metric import cross_distances, normalized
 
 CULTURE_TAGS = (
     "IC",
@@ -239,6 +243,28 @@ def sample_urn_gamma(m: int, n: int, seed: int) -> Election:
     )
 
 
+def _mallows_votes(
+    m: int, n: int, phi: float, central: tuple[int, ...], rng: random.Random
+) -> list[tuple[int, ...]]:
+    powers = [phi**k for k in range(m)]
+    totals = [sum(powers[: j + 1]) for j in range(m)]
+    votes = []
+    for _ in range(n):
+        vote: list[int] = []
+        for j in range(m):
+            r = rng.random() * totals[j]
+            acc = 0.0
+            k = j  # falls back to the deepest slot on rounding shortfall
+            for idx in range(j + 1):
+                acc += powers[idx]
+                if r < acc:
+                    k = idx
+                    break
+            vote.insert(j - k, central[j])
+        votes.append(tuple(vote))
+    return votes
+
+
 def sample_mallows(
     m: int,
     n: int,
@@ -262,23 +288,7 @@ def sample_mallows(
         central = tuple(central)
         if sorted(central) != list(range(m)):
             raise ValueError("central order must be a permutation of 0..m-1")
-    rng = random.Random(seed)
-    powers = [phi**k for k in range(m)]
-    totals = [sum(powers[: j + 1]) for j in range(m)]
-    votes = []
-    for _ in range(n):
-        vote: list[int] = []
-        for j in range(m):
-            r = rng.random() * totals[j]
-            acc = 0.0
-            k = j  # falls back to the deepest slot on rounding shortfall
-            for idx in range(j + 1):
-                acc += powers[idx]
-                if r < acc:
-                    k = idx
-                    break
-            vote.insert(j - k, central[j])
-        votes.append(tuple(vote))
+    votes = _mallows_votes(m, n, phi, central, random.Random(seed))
     return _election(
         m,
         votes,
@@ -307,12 +317,11 @@ def sample_mallows_norm(m: int, n: int, relphi: float, seed: int) -> Election:
     else:
         central = tuple(range(m - 1, -1, -1))
         phi = relphi_to_phi(m, 1 - relphi)
-    base = sample_mallows(m, n, phi, seed, central=central)
-    return Election(
-        candidates=base.candidates,
-        votes=base.votes,
-        multiplicities=base.multiplicities,
-        meta={
+    votes = _mallows_votes(m, n, phi, central, random.Random(seed))
+    return _election(
+        m,
+        votes,
+        {
             "culture": "MALLOWS_NORM",
             "relphi": relphi,
             "phi": phi,
@@ -320,6 +329,68 @@ def sample_mallows_norm(m: int, n: int, relphi: float, seed: int) -> Election:
             "seed": seed,
         },
     )
+
+
+@dataclass(frozen=True)
+class FitResult:
+    relphi: float
+    mean_distance: float
+    std_distance: float
+
+
+def fit_mallows(
+    dataset: Sequence[Election],
+    grid: Sequence[float],
+    samples_per_value: int,
+    seed: int,
+    votes_per_sample: int = 100,
+) -> FitResult:
+    """Fit a normalized-Mallows dispersion to a dataset of elections.
+
+    For every grid value, sample ``samples_per_value`` normalized-Mallows
+    elections with the dataset's m, then score the value by the mean
+    normalized positionwise distance to the dataset.  Returns the best
+    grid value (ties to the smaller), its mean, and the standard
+    deviation over per-dataset-election mean distances at that value.
+    Grid points use independent derived seeds, so they can be evaluated
+    in any order (or concurrently) with identical results.
+    """
+    if not dataset:
+        raise ValueError("dataset must be nonempty")
+    sizes = {e.m for e in dataset}
+    if len(sizes) != 1:
+        raise ValueError(f"dataset mixes candidate counts: {sorted(sizes)}")
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    for g in grid:
+        if not 0 <= g <= 1:
+            raise ValueError("grid values must lie in [0, 1]")
+    if samples_per_value < 1:
+        raise ValueError("samples_per_value must be positive")
+    m = sizes.pop()
+    data = [frequency_matrix(e) for e in dataset]
+
+    best: tuple[float, float] | None = None  # (mean, relphi)
+    best_per_election: list[float] = []
+    for gi, relphi in enumerate(grid):
+        samples = [
+            frequency_matrix(sample_mallows_norm(
+                m, votes_per_sample, relphi, derive_seed(seed, gi + 1, s + 1)
+            ))
+            for s in range(samples_per_value)
+        ]
+        per_election = [
+            float(normalized(sum(row, Fraction(0)) / samples_per_value, m))
+            for row in cross_distances(data, samples)
+        ]
+        mean = sum(per_election) / len(per_election)
+        if best is None or (mean, relphi) < best:
+            best = (mean, relphi)
+            best_per_election = per_election
+    assert best is not None
+    mean, relphi = best
+    var = sum((v - mean) ** 2 for v in best_per_election) / len(best_per_election)
+    return FitResult(relphi=relphi, mean_distance=mean, std_distance=math.sqrt(var))
 
 
 def sample_conitzer(m: int, n: int, seed: int) -> Election:

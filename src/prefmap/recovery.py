@@ -23,24 +23,39 @@ def _perfect_matching(support: list[list[int]]) -> list[int]:
     """Perfect matching of rows to columns on a 0/1 support matrix.
 
     Kuhn's augmenting paths, scanning columns in ascending order so the
-    result is deterministic.  Raises if no perfect matching exists, which
-    for a positive-line-sum position matrix cannot happen.
+    result is deterministic.  The depth-first search keeps its path on an
+    explicit stack, since a path can pass through every row.  Raises if
+    no perfect matching exists, which for a positive-line-sum position
+    matrix cannot happen.
     """
     m = len(support)
     match_col = [-1] * m  # column -> row
     for i in range(m):
         seen = [False] * m
-
-        def try_row(r: int) -> bool:
-            for j in range(m):
-                if support[r][j] and not seen[j]:
-                    seen[j] = True
-                    if match_col[j] < 0 or try_row(match_col[j]):
-                        match_col[j] = r
-                        return True
-            return False
-
-        if not try_row(i):
+        rows = [i]  # the search path; cols[k] leads from rows[k] to rows[k + 1]
+        cols: list[int] = []
+        scan = [0]  # next column each row on the path tries
+        while rows:
+            r = rows[-1]
+            j = scan[-1]
+            while j < m and (not support[r][j] or seen[j]):
+                j += 1
+            if j == m:  # dead end: back to the row before, past its column
+                rows.pop()
+                scan.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[j] = True
+            scan[-1] = j + 1
+            cols.append(j)
+            if match_col[j] < 0:
+                for row, col in zip(rows, cols):
+                    match_col[col] = row
+                break
+            rows.append(match_col[j])
+            scan.append(0)
+        else:
             raise RuntimeError("support admits no perfect matching")
     row_to_col = [-1] * m
     for j, i in enumerate(match_col):

@@ -18,9 +18,13 @@ read one character at a time, ``scan_prune_to_coverage``, the
 coverage prune that scanned candidates and votes separately,
 ``mahonian_table``, the inversion counts built as a table of every row up
 to m, and ``unscaled_float_inversion_row``, the Mahonian row converted to
-floats as it is, which overflows from m = 172 on.
+floats as it is, which overflows from m = 172 on, and
+``recursive_perfect_matching``, the Kuhn search of the decomposition with
+one recursive call per row on its path, which exceeds Python's default
+recursion limit once a path runs through about 1,000 rows.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
-integers, rounded once.
+integers, rounded once, and ``reversed_identity`` is the one-vote matrix
+that reverses the identity, which the compass itself no longer builds.
 """
 
 from __future__ import annotations
@@ -37,9 +41,14 @@ from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
-from prefmap.cli import FitResult
-from prefmap.core import Election, FrequencyMatrix, PositionMatrix, frequency_matrix
-from prefmap.cultures import sample_mallows_norm
+from prefmap.core import (
+    Election,
+    FrequencyMatrix,
+    PositionMatrix,
+    frequency_from_position,
+    frequency_matrix,
+)
+from prefmap.cultures import FitResult, sample_mallows_norm
 from prefmap.embed import MapLayout
 from prefmap.ingest import PartialProfile, PartialVote
 from prefmap.metric import DistanceRecord, normalization_constant
@@ -549,6 +558,37 @@ def all_position_matrices(m: int, n: int) -> Iterator[tuple[tuple[int, ...], ...
             )
 
     yield from build([], [n] * m)
+
+
+def recursive_perfect_matching(support: list[list[int]]) -> list[int]:
+    """Kuhn's augmenting paths with one recursive call per row on the
+    path, columns scanned in ascending order; row -> column."""
+    m = len(support)
+    match_col = [-1] * m  # column -> row
+    for i in range(m):
+        seen = [False] * m
+
+        def try_row(r: int) -> bool:
+            for j in range(m):
+                if support[r][j] and not seen[j]:
+                    seen[j] = True
+                    if match_col[j] < 0 or try_row(match_col[j]):
+                        match_col[j] = r
+                        return True
+            return False
+
+        if not try_row(i):
+            raise RuntimeError("support admits no perfect matching")
+    row_to_col = [-1] * m
+    for j, i in enumerate(match_col):
+        row_to_col[i] = j
+    return row_to_col
+
+
+def reversed_identity(m: int) -> FrequencyMatrix:
+    """The frequency matrix of one vote that reverses the identity."""
+    rows = [[int(i == m - 1 - j) for j in range(m)] for i in range(m)]
+    return frequency_from_position(PositionMatrix(rows))
 
 
 def brute_force_min_deviation(entries, n: int) -> Fraction:

@@ -15,10 +15,11 @@ from oracles import (
     brute_force_min_deviation,
     chi_square_critical_1pct,
     election_is_single_peaked,
+    reversed_identity,
     swap_distance,
 )
 
-from prefmap.cli import fit_mallows, main
+from prefmap.cli import main
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
@@ -31,6 +32,7 @@ from prefmap.core import FrequencyMatrix, position_matrix
 from prefmap.cultures import (
     CultureSpec,
     expected_swaps,
+    fit_mallows,
     mahonian_row,
     relphi_to_phi,
     sample,
@@ -238,7 +240,7 @@ def test_path_additivity_and_counterexample():
             right = positionwise(z, mats[b]).value
             if left + right != total:
                 broken.append((a, b, alpha))
-    reversed_id = compass_matrix("rID", m)
+    reversed_id = reversed_identity(m)
     midpoint = convex_combination(mats["ID"], reversed_id, Fraction(1, 2))
     corners_coincide = positionwise(mats["ID"], reversed_id).value == 0
     bulge = positionwise(mats["ID"], midpoint).value

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 import oracles
 from prefmap import ingest
-from prefmap.cli import build_parser, fit_mallows, main
+from prefmap.cli import build_parser, main
 from prefmap.compass import compass_matrix
+from prefmap.cultures import fit_mallows
 from prefmap.matrixio import read_matrix_csv, write_matrix_csv
 
 
@@ -207,6 +209,24 @@ def test_recover_permutation_matrix_is_one_vote(capsys, tmp_path):
     election = ingest.load_election(out)
     assert election.n == 3
     assert position_matrix(election).entries[0] == (0, 0, 3, 0)
+
+
+def test_recover_long_augmenting_path(capsys, tmp_path):
+    # the identity plus a cyclic shift: the matching's last row reaches a
+    # free column only through every other row
+    m = 1100
+    path = tmp_path / "shift.csv"
+    path.write_text("".join(
+        ",".join("1" if c in (i, (i + 1) % m) else "0" for c in range(m)) + "\n"
+        for i in range(m)
+    ))
+    out = tmp_path / "shift.soc"
+    code, _, err = run(capsys, "recover", "--matrix", str(path), "--out", str(out))
+    assert code == 0, err
+    election = ingest.load_election(out)
+    assert sorted(election.votes) == [
+        tuple(range(m)), tuple((i + 1) % m for i in range(m))
+    ]
 
 
 def test_recover_rejects_exponent_notation(capsys, tmp_path):
@@ -622,6 +642,15 @@ def test_public_api_names_resolve():
 
     assert len(set(prefmap.__all__)) == len(prefmap.__all__)
     for name in prefmap.__all__:
+        assert hasattr(prefmap, name), name
+        # the command line is a client of the library, not a home for it
+        assert getattr(getattr(prefmap, name), "__module__", None) != "prefmap.cli", name
+    # the benchmark replays its chains through these names
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "workloads.py"), encoding="utf-8") as fh:
+        reached = set(re.findall(r"\b(?:P|lib\.prefmap)\.(\w+)", fh.read()))
+    assert len(reached) >= 10, sorted(reached)
+    for name in sorted(reached):
         assert hasattr(prefmap, name), name
 
 

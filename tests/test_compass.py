@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
@@ -44,15 +45,21 @@ def test_un_3_uniform():
 
 def test_id_and_reverse():
     id3 = compass_matrix("ID", 3)
-    rid3 = compass_matrix("rID", 3)
+    rid3 = oracles.reversed_identity(3)
     assert id3.entries[0] == (1, 0, 0)
     assert rid3.entries[0] == (0, 0, 1)
     # AN is the even mix of ID and its reverse
     an4 = compass_matrix("AN", 4)
     mix = convex_combination(
-        compass_matrix("ID", 4), compass_matrix("rID", 4), Fraction(1, 2)
+        compass_matrix("ID", 4), oracles.reversed_identity(4), Fraction(1, 2)
     )
     assert an4 == mix
+
+
+def test_compass_matrix_builds_the_corners_only():
+    with pytest.raises(ValueError) as err:
+        compass_matrix("rID", 4)
+    assert all(repr(kind) in str(err.value) for kind in CORNER_KINDS)
 
 
 def test_odd_m_rejected_for_st_an():
@@ -145,7 +152,7 @@ def test_additivity_fails_without_alignment():
     # distances is wrong for unaligned endpoints
     m = 8
     id_m = compass_matrix("ID", m)
-    rid_m = compass_matrix("rID", m)
+    rid_m = oracles.reversed_identity(m)
     assert positionwise(id_m, rid_m).value == 0
     mid = convex_combination(id_m, rid_m, Fraction(1, 2))
     d = positionwise(id_m, mid).value

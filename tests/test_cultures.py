@@ -352,6 +352,27 @@ def test_mallows_norm_samples_match_uncached_calibration():
             assert e.votes == sample_mallows(7, 50, phi, seed=3, central=central).votes
 
 
+@pytest.mark.parametrize("relphi", [0.2, 0.8])
+def test_mallows_norm_builds_one_election(monkeypatch, relphi):
+    built = []
+
+    class CountingElection(cultures.Election):
+        def __post_init__(self) -> None:
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(cultures, "Election", CountingElection)
+    e = sample_mallows_norm(7, 50, relphi, seed=3)
+    assert built == [e]  # its votes are validated once
+    phi = relphi_to_phi(7, min(relphi, 1 - relphi))
+    central = tuple(range(7)) if relphi <= 0.5 else tuple(range(6, -1, -1))
+    assert e.meta == {
+        "culture": "MALLOWS_NORM", "relphi": relphi, "phi": phi, "central": central, "seed": 3,
+    }
+    base = sample_mallows(7, 50, phi, seed=3, central=central)
+    assert (e.votes, e.multiplicities) == (base.votes, base.multiplicities)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**40), st.integers(-3, 60), st.integers(-3, 10**4))
 def test_derive_seed_keeps_both_former_formulas(seed, a, b):

@@ -19,6 +19,7 @@ from prefmap.core import (
     position_matrix,
 )
 from prefmap.recovery import (
+    _perfect_matching,
     election_from_frequency_matrix,
     election_from_position_matrix,
     round_position_matrix,
@@ -64,6 +65,32 @@ def test_decomposition_contract_property(parts):
     recovered = election_from_position_matrix(pos)
     assert position_matrix(recovered) == pos
     assert len(recovered.vote_counter()) <= pos.m * pos.m - pos.m + 1
+
+
+@st.composite
+def _supports(draw):
+    """0/1 matrices: a union of up to three permutation matrices plus a few
+    stray cells, so that some admit no perfect matching."""
+    m = draw(st.integers(1, 10))
+    perms = draw(st.lists(st.permutations(range(m)), max_size=3))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    stray = draw(st.lists(cells, max_size=2 * m))
+    support = [[0] * m for _ in range(m)]
+    for i, j in [*((i, p[i]) for p in perms for i in range(m)), *stray]:
+        support[i][j] = 1
+    return support
+
+
+@settings(max_examples=300, deadline=None)
+@given(_supports())
+def test_perfect_matching_matches_recursive_oracle(support):
+    try:
+        expected = oracles.recursive_perfect_matching(support)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _perfect_matching(support)
+    else:
+        assert _perfect_matching(support) == expected
 
 
 def _frequency_matrices(max_m: int):
