@@ -114,6 +114,10 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     matrix = matrixio.read_matrix_csv(args.matrix)
     if isinstance(matrix, PositionMatrix):
+        if args.n is not None and args.n != matrix.n:
+            raise UsageError(
+                f"recover: --n {args.n} conflicts with the {matrix.n} voters of the position matrix"
+            )
         election = election_from_position_matrix(matrix)
     else:
         n = args.n

@@ -25,6 +25,19 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 def _split(token: str) -> tuple[int, int]:
     """Numerator and positive denominator as written: "2/4" gives (2, 4)."""
+    # Fast path for "p" and "p/q" in plain ASCII digits, as this module
+    # writes them; int() alone would also take "1_0", " 1" and non-ASCII
+    # digits.  Any other token, q = 0 and numbers too long for int() take
+    # the regex below, with its messages.
+    if token.isascii():
+        try:
+            if token.isdigit():
+                return int(token), 1
+            num, _, den = token.partition("/")
+            if num.isdigit() and den.isdigit() and int(den):
+                return int(num), int(den)
+        except ValueError:
+            pass
     match = _RATIONAL.fullmatch(token.strip())
     if match is None:
         raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")

@@ -9,7 +9,13 @@ at most m*m - m + 1 distinct votes appear.
 A frequency matrix x first becomes a position matrix for a requested
 voter count n: p = floor(n*x) plus a 0/1 matrix chosen by a min-cost flow
 so that line sums come out right and the total deviation |n*x - p| is
-minimal (every entry stays within 1 of n*x).
+minimal (every entry stays within 1 of n*x).  The flow runs on 2m + 2
+nodes, a source, one node per row, one per column and a sink, by
+successive shortest paths.  Among paths of equal cost it picks the one
+that a network with a chain of m nodes per row (m*m + m + 2 nodes) would
+pick: a row remembers every entry that reaches its final distance, and a
+path leaving into column j came in through the entry at the largest
+position <= j, else the smallest (see ``_place_units``).
 """
 
 from __future__ import annotations
@@ -96,80 +102,112 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
     )
 
 
-class _MinCostFlow:
-    """Successive shortest paths with Dijkstra and potentials.
+def _place_units(
+    cost: list[list[int]], row_need: list[int], col_need: list[int]
+) -> list[list[int]]:
+    """0/1 matrix with row_need[i] units in row i and col_need[j] in column
+    j, of least total cost: successive shortest paths, Dijkstra with
+    potentials, one unit per path.
 
-    Arc costs must be nonnegative; capacities integral.  Parallel arcs are
-    fine.  ``flow_on`` reads how much ended up on a given arc.
+    The network has one node per row and one per column: source 0, rows
+    1..m, columns m+1..2m, sink 2m+1.  The source feeds row i up to
+    row_need[i], row i reaches column j at cost[i][j] while (i, j) is
+    empty, column j gives its units back to their rows at -cost[i][j], and
+    column j feeds the sink up to col_need[j].  Costs must be nonnegative.
+
+    The choices are those of a network in which row i is a chain of m
+    nodes, entered at position 0 from the source or at position c from
+    column c through a placed unit (i, c), and left at position j into
+    column j.  A chain row is one node for distances, since all its
+    positions are reachable at cost 0, but its heap sweeps the positions
+    in a fixed order: down from the smallest entry, then up.  So a row
+    records every entry that reaches its final distance before it is
+    popped (at position 0 the source comes first), and a path that leaves
+    into column j came in through the largest entry position <= j, or,
+    if there is none, the smallest.  Heap ties on (dist, id) put rows
+    before columns before the sink, as the chain ids do, and every
+    Dijkstra runs to exhaustion, since the potentials of all reached
+    nodes steer later ties.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
-
-    def flow_on(self, edge_index: int) -> int:
-        return self.cap[edge_index ^ 1]
-
-    def run(self, s: int, t: int) -> tuple[int, int]:
-        """Push the maximum flow from s to t at minimum cost."""
-        n = self.n
-        potential = [0] * n
-        total_flow = 0
-        total_cost = 0
+    m = len(cost)
+    sink = 2 * m + 1
+    inf = float("inf")
+    src_left = list(row_need)
+    sink_left = list(col_need)
+    placed = [[0] * m for _ in range(m)]
+    potential = [0] * (sink + 1)
+    for _ in range(sum(row_need)):
+        dist: list[float | int] = [inf] * (sink + 1)
+        dist[0] = 0
+        prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
+        entries: list[list[int]] = [[] for _ in range(m)]  # -1 for the source, c for column c
+        popped = [False] * (sink + 1)
+        heap: list[tuple[int, int]] = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            popped[u] = True
+            base = d + potential[u]
+            if u == 0:
+                for i in range(m):
+                    if src_left[i] > 0:
+                        dist[i + 1] = base - potential[i + 1]
+                        entries[i] = [-1]
+                        heapq.heappush(heap, (dist[i + 1], i + 1))
+            elif u <= m:
+                row_cost, row_placed = cost[u - 1], placed[u - 1]
+                for j in range(m):
+                    if not row_placed[j]:
+                        v = m + 1 + j
+                        nd = base + row_cost[j] - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = u
+                            heapq.heappush(heap, (nd, v))
+            elif u < sink:
+                j = u - m - 1
+                for i in range(m):
+                    if placed[i][j]:
+                        nd = base - cost[i][j] - potential[i + 1]
+                        if nd < dist[i + 1]:
+                            dist[i + 1] = nd
+                            entries[i] = [j]
+                            heapq.heappush(heap, (nd, i + 1))
+                        elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
+                            entries[i].append(j)
+                if sink_left[j] > 0:
+                    nd = base - potential[sink]
+                    if nd < dist[sink]:
+                        dist[sink] = nd
+                        prev[sink] = u
+                        heapq.heappush(heap, (nd, sink))
+            else:
+                for j in range(m):
+                    if sink_left[j] < col_need[j]:
+                        v = m + 1 + j
+                        nd = base - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = sink
+                            heapq.heappush(heap, (nd, v))
+        if dist[sink] == inf:
+            raise RuntimeError("rounding flow did not saturate")
+        for v in range(sink + 1):
+            if dist[v] < inf:
+                potential[v] += dist[v]
+        v = prev[sink]
+        sink_left[v - m - 1] -= 1
         while True:
-            dist: list[float | int] = [float("inf")] * n
-            dist[s] = 0
-            prev_edge = [-1] * n
-            heap: list[tuple[int, int]] = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for idx in self.head[u]:
-                    if self.cap[idx] <= 0:
-                        continue
-                    v = self.to[idx]
-                    nd = d + self.cost[idx] + potential[u] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_edge[v] = idx
-                        heapq.heappush(heap, (nd, v))
-            if prev_edge[t] < 0:
-                return total_flow, total_cost
-            for v in range(n):
-                if dist[v] < float("inf"):
-                    potential[v] += dist[v]
-            bottleneck = None
-            v = t
-            while v != s:
-                idx = prev_edge[v]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
-                v = self.to[idx ^ 1]
-            assert bottleneck is not None and bottleneck > 0
-            v = t
-            while v != s:
-                idx = prev_edge[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                total_cost += bottleneck * self.cost[idx]
-                v = self.to[idx ^ 1]
-            total_flow += bottleneck
+            i, j = prev[v] - 1, v - m - 1
+            placed[i][j] = 1
+            e = max((e for e in entries[i] if e <= j), default=min(entries[i]))
+            if e < 0:
+                src_left[i] -= 1
+                break
+            placed[i][e] = 0
+            v = m + 1 + e
+    return placed
 
 
 def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
@@ -178,10 +216,14 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     Every entry of the result is within 1 of n * x(i, j), line sums equal
     n, and the total deviation sum |n*x - p| is minimal among all such
     matrices.  Deterministic for fixed input.
+
+    The missing units go where ``_place_units`` puts them: a min-cost flow
+    on 2m + 2 nodes, one per row and column, whose entry rule keeps the
+    choices of the m*m + m + 2 node network with a chain of m nodes per
+    row that it replaced.
     """
     if n < 1:
         raise ValueError("voter count must be positive")
-    m = x.m
     d = x.denominator
     floor = [[n * c // d for c in row] for row in x.counts]
     # d times the fractional part of n * x(i, j)
@@ -190,42 +232,18 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     # Missing mass per row/column is integral because lines of n*x sum to n.
     row_need = [sum(row) // d for row in frac]
     col_need = [sum(col) // d for col in zip(*frac)]
-    total_need = sum(row_need)
-    if total_need == 0:
+    if sum(row_need) == 0:
         return PositionMatrix(tuple(tuple(row) for row in floor))
 
     # Choosing entry (i, j) changes the deviation by (1 - y) - y for
-    # fractional part y.  Scaled by d and shifted by +d per unit (each
-    # unit crosses exactly one entry arc) the costs become nonnegative:
-    # 2*d - 2*d*y.
-    src = 0
-    chain = lambda i, j: 1 + i * m + j
-    col_node = lambda j: 1 + m * m + j
-    sink = 1 + m * m + m
-    net = _MinCostFlow(sink + 1)
-    entry_edges: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        if row_need[i] > 0:
-            net.add_edge(src, chain(i, 0), row_need[i], 0)
-        for j in range(m):
-            if j + 1 < m:
-                net.add_edge(chain(i, j), chain(i, j + 1), row_need[i], 0)
-            entry_edges[(i, j)] = net.add_edge(
-                chain(i, j), col_node(j), 1, 2 * d - 2 * frac[i][j]
-            )
-    for j in range(m):
-        if col_need[j] > 0:
-            net.add_edge(col_node(j), sink, col_need[j], 0)
-
-    flow, _ = net.run(src, sink)
-    if flow != total_need:
-        raise RuntimeError("rounding flow did not saturate")
-
-    entries = tuple(
-        tuple(floor[i][j] + net.flow_on(entry_edges[(i, j)]) for j in range(m))
-        for i in range(m)
+    # fractional part y.  Scaled by d and shifted by +d per unit (every
+    # solution places the same number of units) the costs become
+    # nonnegative: 2*d - 2*d*y.
+    cost = [[2 * d - 2 * f for f in row] for row in frac]
+    placed = _place_units(cost, row_need, col_need)
+    return PositionMatrix(
+        tuple(tuple(f + u for f, u in zip(fr, ur)) for fr, ur in zip(floor, placed))
     )
-    return PositionMatrix(entries)
 
 
 def election_from_frequency_matrix(x: FrequencyMatrix, n: int) -> Election:

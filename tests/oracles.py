@@ -21,7 +21,10 @@ to m, and ``unscaled_float_inversion_row``, the Mahonian row converted to
 floats as it is, which overflows from m = 172 on, and
 ``recursive_perfect_matching``, the Kuhn search of the decomposition with
 one recursive call per row on its path, which exceeds Python's default
-recursion limit once a path runs through about 1,000 rows.
+recursion limit once a path runs through about 1,000 rows, and
+``chain_round_position_matrix``, the rounding flow on the general
+``_MinCostFlow`` with a chain of m nodes per row, m*m + m + 2 nodes in
+all, whose tie choices the 2m + 2 node flow of the library reproduces.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
 integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
@@ -29,6 +32,7 @@ that reverses the identity, which the compass itself no longer builds.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -583,6 +587,136 @@ def recursive_perfect_matching(support: list[list[int]]) -> list[int]:
     for j, i in enumerate(match_col):
         row_to_col[i] = j
     return row_to_col
+
+
+class _MinCostFlow:
+    """Successive shortest paths with Dijkstra and potentials.
+
+    Arc costs must be nonnegative; capacities integral.  Parallel arcs are
+    fine.  ``flow_on`` reads how much ended up on a given arc.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        return idx
+
+    def flow_on(self, edge_index: int) -> int:
+        return self.cap[edge_index ^ 1]
+
+    def run(self, s: int, t: int) -> tuple[int, int]:
+        """Push the maximum flow from s to t at minimum cost."""
+        n = self.n
+        potential = [0] * n
+        total_flow = 0
+        total_cost = 0
+        while True:
+            dist: list[float | int] = [float("inf")] * n
+            dist[s] = 0
+            prev_edge = [-1] * n
+            heap: list[tuple[int, int]] = [(0, s)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for idx in self.head[u]:
+                    if self.cap[idx] <= 0:
+                        continue
+                    v = self.to[idx]
+                    nd = d + self.cost[idx] + potential[u] - potential[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev_edge[v] = idx
+                        heapq.heappush(heap, (nd, v))
+            if prev_edge[t] < 0:
+                return total_flow, total_cost
+            for v in range(n):
+                if dist[v] < float("inf"):
+                    potential[v] += dist[v]
+            bottleneck = None
+            v = t
+            while v != s:
+                idx = prev_edge[v]
+                if bottleneck is None or self.cap[idx] < bottleneck:
+                    bottleneck = self.cap[idx]
+                v = self.to[idx ^ 1]
+            assert bottleneck is not None and bottleneck > 0
+            v = t
+            while v != s:
+                idx = prev_edge[v]
+                self.cap[idx] -= bottleneck
+                self.cap[idx ^ 1] += bottleneck
+                total_cost += bottleneck * self.cost[idx]
+                v = self.to[idx ^ 1]
+            total_flow += bottleneck
+
+
+def chain_round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
+    """``round_position_matrix`` on the general ``_MinCostFlow``, with each
+    row a chain of m nodes: the source enters row i at position 0, chain
+    arcs of cost 0 lead from position j to j + 1, and position j reaches
+    column j at the cost of placing unit (i, j).  m*m + m + 2 nodes."""
+    if n < 1:
+        raise ValueError("voter count must be positive")
+    m = x.m
+    d = x.denominator
+    floor = [[n * c // d for c in row] for row in x.counts]
+    # d times the fractional part of n * x(i, j)
+    frac = [[n * c % d for c in row] for row in x.counts]
+
+    # Missing mass per row/column is integral because lines of n*x sum to n.
+    row_need = [sum(row) // d for row in frac]
+    col_need = [sum(col) // d for col in zip(*frac)]
+    total_need = sum(row_need)
+    if total_need == 0:
+        return PositionMatrix(tuple(tuple(row) for row in floor))
+
+    # Choosing entry (i, j) changes the deviation by (1 - y) - y for
+    # fractional part y.  Scaled by d and shifted by +d per unit (each
+    # unit crosses exactly one entry arc) the costs become nonnegative:
+    # 2*d - 2*d*y.
+    src = 0
+    chain = lambda i, j: 1 + i * m + j
+    col_node = lambda j: 1 + m * m + j
+    sink = 1 + m * m + m
+    net = _MinCostFlow(sink + 1)
+    entry_edges: dict[tuple[int, int], int] = {}
+    for i in range(m):
+        if row_need[i] > 0:
+            net.add_edge(src, chain(i, 0), row_need[i], 0)
+        for j in range(m):
+            if j + 1 < m:
+                net.add_edge(chain(i, j), chain(i, j + 1), row_need[i], 0)
+            entry_edges[(i, j)] = net.add_edge(
+                chain(i, j), col_node(j), 1, 2 * d - 2 * frac[i][j]
+            )
+    for j in range(m):
+        if col_need[j] > 0:
+            net.add_edge(col_node(j), sink, col_need[j], 0)
+
+    flow, _ = net.run(src, sink)
+    if flow != total_need:
+        raise RuntimeError("rounding flow did not saturate")
+
+    entries = tuple(
+        tuple(floor[i][j] + net.flow_on(entry_edges[(i, j)]) for j in range(m))
+        for i in range(m)
+    )
+    return PositionMatrix(entries)
 
 
 def reversed_identity(m: int) -> FrequencyMatrix:

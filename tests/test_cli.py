@@ -174,6 +174,19 @@ def test_recover_from_position_matrix(capsys, tmp_path):
     assert position_matrix(recovered).entries == position_matrix(election).entries
 
 
+def test_recover_position_matrix_rejects_conflicting_n(capsys, tmp_path):
+    src = tmp_path / "pos.csv"
+    src.write_text("2,1,0\n1,1,1\n0,1,2\n")
+    out = tmp_path / "rec.soc"
+    code, _, err = run(capsys, "recover", "--matrix", str(src), "--n", "5", "--out", str(out))
+    assert code == 1
+    assert "--n 5" in err and "3 voters" in err
+    assert not out.exists()
+    code, _, _ = run(capsys, "recover", "--matrix", str(src), "--n", "3", "--out", str(out))
+    assert code == 0
+    assert ingest.load_election(out).n == 3
+
+
 def test_recover_from_frequency_needs_n(capsys, tmp_path):
     matrix = compass_matrix("AN", 2)
     path = tmp_path / "an.csv"

@@ -391,6 +391,39 @@ def test_read_matrix_csv_matches_fraction_oracle_on_bad_files(data):
     assert type(new) is type(old) and new == old
 
 
+# Tokens next to the reader's fast path for plain "p" and "p/q": int()
+# takes the first three, the next four (q = 0, an empty part) are not
+# rationals, leading zeros are, and the last two hold more digits than
+# int() converts.
+_EDGE_TOKENS = ["1_0", "\u0663", "\uff11", "1/0", "0/00", "1/", "/1", "007/010",
+                "1" * 4301, "1/" + "2" * 4301]
+
+
+@st.composite
+def _plain_matrix_text(draw) -> bytes:
+    """A frequency or position matrix CSV in plain p and p/q tokens, as
+    ``write_matrix_csv`` writes it (unreduced at times), with up to two
+    cells swapped for edge tokens."""
+    m = draw(st.integers(1, 5))
+    weighted = st.tuples(st.integers(1, 9), st.permutations(range(m)))
+    parts = draw(st.lists(weighted, min_size=1, max_size=4))
+    counts = stacked(parts)
+    unit = draw(st.sampled_from([1, sum(w for w, _ in parts)]))
+    cells = [[str(Fraction(c, unit)) if draw(st.booleans()) else f"{c}/{unit}" for c in row]
+             for row in counts]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        cells[i][j] = draw(st.sampled_from(_EDGE_TOKENS))
+    return "".join(",".join(row) + "\n" for row in cells).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_plain_matrix_text(), _plain_matrix_text().flatmap(mutated)))
+def test_read_matrix_csv_fast_path_matches_fraction_oracle(data):
+    new, old = _both_readers(data)
+    assert type(new) is type(old) and new == old
+
+
 def test_read_matrix_csv_keeps_integer_tokens_integers(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("2/2,+3,0.0\n1.0,0,6/2\n2,2/2,1\n")

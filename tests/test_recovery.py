@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_election, stacked, weighted_permutations
-from prefmap.compass import compass_matrix
+from prefmap.compass import compass_matrix, convex_combination
 from prefmap.core import (
     Election,
     FrequencyMatrix,
@@ -120,6 +120,47 @@ def test_rounding_contract_property(x, n):
 def test_rounding_minimal_deviation_property(x, n):
     p = round_position_matrix(x, n)
     assert _deviation(x, n, p) == oracles.brute_force_min_deviation(x.entries, n)
+
+
+_TIE_HEAVY = frequency_from_position(PositionMatrix(
+    ((7, 4, 0, 4, 0), (4, 0, 0, 6, 5), (3, 4, 3, 1, 4), (0, 3, 5, 4, 3), (1, 4, 7, 0, 3))
+))
+_TIE_HEAVY_6 = frequency_from_position(PositionMatrix(
+    ((1, 1, 0, 0, 7, 4), (6, 0, 3, 2, 1, 1), (4, 5, 1, 1, 2, 0),
+     (0, 4, 6, 2, 1, 0), (2, 2, 1, 7, 1, 0), (0, 1, 2, 1, 1, 8))
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    weighted_permutations(st.integers(1, 6), max_m=8, max_size=10).map(
+        lambda p: frequency_from_position(PositionMatrix(stacked(p)))
+    ),
+    st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 200)),
+)
+@example(_TIE_HEAVY, 3)  # entries at 4, then 1; the path leaves into column 0 through entry 1
+@example(_TIE_HEAVY_6, 21)  # entries at 2 and 0; the path leaves into column 5 through entry 2
+def test_rounding_matches_chain_oracle(x, n):
+    assert round_position_matrix(x, n) == oracles.chain_round_position_matrix(x, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 9), st.integers(0, 10**6), st.integers(1, 30), st.integers(1, 30),
+    st.fractions(0, 1), st.integers(1, 120),
+)
+def test_rounding_matches_chain_oracle_on_mixtures(m, seed, n1, n2, alpha, n):
+    x = convex_combination(
+        frequency_matrix(make_random_election(seed, m, n1)),
+        frequency_matrix(make_random_election(seed + 1, m, n2)),
+        alpha,
+    )
+    assert round_position_matrix(x, n) == oracles.chain_round_position_matrix(x, n)
+
+
+def test_rounding_matches_chain_oracle_at_m_30():
+    x = convex_combination(compass_matrix("UN", 30), compass_matrix("AN", 30), Fraction(1, 3))
+    assert round_position_matrix(x, 100) == oracles.chain_round_position_matrix(x, 100)
 
 
 def test_decomposition_respects_tighter_observed_bound_mostly():
