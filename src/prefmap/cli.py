@@ -291,19 +291,7 @@ def _cmd_fit_mallows(args: argparse.Namespace) -> int:
 # parser wiring
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="prefmap",
-        description="Sample, compare, reconstruct, and map ranked elections.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--quiet", action="store_true", help="suppress progress notes")
-    common.add_argument("--config", default=None,
-                        help="key=value file of defaults; explicit flags and --coarse win")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("generate", parents=[common], help="sample an election")
+def _generate_options(p: _Parser) -> None:
     p.add_argument(
         "--culture",
         required=True,
@@ -319,66 +307,99 @@ def build_parser() -> _Parser:
     p.add_argument("--relphi", type=float, default=None, help="normalized dispersion")
     p.add_argument("--dim", type=int, default=None, help="hypercube dimension")
     p.add_argument("--out", required=True, help="output election file")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("distance", parents=[common], help="positionwise distance")
+
+def _distance_options(p: _Parser) -> None:
     p.add_argument("--a", required=True, help="first matrix CSV or election file")
     p.add_argument("--b", required=True, help="second matrix CSV or election file")
     p.add_argument("--normalized", action="store_true", help="divide by (m*m-1)/3")
-    p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser(
-        "distance-matrix", parents=[common], help="pairwise distances of many inputs"
-    )
+
+def _distance_matrix_options(p: _Parser) -> None:
     p.add_argument("--inputs", nargs="+", required=True,
                    help="matrix CSVs or election files")
     p.add_argument("--out", required=True, help="output CSV (12 significant digits)")
     p.add_argument("--sidecar", default=None, help="optional exact p/q CSV")
-    p.set_defaults(func=_cmd_distance_matrix)
 
-    p = sub.add_parser("recover", parents=[common], help="election from a matrix")
+
+def _recover_options(p: _Parser) -> None:
     p.add_argument("--matrix", required=True, help="position or frequency CSV")
     p.add_argument("--n", type=int, default=None, help="voters (frequency input)")
     p.add_argument("--out", required=True, help="output election file")
-    p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("compass", parents=[common], help="anchor matrices and paths")
+
+def _compass_options(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True, help="candidates (even)")
     p.add_argument("--scale", type=int, default=50, help="points per unit distance")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_compass)
 
-    p = sub.add_parser(
-        "mallows-table", parents=[common], help="relphi -> phi calibration table"
-    )
+
+def _mallows_table_options(p: _Parser) -> None:
     p.add_argument("--m-list", type=_m_list, default="5,10,20,50,100",
                    help="comma-separated m values, each >= 2")
-    p.set_defaults(func=_cmd_mallows_table)
 
-    p = sub.add_parser("ingest", parents=[common], help="preset dataset pipeline")
+
+def _ingest_options(p: _Parser) -> None:
     p.add_argument("--in", dest="indir", required=True, help="directory of profiles")
     p.add_argument("--preset", default="default", help="pipeline preset name")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("embed", parents=[common], help="2-D map of a distance matrix")
+
+def _embed_options(p: _Parser) -> None:
     p.add_argument("--distances", required=True, help="distance CSV")
     p.add_argument("--iters", type=int, default=1000, help="cap on stress-majorization iterations")
     p.add_argument("--svg", default=None, help="output SVG path")
     p.add_argument("--coords", default=None, help="output coordinates CSV")
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser(
-        "fit-mallows", parents=[common], help="fit normalized dispersion to a dataset"
-    )
+
+def _fit_mallows_options(p: _Parser) -> None:
     p.add_argument("--dataset", required=True, help="directory of .soc elections")
     p.add_argument("--grid-step", type=float, default=0.001, help="grid resolution, in (0, 0.5]")
     p.add_argument("--samples", type=int, default=100, help="samples per grid value")
     p.add_argument("--coarse", action="store_true",
                    help="coarse preset: step 0.01, 20 samples; "
                         "explicit --grid-step/--samples win")
-    p.set_defaults(func=_cmd_fit_mallows)
 
+
+# name: (help, handler, options), in the order of the full help
+_COMMANDS = {
+    "generate": ("sample an election", _cmd_generate, _generate_options),
+    "distance": ("positionwise distance", _cmd_distance, _distance_options),
+    "distance-matrix": ("pairwise distances of many inputs", _cmd_distance_matrix,
+                        _distance_matrix_options),
+    "recover": ("election from a matrix", _cmd_recover, _recover_options),
+    "compass": ("anchor matrices and paths", _cmd_compass, _compass_options),
+    "mallows-table": ("relphi -> phi calibration table", _cmd_mallows_table,
+                      _mallows_table_options),
+    "ingest": ("preset dataset pipeline", _cmd_ingest, _ingest_options),
+    "embed": ("2-D map of a distance matrix", _cmd_embed, _embed_options),
+    "fit-mallows": ("fit normalized dispersion to a dataset", _cmd_fit_mallows,
+                    _fit_mallows_options),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser.  Given the name of a subcommand, only that
+    subparser is built, which parses its arguments and prints its help and
+    errors as the full parser does; any other value builds them all."""
+    parser = _Parser(
+        prog="prefmap",
+        description="Sample, compare, reconstruct, and map ranked elections.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common.add_argument("--quiet", action="store_true", help="suppress progress notes")
+    common.add_argument("--config", default=None,
+                        help="key=value file of defaults; explicit flags and --coarse win")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a one-command build still names every command in its usage line
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", metavar=metavar)
+    for name in names:
+        help_text, handler, add_options = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     parser.commands = sub.choices
     return parser
 
@@ -407,7 +428,8 @@ def _defaults(args: argparse.Namespace) -> dict[str, object]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not args.command:

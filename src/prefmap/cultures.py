@@ -1,11 +1,11 @@
 """Vote sampling models and the dispersion calibration behind them.
 
 Samplers: impartial culture, urn (Polya-Eggenberger), Mallows (repeated
-insertion), single-peaked models (uniform-peak interval growth and the
-balanced bottom-up walk), and points-in-a-hypercube.  The normalized
-Mallows variant replaces the raw dispersion phi by the expected number of
-swaps relative to its maximum, which makes elections with different m
-comparable.  That calibration runs through the swap counts
+insertion, run on arrays of votes), single-peaked models (uniform-peak
+interval growth and the balanced bottom-up walk), and points-in-a-hypercube.
+The normalized Mallows variant replaces the raw dispersion phi by the
+expected number of swaps relative to its maximum, which makes elections
+with different m comparable.  That calibration runs through the swap counts
 T[m][i] = number of permutations of m elements with i inversions, and
 ``fit_mallows`` picks the normalized dispersion that best matches a
 dataset of elections under the positionwise distance.
@@ -15,6 +15,7 @@ Every sampler takes an integer seed and is fully deterministic given it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,7 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Election, frequency_matrix
+import numpy as np
+
+from .core import Election, FrequencyMatrix, _frequency, frequency_matrix
 from .metric import cross_distances, normalized
 
 CULTURE_TAGS = (
@@ -108,19 +111,25 @@ def mahonian_row(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _float_inversion_row(m: int) -> tuple[float, ...]:
-    """mahonian_row(m) as floats, divided by one power of two so that each
-    count and the sums in expected_swaps stay finite; that only shifts
-    exponents, and expected_swaps uses only ratios.  Up to m = 165 the
-    power is 1."""
+def _float_inversion_row(m: int) -> np.ndarray:
+    """mahonian_row(m) as a read-only float array, divided by one power of
+    two so that each count and the sums in expected_swaps stay finite; that
+    only shifts exponents, and expected_swaps uses only ratios.  Up to
+    m = 165 the power is 1."""
     row = mahonian_row(m)
     scale = 1 << max(0, (math.factorial(m) * len(row)).bit_length() - 1000)
-    return tuple(v / scale for v in row)
+    out = np.array([v / scale for v in row])
+    out.flags.writeable = False
+    return out
 
 
 def expected_swaps(m: int, phi: float) -> float:
     """Expected number of inversions of a Mallows draw with dispersion phi
-    relative to its central order."""
+    relative to its central order.
+
+    The weights phi**i are running products and both sums running sums in
+    index order (``accumulate``, never the pairwise ``np.sum``), so every
+    step rounds as a loop over the counts would."""
     if m < 1:
         raise ValueError("m must be positive")
     if not 0 <= phi <= 1:
@@ -130,15 +139,13 @@ def expected_swaps(m: int, phi: float) -> float:
     if phi == 1:
         return m * (m - 1) / 4
     row = _float_inversion_row(m)
-    weight = 1.0
-    total = 0.0
-    mean_num = 0.0
-    for i, count in enumerate(row):
-        term = count * weight
-        total += term
-        mean_num += i * term
-        weight *= phi
-    return mean_num / total
+    weights = np.full(len(row), float(phi))
+    weights[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as with floats
+        terms = row * np.multiply.accumulate(weights)
+        total = np.add.accumulate(terms)[-1]
+        mean_num = np.add.accumulate(np.arange(len(row)) * terms)[-1]
+    return float(mean_num) / float(total)
 
 
 def relative_expected_swaps(m: int, phi: float) -> float:
@@ -243,25 +250,57 @@ def sample_urn_gamma(m: int, n: int, seed: int) -> Election:
     )
 
 
+_BLOCK = 1024  # votes per block of the array sampler
+
+
+def _draws(rng: random.Random, rows: int, m: int) -> np.ndarray:
+    """``rows * m`` values of ``rng.random()`` in draw order, as rows of m."""
+    count = rows * m
+    flat = np.fromiter(itertools.starmap(rng.random, itertools.repeat((), count)), float, count)
+    return flat.reshape(rows, m)
+
+
+def _insertion_ranks(m: int, phi: float, draws: np.ndarray) -> np.ndarray:
+    """Repeated insertion on a block of draws, one vote per row.
+
+    Draw (v, j) places item j of the central order of vote v k slots up
+    from the bottom of the partial vote: k is the first index at which the
+    running sum of phi**0, phi**1, ..., added one at a time, exceeds the
+    draw times the ``sum`` of the first j + 1 powers, else j.  The running
+    sums never decrease, so k is the count of them at or below the scaled
+    draw, capped at j.  The totals keep the built-in ``sum`` (compensated
+    from Python 3.12 on) and the running sums their sequential order, so
+    every vote is, to the bit, the one that inserting into a list one
+    candidate at a time gives.
+
+    Entry (v, j) of the result is the rank of item j in vote v (0 is the
+    top).  Inserting item j at rank p moves each earlier item at rank p or
+    below down by one, which is one vector step per column.
+    """
+    powers = [phi**k for k in range(m)]
+    totals = np.array([sum(powers[: j + 1]) for j in range(m)], dtype=float)
+    cum = np.fromiter(itertools.accumulate(powers), float, m)
+    cols = np.arange(m)
+    slots = np.minimum(np.searchsorted(cum, draws * totals, side="right"), cols)
+    ranks = np.asfortranarray(cols - slots)  # so that the first j columns are one block
+    for j in range(1, m):
+        p = ranks[:, j : j + 1]
+        ranks[:, :j] += ranks[:, :j] >= p
+    return ranks
+
+
 def _mallows_votes(
     m: int, n: int, phi: float, central: tuple[int, ...], rng: random.Random
 ) -> list[tuple[int, ...]]:
-    powers = [phi**k for k in range(m)]
-    totals = [sum(powers[: j + 1]) for j in range(m)]
-    votes = []
-    for _ in range(n):
-        vote: list[int] = []
-        for j in range(m):
-            r = rng.random() * totals[j]
-            acc = 0.0
-            k = j  # falls back to the deepest slot on rounding shortfall
-            for idx in range(j + 1):
-                acc += powers[idx]
-                if r < acc:
-                    k = idx
-                    break
-            vote.insert(j - k, central[j])
-        votes.append(tuple(vote))
+    """n Mallows votes from rng, drawn and ranked in blocks of _BLOCK votes."""
+    central_arr = np.array(central)
+    votes: list[tuple[int, ...]] = []
+    for start in range(0, n, _BLOCK):
+        rows = min(_BLOCK, n - start)
+        ranks = _insertion_ranks(m, phi, _draws(rng, rows, m))
+        block = np.empty_like(ranks)
+        block[np.arange(rows)[:, None], ranks] = central_arr
+        votes.extend(map(tuple, block.tolist()))
     return votes
 
 
@@ -277,7 +316,9 @@ def sample_mallows(
     Candidate number j of the central order (j = 1..m) goes k places up
     from the bottom of the partial vote with probability proportional to
     phi**k, which makes a full vote v appear with probability
-    phi**swaps(v, central) / Z.
+    phi**swaps(v, central) / Z.  The insertions run on arrays, one column
+    of a block of votes at a time (``_insertion_ranks``), with one
+    ``rng.random()`` per vote and candidate in vote order.
     """
     _check_mn(m, n)
     if not 0 <= phi <= 1:
@@ -296,6 +337,13 @@ def sample_mallows(
     )
 
 
+def _norm_dispersion(m: int, relphi: float) -> tuple[float, tuple[int, ...]]:
+    """The raw dispersion and central order of normalized dispersion relphi, m >= 2."""
+    if relphi <= 0.5:
+        return relphi_to_phi(m, relphi), tuple(range(m))
+    return relphi_to_phi(m, 1 - relphi), tuple(range(m - 1, -1, -1))
+
+
 def sample_mallows_norm(m: int, n: int, relphi: float, seed: int) -> Election:
     """Mallows with normalized dispersion relphi in [0, 1].
 
@@ -311,12 +359,7 @@ def sample_mallows_norm(m: int, n: int, relphi: float, seed: int) -> Election:
         return _election(
             1, [(0,)] * n, {"culture": "MALLOWS_NORM", "relphi": relphi, "seed": seed}
         )
-    if relphi <= 0.5:
-        central = tuple(range(m))
-        phi = relphi_to_phi(m, relphi)
-    else:
-        central = tuple(range(m - 1, -1, -1))
-        phi = relphi_to_phi(m, 1 - relphi)
+    phi, central = _norm_dispersion(m, relphi)
     votes = _mallows_votes(m, n, phi, central, random.Random(seed))
     return _election(
         m,
@@ -329,6 +372,22 @@ def sample_mallows_norm(m: int, n: int, relphi: float, seed: int) -> Election:
             "seed": seed,
         },
     )
+
+
+def _mallows_norm_frequencies(
+    m: int, n: int, relphi: float, seeds: Sequence[int]
+) -> list[FrequencyMatrix]:
+    """The frequency matrix of ``sample_mallows_norm(m, n, relphi, seed)`` for
+    every seed, m >= 2, drawn and tallied as one block of votes: sample s
+    fills the cells s*m*m + rank*m + candidate of one bincount."""
+    _check_mn(m, n)
+    phi, central = _norm_dispersion(m, relphi)
+    draws = np.concatenate([_draws(random.Random(seed), n, m) for seed in seeds])
+    ranks = _insertion_ranks(m, phi, draws)
+    sample = np.repeat(np.arange(len(seeds)), n)[:, None]
+    cells = (sample * m + ranks) * m + np.array(central)
+    counts = np.bincount(cells.ravel(), minlength=len(seeds) * m * m)
+    return [_frequency(c.tolist(), n) for c in counts.reshape(len(seeds), m, m)]
 
 
 @dataclass(frozen=True)
@@ -353,7 +412,9 @@ def fit_mallows(
     grid value (ties to the smaller), its mean, and the standard
     deviation over per-dataset-election mean distances at that value.
     Grid points use independent derived seeds, so they can be evaluated
-    in any order (or concurrently) with identical results.
+    in any order (or concurrently) with identical results.  The samples of
+    one grid value are drawn and tallied as one block of votes, so memory
+    grows with samples_per_value * votes_per_sample * m, not with the grid.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -368,17 +429,15 @@ def fit_mallows(
     if samples_per_value < 1:
         raise ValueError("samples_per_value must be positive")
     m = sizes.pop()
+    if m < 2:
+        raise ValueError("normalization needs at least two candidates")
     data = [frequency_matrix(e) for e in dataset]
 
     best: tuple[float, float] | None = None  # (mean, relphi)
     best_per_election: list[float] = []
     for gi, relphi in enumerate(grid):
-        samples = [
-            frequency_matrix(sample_mallows_norm(
-                m, votes_per_sample, relphi, derive_seed(seed, gi + 1, s + 1)
-            ))
-            for s in range(samples_per_value)
-        ]
+        seeds = [derive_seed(seed, gi + 1, s + 1) for s in range(samples_per_value)]
+        samples = _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
         per_election = [
             float(normalized(sum(row, Fraction(0)) / samples_per_value, m))
             for row in cross_distances(data, samples)

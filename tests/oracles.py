@@ -28,6 +28,10 @@ all, whose tie choices the 2m + 2 node flow of the library reproduces.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
 integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
+``loop_mallows_votes`` is the Mallows sampler that inserted one candidate
+of one vote at a time into a list, which ``loop_mallows_norm_votes`` and
+``pairwise_fit_mallows`` sample through, and ``loop_expected_swaps`` is
+the swap expectation summed one count at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from prefmap.core import (
     frequency_from_position,
     frequency_matrix,
 )
-from prefmap.cultures import FitResult, sample_mallows_norm
+from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
 from prefmap.embed import MapLayout
 from prefmap.ingest import PartialProfile, PartialVote
 from prefmap.metric import DistanceRecord, normalization_constant
@@ -414,6 +418,37 @@ def scan_prune_to_coverage(
     return pruned, stats
 
 
+def loop_mallows_votes(
+    m: int, n: int, phi: float, central: tuple[int, ...], rng: random.Random
+) -> list[tuple[int, ...]]:
+    powers = [phi**k for k in range(m)]
+    totals = [sum(powers[: j + 1]) for j in range(m)]
+    votes = []
+    for _ in range(n):
+        vote: list[int] = []
+        for j in range(m):
+            r = rng.random() * totals[j]
+            acc = 0.0
+            k = j  # falls back to the deepest slot on rounding shortfall
+            for idx in range(j + 1):
+                acc += powers[idx]
+                if r < acc:
+                    k = idx
+                    break
+            vote.insert(j - k, central[j])
+        votes.append(tuple(vote))
+    return votes
+
+
+def loop_mallows_norm_votes(m: int, n: int, relphi: float, seed: int) -> list[tuple[int, ...]]:
+    """The votes of ``sample_mallows_norm`` by ``loop_mallows_votes``, m >= 2."""
+    if relphi <= 0.5:
+        phi, central = relphi_to_phi(m, relphi), tuple(range(m))
+    else:
+        phi, central = relphi_to_phi(m, 1 - relphi), tuple(range(m - 1, -1, -1))
+    return loop_mallows_votes(m, n, phi, central, random.Random(seed))
+
+
 def pairwise_fit_mallows(
     dataset: Sequence[Election],
     grid: Sequence[float],
@@ -421,8 +456,8 @@ def pairwise_fit_mallows(
     seed: int,
     votes_per_sample: int = 100,
 ) -> FitResult:
-    """``fit_mallows`` one pair at a time, with ``fraction_positionwise``
-    and the per-sample seeds written out."""
+    """``fit_mallows`` one pair at a time, with ``fraction_positionwise``,
+    the per-sample seeds written out and votes from ``loop_mallows_votes``."""
     m = dataset[0].m
     norm = normalization_constant(m)
     data = [frequency_matrix(e) for e in dataset]
@@ -432,7 +467,8 @@ def pairwise_fit_mallows(
         samples = []
         for s in range(samples_per_value):
             child = (seed * 1_000_003 + gi + 1) * 1_000_003 + s + 1
-            samples.append(frequency_matrix(sample_mallows_norm(m, votes_per_sample, relphi, child)))
+            votes = loop_mallows_norm_votes(m, votes_per_sample, relphi, child)
+            samples.append(frequency_matrix(Election(tuple(range(m)), votes)))
         per_election = []
         for x in data:
             total = Fraction(0)
@@ -460,6 +496,21 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
         weights.append(phi**k)
     z = sum(weights)
     return sum(k * w for k, w in zip(swaps, weights)) / z
+
+
+def loop_expected_swaps(m: int, phi: float) -> float:
+    """``expected_swaps`` for 0 < phi < 1 and m >= 2, one count at a time
+    over the library's float row."""
+    row = _float_inversion_row(m).tolist()
+    weight = 1.0
+    total = 0.0
+    mean_num = 0.0
+    for i, count in enumerate(row):
+        term = count * weight
+        total += term
+        mean_num += i * term
+        weight *= phi
+    return mean_num / total
 
 
 def mahonian_table(m_max: int) -> tuple[tuple[int, ...], ...]:

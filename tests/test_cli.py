@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from prefmap import ingest
-from prefmap.cli import build_parser, main
+from prefmap.cli import UsageError, build_parser, main
 from prefmap.compass import compass_matrix
 from prefmap.cultures import fit_mallows
 from prefmap.matrixio import read_matrix_csv, write_matrix_csv
@@ -501,6 +501,17 @@ def test_normalization_needs_two_candidates(capsys, tmp_path):
     assert "normalization needs at least two candidates" in err
 
 
+def test_fit_mallows_value_errors():
+    from prefmap.core import Election
+
+    one = Election(candidates=(0,), votes=((0,),))
+    with pytest.raises(ValueError, match="normalization needs at least two candidates"):
+        fit_mallows([one], [0.5], 1, 0)
+    two = Election(candidates=(0, 1), votes=((0, 1),))
+    with pytest.raises(ValueError, match="n must be positive"):
+        fit_mallows([two], [0.5], 1, 0, votes_per_sample=0)
+
+
 def test_fit_mallows_matches_pairwise_oracle():
     from prefmap.cultures import sample_mallows_norm
 
@@ -643,6 +654,47 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])  # a stale flag raises UsageError
         assert args.command == line.split()[1]
+
+
+# each subcommand's required flags
+REQUIRED_FLAGS = {
+    "generate": ["--culture", "ic", "--m", "3", "--n", "2", "--out", "x.soc"],
+    "distance": ["--a", "x.csv", "--b", "y.csv"],
+    "distance-matrix": ["--inputs", "x.csv", "y.csv", "--out", "d.csv"],
+    "recover": ["--matrix", "x.csv", "--out", "x.soc"],
+    "compass": ["--m", "4", "--out", "out"],
+    "mallows-table": [],
+    "ingest": ["--in", "raw", "--out", "out"],
+    "embed": ["--distances", "d.csv"],
+    "fit-mallows": ["--dataset", "data"],
+}
+
+
+def parse_outcome(capsys, parser, argv):
+    """What parsing ``argv`` prints, raises or returns."""
+    try:
+        result = ("parsed", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except UsageError as exc:
+        result = ("usage error", str(exc))
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+def test_one_command_parser_matches_full_parser(capsys, command):
+    required = REQUIRED_FLAGS[command]
+    for argv in (
+        [command, "--help"],
+        [command] + required[:-2],  # the last required flag missing
+        [command] + required + ["--bogus"],  # left to the top-level parser
+        [command] + required + ["--seed", "x"],
+        [command] + required,
+    ):
+        full = parse_outcome(capsys, build_parser(), argv)
+        assert parse_outcome(capsys, build_parser(command), argv) == full
+    assert sorted(build_parser().commands) == sorted(REQUIRED_FLAGS)
+    assert list(build_parser(command).commands) == [command]
 
 
 def test_readme_library_tour_runs():

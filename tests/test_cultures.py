@@ -89,6 +89,18 @@ def test_expected_swaps_matches_brute_force():
             assert abs(expected_swaps(m, phi) - brute) < 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(2, 40), st.sampled_from([100, 130, 171, 172])),
+    st.one_of(
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.sampled_from([5e-324, 1e-9, 0.5, 0.999, 0.9999, 1 - 2**-53]),
+    ),
+)
+def test_expected_swaps_matches_loop_oracle(m, phi):
+    assert expected_swaps(m, phi) == oracles.loop_expected_swaps(m, phi)
+
+
 def test_relative_swaps_strictly_increasing_in_phi():
     for m in range(3, 13):
         prev = -1.0
@@ -128,7 +140,7 @@ def test_float_inversion_row_matches_unscaled_oracle(monkeypatch):
     cultures._float_inversion_row.cache_clear()
     try:
         for m in range(2, 166):
-            assert cultures._float_inversion_row(m) == unscaled[m]
+            assert tuple(cultures._float_inversion_row(m)) == unscaled[m]
         for m in range(166, 172):
             row = cultures._float_inversion_row(m)
             scale = 1 / row[0]  # the count 1, divided by 2**shift
@@ -350,6 +362,83 @@ def test_mallows_norm_samples_match_uncached_calibration():
             phi = relphi_to_phi.__wrapped__(7, calibrated)
             assert e.meta["phi"] == phi
             assert e.votes == sample_mallows(7, 50, phi, seed=3, central=central).votes
+
+
+PHI_EDGES = [0, 5e-324, 1 - 2**-53, 1]
+VOTE_COUNTS = st.one_of(
+    st.integers(1, 30),
+    st.sampled_from([cultures._BLOCK - 1, cultures._BLOCK, cultures._BLOCK + 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m)))),
+    VOTE_COUNTS,
+    st.one_of(st.sampled_from(PHI_EDGES), st.floats(0, 1)),
+    st.integers(0, 2**32),
+)
+def test_array_sampler_matches_loop_oracle(m_central, n, phi, seed):
+    m, central = m_central
+    central = tuple(central)
+    rng, loop_rng = random.Random(seed), random.Random(seed)
+    votes = cultures._mallows_votes(m, n, phi, central, rng)
+    assert votes == oracles.loop_mallows_votes(m, n, phi, central, loop_rng)
+    assert rng.random() == loop_rng.random()  # the same draws were used up
+
+
+class ReplayRandom:
+    """Stands in for random.Random: random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.random = itertools.cycle(values).__next__
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 20),
+    st.sampled_from([0, 2**-52, 0.5, 1 - 2**-53, 1]),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1 - 2**-53]), min_size=1, max_size=12),
+)
+def test_array_sampler_matches_loop_oracle_on_exact_ties(m, n, phi, values):
+    # at phi = 1 the draws k/4 times the totals 2 and 4 land exactly on a
+    # running sum, which the loop's strict r < acc passes over
+    central = tuple(range(m))
+    votes = cultures._mallows_votes(m, n, phi, central, ReplayRandom(values))
+    assert votes == oracles.loop_mallows_votes(m, n, phi, central, ReplayRandom(values))
+
+
+@pytest.mark.parametrize("m", [100, 171])
+@pytest.mark.parametrize("phi", PHI_EDGES + [0.3, 0.9, 0.999])
+def test_array_sampler_matches_loop_oracle_at_large_m(m, phi):
+    central = list(range(m))
+    random.Random(m).shuffle(central)
+    n = 40 if phi < 1 - 2**-52 else cultures._BLOCK + 2  # the slow loop, once past a block
+    votes = cultures._mallows_votes(m, n, phi, tuple(central), random.Random(7))
+    assert votes == oracles.loop_mallows_votes(m, n, phi, tuple(central), random.Random(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.integers(1, 40),
+    st.lists(
+        st.tuples(st.floats(0, 1), st.lists(st.integers(0, 2**40), min_size=1, max_size=5)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_batched_tallies_match_one_election_at_a_time(m, n, batches):
+    # a grid of mixed dispersions, each value sampled as one block
+    for relphi, seeds in batches:
+        batch = cultures._mallows_norm_frequencies(m, n, relphi, seeds)
+        one_at_a_time = [
+            cultures.frequency_matrix(
+                cultures.Election(tuple(range(m)), oracles.loop_mallows_norm_votes(m, n, relphi, s))
+            )
+            for s in seeds
+        ]
+        assert batch == one_at_a_time
 
 
 @pytest.mark.parametrize("relphi", [0.2, 0.8])
