@@ -103,10 +103,13 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
     table = distance_matrix(items)
     for path, fmt in ((args.out, _fmt_decimal), (args.sidecar, str)):
         if path:
+            # the table is symmetric: format the upper triangle, mirror the text
+            cells = [[fmt(v) for v in row[i:]] for i, row in enumerate(table)]
+            lines = [",".join(["id"] + labels)]
+            for i, label in enumerate(labels):
+                lines.append(",".join([label] + [cells[k][i - k] for k in range(i)] + cells[i]))
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(",".join(["id"] + labels) + "\n")
-                for label, row in zip(labels, table):
-                    fh.write(",".join([label] + [fmt(v) for v in row]) + "\n")
+                fh.write("\n".join(lines) + "\n")
     _say(args, f"wrote {len(items)}x{len(items)} distance matrix to {args.out}")
     return 0
 

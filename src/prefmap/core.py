@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -174,9 +175,11 @@ class FrequencyMatrix:
 
 def _frequency(counts: IntRows, denominator: int) -> FrequencyMatrix:
     """``counts / denominator`` in lowest terms, for valid counts whose lines sum to it."""
-    g = gcd(denominator, *(c for row in counts for c in row))
+    g = gcd(denominator, *chain.from_iterable(counts))
+    if g > 1:
+        counts = [[c // g for c in row] for row in counts]
     freq = object.__new__(FrequencyMatrix)
-    object.__setattr__(freq, "counts", tuple(tuple(c // g for c in row) for row in counts))
+    object.__setattr__(freq, "counts", tuple(map(tuple, counts)))
     object.__setattr__(freq, "denominator", denominator // g)
     return freq
 

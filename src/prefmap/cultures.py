@@ -510,19 +510,21 @@ def sample_walsh(m: int, n: int, seed: int) -> Election:
     )
 
 
-def rank_by_distance(
-    points: Sequence[Sequence[float]], origin: Sequence[float]
-) -> tuple[int, ...]:
-    """Indices of ``points`` ordered by Euclidean distance from ``origin``,
-    nearest first, equal distances broken by lower index."""
-    dists = []
-    for idx, p in enumerate(points):
-        if len(p) != len(origin):
-            raise ValueError("dimension mismatch")
-        d2 = sum((a - b) ** 2 for a, b in zip(p, origin))
-        dists.append((d2, idx))
-    dists.sort()
-    return tuple(idx for _, idx in dists)
+def _distance_ranks(points: np.ndarray, voters: np.ndarray) -> list[list[int]]:
+    """Each voter's ranking of the candidate ``points`` (rows of an (m,
+    dimension) array), nearest first, equal distances to the lower index.
+
+    A squared distance adds the squares ``float_power(a - b, 2)`` one
+    dimension at a time, left to right, as a sequential ``sum`` of
+    ``(a - b) ** 2`` does.  ``float_power`` calls the C library's ``pow``,
+    as Python's ``**`` does; ``d * d`` and ``np.power`` can round a square
+    one unit differently.  Python 3.12 made the built-in ``sum`` of floats
+    compensated; the order here stays sequential on every version.
+    """
+    d2 = np.zeros((len(voters), len(points)))
+    for k in range(points.shape[1]):
+        d2 += np.float_power(points[:, k] - voters[:, k, None], 2)
+    return np.argsort(d2, axis=1, kind="stable").tolist()
 
 
 def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:
@@ -535,10 +537,8 @@ def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:
     cand_points = tuple(
         tuple(rng.random() for _ in range(dimension)) for _ in range(m)
     )
-    votes = []
-    for _ in range(n):
-        voter = tuple(rng.random() for _ in range(dimension))
-        votes.append(rank_by_distance(cand_points, voter))
+    draws = np.fromiter((rng.random() for _ in range(n * dimension)), float, n * dimension)
+    votes = _distance_ranks(np.array(cand_points), draws.reshape(n, dimension))
     return _election(
         m,
         votes,

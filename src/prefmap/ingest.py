@@ -17,7 +17,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .core import Election, borda_scores, restrict_to_candidates
 from .cultures import derive_seed
@@ -29,6 +29,7 @@ PREFLIB_SUFFIXES = (".soc", ".soi", ".toc")
 # candidate ids ranked together, groups ordered best to worst.
 TieGroup = tuple[int, ...]
 PartialVote = tuple[TieGroup, ...]
+Ballot = TypeVar("Ballot")
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,13 @@ def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
     return count, tuple(groups)
 
 
-def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
-    """Parse a PrefLib-style file (strict, tied, or partial ballots)."""
+def _read(
+    path: str | os.PathLike[str], parse_line: Callable[[str, int], tuple[int, Ballot]]
+) -> tuple[list[int], dict[int, str], list[Ballot], list[int]]:
+    """The candidate ids, their names, the ballots and their counts of a
+    PrefLib-style file.  Checks the header, every ballot line through
+    ``parse_line`` (which returns the count and the ballot of a line), and
+    then the header's totals, in that order."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
     if not rows:
@@ -161,19 +167,19 @@ def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
     except ValueError:
         raise ValueError(f"{path} line {lineno}: bad counts line {counts_line!r}") from None
 
-    votes: list[PartialVote] = []
+    ballots: list[Ballot] = []
     mults: list[int] = []
     for lineno, ln in it:
         try:
-            count, vote = _parse_vote_line(ln, lineno)
+            count, ballot = parse_line(ln, lineno)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        votes.append(vote)
+        ballots.append(ballot)
         mults.append(count)
 
-    if len(votes) != distinct:
+    if len(ballots) != distinct:
         raise ValueError(
-            f"{path}: header promises {distinct} distinct ballots, found {len(votes)}"
+            f"{path}: header promises {distinct} distinct ballots, found {len(ballots)}"
         )
     if sum(mults) != sum_counts:
         raise ValueError(
@@ -183,6 +189,12 @@ def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
         raise ValueError(
             f"{path}: voter count {n_voters} != sum of counts {sum_counts}"
         )
+    return ids, names, ballots, mults
+
+
+def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
+    """Parse a PrefLib-style file (strict, tied, or partial ballots)."""
+    ids, names, votes, mults = _read(path, _parse_vote_line)
     try:
         return PartialProfile(
             candidates=tuple(ids),
@@ -203,33 +215,61 @@ def serialize_election(
     """Write a strict-complete election; candidate ids are 1..m by index."""
     counter = election.vote_counter()
     ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    labels = [str(c + 1) for c in range(election.m)]
+    lines = [f"# {c}\n" for c in comments]
+    lines.append(f"{election.m}\n")
+    lines += [f"{label}, {cand}\n" for label, cand in zip(labels, election.candidates)]
+    lines.append(f"{election.n}, {election.n}, {len(ordered)}\n")
+    lines += [f"{count}, {','.join(map(labels.__getitem__, vote))}\n" for vote, count in ordered]
     with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(f"{election.m}\n")
-        for idx, cand in enumerate(election.candidates):
-            fh.write(f"{idx + 1}, {cand}\n")
-        fh.write(f"{election.n}, {election.n}, {len(ordered)}\n")
-        for vote, count in ordered:
-            fh.write(f"{count}, {','.join(str(c + 1) for c in vote)}\n")
+        fh.write("".join(lines))
+
+
+def _strict_line(line: str, lineno: int) -> tuple[int, tuple[list[int], bool]]:
+    """One ballot line of a strict file: its count, its candidate ids in
+    order and whether a tie group joined two of them.  A plain line of
+    integers is split once; any other line, and any fault, goes through
+    ``_parse_vote_line``, so the grammar and the messages are the same."""
+    head, _, rest = line.partition(",")
+    try:
+        count, ranking = int(head), [*map(int, rest.split(","))]
+    except ValueError:
+        count = 0
+    if count > 0:
+        return count, (ranking, False)
+    count, groups = _parse_vote_line(line, lineno)
+    return count, ([c for g in groups for c in g], any(len(g) > 1 for g in groups))
 
 
 def load_election(path: str | os.PathLike[str]) -> Election:
-    """Parse a strict-complete file straight into an Election."""
-    profile = parse_preflib(path)
-    index_of = {cid: k for k, cid in enumerate(profile.candidates)}
-    votes = []
-    for vote in profile.votes:
-        if any(len(g) != 1 for g in vote):
-            raise ValueError(f"{path}: ties not allowed in a strict election")
-        flat = tuple(index_of[g[0]] for g in vote)
-        if len(flat) != profile.m:
-            raise ValueError(f"{path}: incomplete vote in a strict election")
-        votes.append(flat)
+    """Parse a strict-complete file straight into an Election.
+
+    Faults are reported in the order of ``parse_preflib``: the header,
+    each ballot line, the header's totals, then the first vote that names
+    an unknown candidate or repeats one; only then the first vote with a
+    tie or one that stops short.
+    """
+    ids, _, ballots, mults = _read(path, _strict_line)
+    known = set(ids)
+    # a vote of m ids, as a set equal to the candidates, is complete and
+    # strict; only the others are walked cell by cell to name their fault
+    odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
+    for ranking, _ in odd:
+        seen: set[int] = set()
+        for c in ranking:
+            if c not in known:
+                raise ValueError(f"{path}: vote names unknown candidate {c}")
+            if c in seen:
+                raise ValueError(f"{path}: candidate {c} repeated within a vote")
+            seen.add(c)
+    for _, tied in odd:
+        fault = "ties not allowed" if tied else "incomplete vote"
+        raise ValueError(f"{path}: {fault} in a strict election")
+    index_of = {cid: k for k, cid in enumerate(ids)}.__getitem__
     return Election(
-        candidates=profile.candidates,
-        votes=tuple(votes),
-        multiplicities=profile.multiplicities,
+        candidates=tuple(ids),
+        votes=tuple(tuple(map(index_of, ranking)) for ranking, _ in ballots),
+        multiplicities=tuple(mults),
         meta={"source": str(path)},
     )
 

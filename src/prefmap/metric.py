@@ -48,36 +48,37 @@ class DistanceRecord:
     column_permutation: tuple[int, ...]
 
 
-def _start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
-    """Starting duals and a partial matching for each pair of a block.
+def _start(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starting duals and a partial matching for a block of pairs.
 
     ``cost[b]`` is the cost matrix of pair b (int64, or ``object`` for
-    Python integers).  For each pair this returns (u, v, col_of).  The
-    duals u (rows) and v (columns) come from a row reduction followed by a
-    column reduction, as in Jonker & Volgenant (1987), so every reduced
-    cost ``cost[b, i, j] - u[i] - v[j]`` is nonnegative.  Then each row, in
-    order, takes its first free column of reduced cost 0: ``col_of[i]`` is
-    that column, or -1 if none is left.
+    Python integers).  This returns the arrays (u, v, col_of), each of
+    shape (pairs, m).  The duals u (rows) and v (columns) come from a row
+    reduction followed by a column reduction, as in Jonker & Volgenant
+    (1987), so every reduced cost ``cost[b, i, j] - u[b, i] - v[b, j]`` is
+    nonnegative.  Then each row, in order, takes its first free column of
+    reduced cost 0: ``col_of[b, i]`` is that column, or -1 if none is
+    left.  Row i is placed in all pairs at once, so the block takes m
+    numpy steps.
     """
     pairs, m, _ = cost.shape
     u = cost.min(axis=2)
     reduced = cost - u[:, :, None]
     v = reduced.min(axis=1)
-    # each row's columns of reduced cost 0 as the bits of one Python integer
-    packed = np.packbits(reduced == v[:, None, :], axis=2, bitorder="little")
-    width = packed.shape[2]
-    raw = packed.tobytes()
-    matchings = []
-    for b in range(pairs):
-        taken = 0
-        col_of = []
-        for at in range(b * m * width, (b + 1) * m * width, width):
-            free = int.from_bytes(raw[at : at + width], "little") & ~taken
-            low = free & -free
-            taken |= low
-            col_of.append(low.bit_length() - 1)
-        matchings.append(col_of)
-    return list(zip(u.tolist(), v.tolist(), matchings))
+    tight = reduced == v[:, None, :]
+    # untaken columns of every pair, flat: pair b's column j is at b * m + j
+    untaken = np.ones(pairs * m, dtype=bool)
+    first = np.arange(0, pairs * m, m)
+    col_of = np.empty((pairs, m), dtype=np.int64)
+    for i in range(m):
+        free = tight[:, i] & untaken.reshape(pairs, m)
+        j = free.argmax(axis=1)
+        at = first + j
+        # argmax of a row with no free column is 0, so check that column
+        hit = free.take(at)
+        untaken[at] &= ~hit
+        col_of[:, i] = np.where(hit, j, -1)
+    return u, v, col_of
 
 
 def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> list[int]:
@@ -163,7 +164,7 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     all, so the pass is O(m^3), like the solve.  It is skipped when
     ``_start`` matches every row, each to its smallest tight column left free.
     """
-    ((u, v, col_of),) = _start(cost[None])
+    u, v, col_of = (a[0].tolist() for a in _start(cost[None]))
     if -1 not in col_of:
         return sum(u) + sum(v), col_of
     rows = cost.tolist()
@@ -207,16 +208,16 @@ def _totals(cost: np.ndarray) -> list[int]:
     Where ``_start`` matches every row, the matching is tight under
     feasible duals and so optimal, and its total is the dual objective.
     Only the other pairs go through ``_augment``.  No tie-break is needed:
-    every optimal matching has the same total.
+    every optimal matching has the same total.  The totals are Python
+    integers: a total can reach m times the largest cost, past int64.
     """
-    totals = []
-    for b, (u, v, col_of) in enumerate(_start(cost)):
-        if -1 in col_of:
-            rows = cost[b].tolist()
-            _augment(rows, u, v, col_of)
-            totals.append(sum(rows[i][j] for i, j in enumerate(col_of)))
-        else:
-            totals.append(sum(u) + sum(v))
+    u, v, col_of = _start(cost)
+    totals = (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
+    for b in np.flatnonzero((col_of < 0).any(axis=1)).tolist():
+        rows = cost[b].tolist()
+        cols = col_of[b].tolist()
+        _augment(rows, u[b].tolist(), v[b].tolist(), cols)
+        totals[b] = sum(rows[i][j] for i, j in enumerate(cols))
     return totals
 
 

@@ -31,7 +31,13 @@ that reverses the identity, which the compass itself no longer builds.
 ``loop_mallows_votes`` is the Mallows sampler that inserted one candidate
 of one vote at a time into a list, which ``loop_mallows_norm_votes`` and
 ``pairwise_fit_mallows`` sample through, and ``loop_expected_swaps`` is
-the swap expectation summed one count at a time.
+the swap expectation summed one count at a time.  ``bitloop_start`` is
+the greedy start of the assignment solve that packed each row's tight
+columns into the bits of a Python integer and placed one row of one pair
+at a time; ``partial_load_election`` read a strict file through the tie
+groups of ``parse_preflib``; ``loop_serialize_election`` wrote one cell
+of one vote at a time; ``rank_by_distance`` ranked one hypercube voter at
+a time, as ``loop_hypercube_votes`` does for a whole sample.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from prefmap.core import (
 )
 from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
 from prefmap.embed import MapLayout
-from prefmap.ingest import PartialProfile, PartialVote
+from prefmap.ingest import PartialProfile, PartialVote, parse_preflib
 from prefmap.metric import DistanceRecord, normalization_constant
 
 
@@ -891,3 +897,89 @@ def gradient_embed(
             scale *= 0.5
     pos = pos - pos.mean(axis=0)
     return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, iterations)
+
+
+def bitloop_start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
+    """(u, v, col_of) of each pair of a block, as ``metric._start`` gives
+    them: row and column reduction, then each row in order takes its first
+    free tight column (-1 if none), found by bit tricks on one Python
+    integer per row."""
+    pairs, m, _ = cost.shape
+    u = cost.min(axis=2)
+    reduced = cost - u[:, :, None]
+    v = reduced.min(axis=1)
+    packed = np.packbits(reduced == v[:, None, :], axis=2, bitorder="little")
+    width = packed.shape[2]
+    raw = packed.tobytes()
+    matchings = []
+    for b in range(pairs):
+        taken = 0
+        col_of = []
+        for at in range(b * m * width, (b + 1) * m * width, width):
+            free = int.from_bytes(raw[at : at + width], "little") & ~taken
+            low = free & -free
+            taken |= low
+            col_of.append(low.bit_length() - 1)
+        matchings.append(col_of)
+    return list(zip(u.tolist(), v.tolist(), matchings))
+
+
+def partial_load_election(path: str | os.PathLike[str]) -> Election:
+    """A strict-complete file read through ``parse_preflib``'s tie groups."""
+    profile = parse_preflib(path)
+    index_of = {cid: k for k, cid in enumerate(profile.candidates)}
+    votes = []
+    for vote in profile.votes:
+        if any(len(g) != 1 for g in vote):
+            raise ValueError(f"{path}: ties not allowed in a strict election")
+        flat = tuple(index_of[g[0]] for g in vote)
+        if len(flat) != profile.m:
+            raise ValueError(f"{path}: incomplete vote in a strict election")
+        votes.append(flat)
+    return Election(
+        candidates=profile.candidates,
+        votes=tuple(votes),
+        multiplicities=profile.multiplicities,
+        meta={"source": str(path)},
+    )
+
+
+def loop_serialize_election(
+    election: Election, path: str | os.PathLike[str], comments: Sequence[str] = ()
+) -> None:
+    counter = election.vote_counter()
+    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write(f"{election.m}\n")
+        for idx, cand in enumerate(election.candidates):
+            fh.write(f"{idx + 1}, {cand}\n")
+        fh.write(f"{election.n}, {election.n}, {len(ordered)}\n")
+        for vote, count in ordered:
+            fh.write(f"{count}, {','.join(str(c + 1) for c in vote)}\n")
+
+
+def rank_by_distance(
+    points: Sequence[Sequence[float]], origin: Sequence[float]
+) -> tuple[int, ...]:
+    """Indices of ``points`` ordered by Euclidean distance from ``origin``,
+    nearest first, equal distances broken by lower index."""
+    dists = []
+    for idx, p in enumerate(points):
+        if len(p) != len(origin):
+            raise ValueError("dimension mismatch")
+        d2 = sum((a - b) ** 2 for a, b in zip(p, origin))
+        dists.append((d2, idx))
+    dists.sort()
+    return tuple(idx for _, idx in dists)
+
+
+def loop_hypercube_votes(m: int, n: int, dimension: int, seed: int) -> list[tuple[int, ...]]:
+    """The votes of ``sample_hypercube``, one ``rank_by_distance`` per voter."""
+    rng = random.Random(seed)
+    points = [tuple(rng.random() for _ in range(dimension)) for _ in range(m)]
+    return [
+        rank_by_distance(points, tuple(rng.random() for _ in range(dimension)))
+        for _ in range(n)
+    ]

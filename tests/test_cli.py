@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -621,6 +622,76 @@ def test_ingest_is_byte_reproducible(capsys, tmp_path):
         manifests.append((out / "sample_000.soc").read_bytes())
     assert manifests[0] == manifests[2]
     assert manifests[1] == manifests[3]
+
+
+def _map_chain(capsys, root) -> dict[str, str]:
+    """Run a small map chain in ``root`` and return the SHA-256 of every
+    file it writes: the m = 6 compass, elections of every culture (the
+    hypercube at dimensions 1, 3 and 12, one IC election at m = 100), the
+    distance matrix of the compass and the m = 6 elections with its exact
+    sidecar, the map's coordinates and a recovered path point."""
+    def call(*argv):
+        assert run(capsys, *argv, "--quiet")[0] == 0
+
+    call("compass", "--m", "6", "--scale", "2", "--out", str(root / "compass"))
+    runs = [(c, CULTURE_FLAGS[c]) for c in sorted(CULTURE_FLAGS)]
+    runs += [("hypercube", ["--dim", "1"]), ("hypercube", ["--dim", "12"])]
+    for k, (culture, flags) in enumerate(runs):
+        call("generate", "--culture", culture, "--m", "6", "--n", "60", "--seed", str(k),
+             "--out", str(root / f"e{k}_{culture}.soc"), *flags)
+    call("generate", "--culture", "ic", "--m", "100", "--n", "30", "--seed", "3",
+         "--out", str(root / "ic100.soc"))
+    matrices = sorted(p for p in root.glob("compass/*.csv") if p.name != "manifest.csv")
+    inputs = [str(p) for p in matrices + sorted(root.glob("e*.soc"))]
+    call("distance-matrix", "--inputs", *inputs, "--out", str(root / "d.csv"),
+         "--sidecar", str(root / "d_exact.csv"))
+    call("embed", "--distances", str(root / "d.csv"), "--coords", str(root / "coords.csv"))
+    call("recover", "--matrix", str(root / "compass" / "ID-UN_1_3.csv"), "--n", "30",
+         "--out", str(root / "recovered.soc"))
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+# SHA-256 of _map_chain's files, pinned: a change to any byte of any output
+# fails here
+_MAP_CHAIN_SHA256 = {
+    "compass/AN-ST_1_3.csv": "cc919a10a39669cef5b9aa9504f09415775ee1a10f2e445f34963bc159bc0583",
+    "compass/AN-ST_2_3.csv": "a92b8684c3c0a5e21c715e1c145698a7471494ba9180406c5ce89f5da6433fac",
+    "compass/AN.csv": "3babe1a2fe4799f0b4d546e93ae3d0e50ad2c6879a505a13d3fde33d77beaaab",
+    "compass/ID-AN_1_3.csv": "384bf4b486c67ef441002b9c8a0f5ccbf5275bdc113fb2eb3eaab127df341ec2",
+    "compass/ID-AN_2_3.csv": "ec1027197a7ae6fd50637939c7ba4986fb8baf958531a66779bc418911f87946",
+    "compass/ID-ST_1_2.csv": "999a859c1964df6751b2fb4113719c277145e07cb25a9d4f57b342cf9af4b531",
+    "compass/ID-UN_1_3.csv": "55bfb84880f9ad56f64198f387f208cafae2d404076d1fbc9926326e03f4f711",
+    "compass/ID-UN_2_3.csv": "d5ca135498d0752bf31043c2faab7cf736db152012b283678efb1855efc9aa9b",
+    "compass/ID.csv": "1d590c5ecb907136c7f267e9f7ad815c1c691627f3c44808f90f6acbab615e6f",
+    "compass/ST.csv": "f03841ade2e98e5fbc1b3cd040fc01430e167417b3959da336fa999167516fa4",
+    "compass/UN-AN_1_2.csv": "42f2e9569309d475a3c099eedf925b95c1961167327b97f6a8249e2743158b3a",
+    "compass/UN-ST_1_3.csv": "02b20e963e290a3145c0c39673be2cbdc96dd0bf1ce0d612e63114833fdce57b",
+    "compass/UN-ST_2_3.csv": "51478f64cd01331b79270f0044a90319de1c0be9e705fa45e851c2430e66277f",
+    "compass/UN.csv": "af63fc6a72a51fcdeb27c71c95a737da529586865475215ba21483ebbdd3f3d8",
+    "compass/manifest.csv": "81c327f93b664a982e23dcb018da48ed852c7cd01c8abd6ceb34565337473280",
+    "coords.csv": "a3fcebd1eb305c2a162d0ede4a3e923631c47148842f74d3dde00057b6f8eef0",
+    "d.csv": "309e9430b392c5f386d91630dbc92135d4326abf8200871b94071b7572214a1a",
+    "d_exact.csv": "d2a3c72765cb4aec74ef6150b6f20d3ef1a597d7fd2c58b8ed66d9d2f8c02424",
+    "e0_conitzer.soc": "81ce1db604532ea12c0f9a3608ec00767e12817fa764718be5abf7b188065b0b",
+    "e1_hypercube.soc": "ca9101fbe2c4d7424f62a161bb20b09d36095d91565fb2de5b840ce8f0e5d846",
+    "e2_ic.soc": "3b8c78eeca3b5e9ab8f798076aa0a7666d142c7d5d79bfbf39876c99b43ea6cd",
+    "e3_mallows.soc": "bce0e1a3726e8b78aafe5f977c243c32c500f75621ca981b46254b489cdd0ca2",
+    "e4_mallows-norm.soc": "8b763e05cbd7b24e79c68ab5b2185d640ebfabff5a8a501637054b2680083795",
+    "e5_urn.soc": "42044ca61da698cfe02301d3b254b988f02675d2ea87825fa041c3aa59dad261",
+    "e6_urn-gamma.soc": "2e1896aec8b18a54da2569e2917a1319cd4127257cd1ef589d95ebc4ad08a473",
+    "e7_walsh.soc": "deddb9b77ee7945a9679abbd31251bcad9f4a1a464de16e00e063307362bf2eb",
+    "e8_hypercube.soc": "819b1e73295cb1c6e9c5e1636e73564bc3c03fe4065a212d02d0121b9cf91ae9",
+    "e9_hypercube.soc": "8140323970c985f371650861fffa2475d1fec3608d4dec0b89a8c2d0fe389aa3",
+    "ic100.soc": "5a5b06b870d6681f897f765ead30fd228a7c5939f13db2a40ab388ae8a2633e6",
+    "recovered.soc": "30f5cd8ee53e6d8a5e3806944f3d3e50541cb039bd3ae5fbaa65488441088eae",
+}
+
+
+def test_map_chain_outputs_are_pinned(capsys, tmp_path):
+    assert _map_chain(capsys, tmp_path) == _MAP_CHAIN_SHA256
 
 
 def test_quiet_suppresses_progress(capsys, tmp_path):

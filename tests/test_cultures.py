@@ -5,19 +5,19 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import election_is_single_peaked, is_single_peaked, swap_distance
+from oracles import election_is_single_peaked, is_single_peaked, rank_by_distance, swap_distance
 from prefmap import cultures
 from prefmap.cultures import (
     CultureSpec,
     derive_seed,
     expected_swaps,
     mahonian_row,
-    rank_by_distance,
     relative_expected_swaps,
     relphi_to_phi,
     sample,
@@ -570,6 +570,39 @@ def test_rank_by_distance_breaks_ties_by_index():
     assert order == (0, 2, 1)
     with pytest.raises(ValueError):
         rank_by_distance([(0.1,)], (0.1, 0.2))
+
+
+@pytest.mark.parametrize("dimension", range(1, 13))
+def test_hypercube_matches_rank_by_distance_oracle(dimension):
+    for seed in range(12):
+        m, n = 1 + seed % 11, 1 + 7 * seed
+        e = sample_hypercube(m, n, dimension, seed)
+        assert list(e.votes) == oracles.loop_hypercube_votes(m, n, dimension, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32))
+def test_hypercube_matches_oracle_property(m, dimension, n, seed):
+    e = sample_hypercube(m, n, dimension, seed)
+    assert list(e.votes) == oracles.loop_hypercube_votes(m, n, dimension, seed)
+
+
+def test_distance_ranks_match_oracle_on_ties():
+    # With glibc 2.36 on x86-64, 0.2448...206 ** 2 (the C library's pow) is
+    # one unit in the last place below the rounded product, so candidate 0
+    # ties candidate 1 and comes first; a square taken as d * d would put
+    # candidate 1 first.  Where pow is correctly rounded, both sides agree
+    # the other way.
+    points = [(0.24483522451472206, 0.0), (0.24483522351472206, 2.2128498437136358e-05)]
+    voters = [(0.0, 0.0), (0.5, 0.5), (0.24483522451472206, 2.2128498437136358e-05)]
+    ranks = cultures._distance_ranks(np.array(points), np.array(voters))
+    assert ranks == [list(rank_by_distance(points, v)) for v in voters]
+    # 200 candidates on three points: long runs of equal distances, which
+    # only a stable sort keeps in index order
+    rng = random.Random(3)
+    points = [rng.choice([(0.1, 0.2), (0.7, 0.3), (0.4, 0.9)]) for _ in range(200)]
+    ranks = cultures._distance_ranks(np.array(points), np.array(voters))
+    assert ranks == [list(rank_by_distance(points, v)) for v in voters]
 
 
 def test_hypercube_vote_matches_distances():

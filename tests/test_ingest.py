@@ -171,6 +171,141 @@ def test_load_election_rejects_ties_and_gaps(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# strict files read by the line, against the tie-group reader
+
+
+def _load_outcome(load, path):
+    """What ``load`` makes of a file: the election and its meta, or the
+    type and text of the error."""
+    try:
+        election = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return election, election.meta
+
+
+@st.composite
+def _strict_texts(draw):
+    """Valid strict files: distinct ids in any order, and every spelling of
+    a ranking the grammar allows: spaces, empty items, singleton groups,
+    a group glued to a neighbour, comments and blank lines."""
+    m = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(-20, 60), min_size=m, max_size=m, unique=True))
+    lines = [draw(st.sampled_from(["", "# note"])), str(m)]
+    lines += [f"{cid}, c{k}" for k, cid in enumerate(ids)]
+    ballot = st.tuples(st.integers(1, 9), st.permutations(ids))
+    ballots = draw(st.lists(ballot, min_size=1, max_size=8))
+    total = sum(k for k, _ in ballots)
+    lines.append(f"{total}, {total}, {len(ballots)}")
+    for count, ranking in ballots:
+        spellings = (st.sampled_from([f"{c}", f" {c} ", f"{{{c}}}", f"{{ {c}}}"]) for c in ranking)
+        items = [draw(spelling) for spelling in spellings]
+        text = items[0]
+        for prev, item in zip(items, items[1:]):
+            glue = ["", ","] if "{" in prev + item else [","]
+            text += draw(st.sampled_from(glue + [", ", ",,"])) + item
+        lines.append(f"{count},{text}" + draw(st.sampled_from(["", ","])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strict_texts())
+def test_load_election_matches_tie_group_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.soc")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        election, meta = _load_outcome(load_election, path)
+        assert (election, meta) == _load_outcome(oracles.partial_load_election, path)
+    assert isinstance(election, Election)
+
+
+BRACED_STRICT_FILE = STRICT_FILE.replace("2, 3,1,2", "2, 3{1},2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([STRICT_FILE, BRACED_STRICT_FILE, PARTIAL_FILE]).map(str.encode).flatmap(mutated)
+)
+def test_load_election_matches_tie_group_oracle_on_mutations(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.soc")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _load_outcome(load_election, path) == _load_outcome(
+            oracles.partial_load_election, path
+        )
+
+
+@pytest.mark.parametrize(
+    "edits, message_part",
+    [
+        ([("3, 1,2,3", "x, 1,2,3")], "bad count"),
+        ([("3, 1,2,3", "0, 1,2,3")], "count must be positive"),
+        ([("3, 1,2,3", "-3, 1,2,3")], "count must be positive"),
+        ([("3, 1,2,3", "3, 1,{2,3")], "unbalanced braces"),
+        ([("3, 1,2,3", "3, 1,{2,{3}}")], "nested braces"),
+        ([("3, 1,2,3", "3, 1,2,9")], "unknown candidate 9"),
+        ([("3, 1,2,3", "3, 1,2,1")], "candidate 1 repeated"),
+        ([("3, 1,2,3", "3, 1,{2,3}")], "ties not allowed"),
+        ([("3, 1,2,3", "3, 1,2")], "incomplete vote"),
+        ([("5, 5, 2", "5, 5, 3")], "promises 3 distinct"),
+        ([("5, 5, 2", "5, 6, 2")], "ballot counts sum to 5"),
+        ([("5, 5, 2", "4, 5, 2")], "voter count 4"),
+        # the order of the faults: lines, totals, ids, then ties and gaps
+        ([("3, 1,2,3", "3, 1,2,9"), ("2, 3,1,2", "2, 3,{1")], "unbalanced braces"),
+        ([("3, 1,2,3", "3, 1,2,9"), ("5, 5, 2", "5, 5, 3")], "promises 3 distinct"),
+        ([("3, 1,2,3", "3, {1,2},3"), ("2, 3,1,2", "2, 3,1,3")], "candidate 3 repeated"),
+        ([("3, 1,2,3", "3, 1,2"), ("2, 3,1,2", "2, 3,{1,2}")], "incomplete vote"),
+        ([("3, 1,2,3", "3, 1,2,3,2,9")], "candidate 2 repeated"),
+    ],
+)
+def test_load_election_messages_match_oracle(tmp_path, edits, message_part):
+    text = STRICT_FILE
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / "bad.soc"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_election(path)
+    assert message_part in str(err.value)
+    assert _load_outcome(oracles.partial_load_election, path) == (ValueError, str(err.value))
+
+
+_NAMES = st.text(min_size=1, max_size=5).map(str.strip).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(
+            st.lists(_NAMES, min_size=m, max_size=m, unique=True),
+            st.lists(st.permutations(range(m)), min_size=1, max_size=15),
+        )
+    ),
+    st.lists(st.text("abc =,", max_size=8), max_size=3),
+)
+def test_serialize_election_matches_loop_oracle(case, comments):
+    candidates, votes = case
+    election = Election(candidates=candidates, votes=votes)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "a.soc"), os.path.join(tmp, "b.soc")
+        serialize_election(election, ours, comments=comments)
+        oracles.loop_serialize_election(election, theirs, comments=comments)
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_serialize_election_matches_loop_oracle_at_m100(tmp_path):
+    rng = random.Random(100)
+    votes = [rng.sample(range(100), 100) for _ in range(40)]
+    election = Election(candidates=range(100), votes=votes + votes[:7])
+    serialize_election(election, tmp_path / "a.soc", comments=["m=100"])
+    oracles.loop_serialize_election(election, tmp_path / "b.soc", comments=["m=100"])
+    assert (tmp_path / "a.soc").read_bytes() == (tmp_path / "b.soc").read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # the ballot parser against the per-character oracle
 
 # Text right before a "{" (after the count): the oracle glues it onto the

@@ -307,11 +307,11 @@ def test_assignment_solver_against_brute_force():
 
 
 @st.composite
-def _tie_heavy_costs(draw):
+def _tie_heavy_costs(draw, m=None):
     """Square integer cost matrices built to have many optimal matchings:
     few distinct values, repeated rows or columns, or constant rows.  The
-    large entries lie past 2**70."""
-    m = draw(st.integers(1, 12))
+    large entries lie past 2**70.  m is drawn from 1..12 unless given."""
+    m = draw(st.integers(1, 12)) if m is None else m
     entry = draw(st.sampled_from([
         st.integers(0, 1),
         st.integers(0, 6),
@@ -365,6 +365,36 @@ def test_assignment_matches_composite_oracle(cost):
 def test_assignment_matches_composite_oracle_m100(cost):
     total, assignment = _assign(cost)
     assert (total, assignment) == oracles.composite_assignment_lex(cost)
+
+
+def _starts(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
+    u, v, col_of = metric._start(cost)
+    return list(zip(u.tolist(), v.tolist(), col_of.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.lists(_tie_heavy_costs(m), min_size=1, max_size=6)))
+def test_start_matches_bitloop_oracle(block):
+    cost = np.array(block, dtype=object)
+    assert _starts(cost) == oracles.bitloop_start(cost)
+    if cost.max() < 2**62:
+        cost = cost.astype(np.int64)
+        assert _starts(cost) == oracles.bitloop_start(cost)
+
+
+def test_start_matches_bitloop_oracle_at_m100():
+    cost = np.array([p.values[0] for p in _fixed_m100_costs()], dtype=np.int64)
+    assert _starts(cost) == oracles.bitloop_start(cost)
+
+
+def test_totals_stay_exact_past_int64():
+    # int64 costs: the first pair's total passes 2**63, the second pair
+    # needs augmenting after the greedy start
+    c = 2**62 - 1
+    cost = np.array([[[c] * 4] * 4, [[c, 0, c, c], [c, 0, c, c], [c, c, 0, c], [c, c, c, 1]]])
+    assert cost.dtype == np.int64
+    assert metric._totals(cost) == [4 * c, c + 1]
+    assert [oracles.brute_force_assignment(x)[0] for x in cost.tolist()] == [4 * c, c + 1]
 
 
 def test_distance_matrix_structure():
