@@ -98,8 +98,13 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance_matrix(args: argparse.Namespace) -> int:
-    items = [_load_item(p) for p in args.inputs]
     labels = [os.path.splitext(os.path.basename(p))[0] for p in args.inputs]
+    first: dict[str, str] = {}
+    for label, path in zip(labels, args.inputs):
+        if label in first:
+            raise ValueError(f"inputs {first[label]} and {path} share the label {label!r}")
+        first[label] = path
+    items = [_load_item(p) for p in args.inputs]
     table = distance_matrix(items)
     for path, fmt in ((args.out, _fmt_decimal), (args.sidecar, str)):
         if path:
@@ -237,7 +242,10 @@ def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
     header = lines[0].split(",")
     if header and header[0] == "id":
         labels = header[1:]
-        index = {label: k for k, label in enumerate(labels)}
+        index: dict[str, int] = {}
+        for k, label in enumerate(labels):
+            if index.setdefault(label, k) != k:
+                raise ValueError(f"{path}: header label {label!r} is repeated")
         by_index: dict[int, list[float]] = {}
         for ln in lines[1:]:
             label, *cells = ln.split(",")
@@ -256,6 +264,8 @@ def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
+    if not args.svg and not args.coords:
+        raise UsageError("embed: nothing to do, pass --svg and/or --coords")
     labels, rows = _read_distance_csv(args.distances)
     styling = embed.default_styling(labels)
     layout = embed.embed_distances(
@@ -267,8 +277,6 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if args.coords:
         embed.write_coordinates(layout, args.coords)
         _say(args, f"wrote {args.coords}")
-    if not args.svg and not args.coords:
-        raise UsageError("embed: nothing to do, pass --svg and/or --coords")
     return 0
 
 

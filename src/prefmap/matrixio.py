@@ -93,14 +93,14 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
         if len(row) != m:
             raise ValueError(f"{path}: expected a square {m}x{m} matrix")
 
-    # over the lcm of its denominators, a row summing to 1 sums to that lcm
-    units = [lcm(*(q for _, q in row)) for row in rows]
-    if all(sum(p * (d // q) for p, q in row) == d for row, d in zip(rows, units)):
-        d = lcm(*units)
-        counts = ([p * (d // q) for p, q in row] for row in rows)
+    # over the common denominator d, a row summing to 1 sums to d and an
+    # integer entry is a multiple of d
+    d = lcm(*(q for row in rows for _, q in row))
+    counts = [[p * (d // q) for p, q in row] for row in rows]
+    if all(sum(row) == d for row in counts):
         return _frequency(_line_total(counts, "frequency matrix", d)[0], d)
-    if all(p % q == 0 for row in rows for p, q in row):
-        return PositionMatrix(tuple(tuple(p // q for p, q in row) for row in rows))
+    if all(c % d == 0 for row in counts for c in row):
+        return PositionMatrix(tuple(tuple(c // d for c in row) for row in counts))
     raise ValueError(
         f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
     )

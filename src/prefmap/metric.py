@@ -8,15 +8,17 @@ denominators, so the prefix sums and the cost matrix are integers (int64
 when they fit, Python integers otherwise) and the result is an exact
 rational.
 
-The assignment solver works on those integers as they are.  For a block
-of pairs at once, numpy builds the cost matrices and the starting duals,
-and each row greedily takes a free column of reduced cost 0.  Only the
-rows left free go to a shortest augmenting path search in Python.  The
-batch callers, ``cross_distances`` and ``distance_matrix``, stop there:
-every optimal matching has the same total, so their values need no
-tie-break.  Only ``positionwise`` returns a permutation, and it runs one
-more pass over the edges of reduced cost 0 to pick the lexicographically
-smallest optimal column matching.
+The assignment solver works on those integers as they are.  Pairs are
+solved in blocks that hold ``_BLOCK`` cost entries.  For a block at
+once, numpy builds the cost matrices and the starting duals, and each
+row greedily takes a free column of reduced cost 0.  Only the rows left
+free go to a shortest augmenting path search in Python.  Every matching
+is then tight under feasible duals, so a pair's total is the sum of its
+duals.  The batch callers, ``cross_distances`` and ``distance_matrix``,
+stop there: every optimal matching has the same total.  Only
+``positionwise`` returns a permutation, and it runs one more pass over
+the edges of reduced cost 0 to pick the lexicographically smallest
+optimal column matching.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import FrequencyMatrix
 
-# entries allowed in one temporary array of the batched solve
+# cost entries per block of pairs in the batched solve
 _BLOCK = 2**16
 
 
@@ -155,14 +157,15 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     given to row i: among all optimal assignments, the lexicographically
     smallest.  ``cost`` is a square int64 or ``object`` array.
 
-    ``_start`` and ``_augment`` find one optimal assignment.  With the
-    final duals, the optimal assignments are exactly the perfect matchings
-    on the tight edges (reduced cost 0).  The tie-break fixes rows in
-    order: a row keeps its column or swaps, along one alternating cycle of
-    tight edges among the rows after it, to the smallest tight column such
-    a cycle reaches.  One backward search from the row's column finds them
-    all, so the pass is O(m^3), like the solve.  It is skipped when
-    ``_start`` matches every row, each to its smallest tight column left free.
+    ``_start`` and ``_augment`` find one optimal assignment.  The final
+    duals sum to the optimal total, and the optimal assignments are
+    exactly the perfect matchings on the tight edges (reduced cost 0).
+    The tie-break fixes rows in order: a row keeps its column or swaps,
+    along one alternating cycle of tight edges among the rows after it,
+    to the smallest tight column such a cycle reaches.  One backward
+    search from the row's column finds them all, so the pass is O(m^3),
+    like the solve.  It is skipped when ``_start`` matches every row, each
+    to its smallest tight column left free.
     """
     u, v, col_of = (a[0].tolist() for a in _start(cost[None]))
     if -1 not in col_of:
@@ -199,43 +202,39 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
         for i, c in moves:
             col_of[i] = c
             row_of[c] = i
-    return sum(rows[i][j] for i, j in enumerate(col_of)), col_of
+    return sum(u) + sum(v), col_of
 
 
 def _totals(cost: np.ndarray) -> list[int]:
     """Optimal assignment totals of a block of cost matrices.
 
-    Where ``_start`` matches every row, the matching is tight under
-    feasible duals and so optimal, and its total is the dual objective.
-    Only the other pairs go through ``_augment``.  No tie-break is needed:
-    every optimal matching has the same total.  The totals are Python
-    integers: a total can reach m times the largest cost, past int64.
+    Only the pairs with rows that ``_start`` leaves free go through
+    ``_augment``.  Every matching is then tight under feasible duals and
+    so optimal, and its total is the dual objective.  No tie-break is
+    needed: every optimal matching has the same total.  The totals are
+    Python integers: a total can reach m times the largest cost, past int64.
     """
     u, v, col_of = _start(cost)
     totals = (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
     for b in np.flatnonzero((col_of < 0).any(axis=1)).tolist():
-        rows = cost[b].tolist()
-        cols = col_of[b].tolist()
-        _augment(rows, u[b].tolist(), v[b].tolist(), cols)
-        totals[b] = sum(rows[i][j] for i, j in enumerate(cols))
+        ub, vb = u[b].tolist(), v[b].tolist()
+        _augment(cost[b].tolist(), ub, vb, col_of[b].tolist())
+        totals[b] = sum(ub) + sum(vb)
     return totals
 
 
 def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Cost matrices of a block of pairs from their scaled prefix sums:
     ``cost[b, i, j]`` is the sum over positions p of
-    ``|px[b, p, i] - py[b, p, j]|``.  Positions are summed in chunks that
-    keep the reused temporary under ``_BLOCK`` entries.  The last position
-    adds nothing: there every column's prefix sum is the whole scale."""
+    ``|px[b, p, i] - py[b, p, j]|``.  Each position is added through one
+    reused temporary of the cost's shape.  The last position adds
+    nothing: there every column's prefix sum is the whole scale."""
     pairs, m, _ = px.shape
-    step = max(1, min(m - 1, _BLOCK // (pairs * m * m)))
     cost = np.zeros((pairs, m, m), dtype=px.dtype)
-    diff = np.empty((pairs, step, m, m), dtype=px.dtype)
-    for p in range(0, m - 1, step):
-        q = min(p + step, m - 1)
-        d = diff[:, : q - p]
-        np.subtract(px[:, p:q, :, None], py[:, p:q, None, :], out=d)
-        cost += np.abs(d, out=d).sum(axis=1)
+    diff = np.empty_like(cost)
+    for p in range(m - 1):
+        np.subtract(px[:, p, :, None], py[:, p, None, :], out=diff)
+        cost += np.abs(diff, out=diff)
     return cost
 
 
@@ -262,7 +261,7 @@ def _cost_blocks(
     flat = chain.from_iterable(chain.from_iterable(z.counts for z in zs))
     sums = np.add.accumulate(np.fromiter(flat, kind, len(zs) * m * m).reshape(-1, m, m), axis=1)
     scales = [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
-    size = max(1, _BLOCK // m**3)
+    size = max(1, _BLOCK // (m * m))
     for dtype in (np.int64, object):
         todo = [k for k, s in enumerate(scales) if (m * s < 2**62) == (dtype is np.int64)]
         for at in range(0, len(todo), size):

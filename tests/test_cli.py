@@ -157,6 +157,20 @@ def test_distance_matrix_rejects_mixed_sizes(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_distance_matrix_rejects_repeated_labels(capsys, tmp_path):
+    # labels are file stems; the check runs before any input is read, so
+    # the missing b/ID.csv is not what fails
+    (tmp_path / "a").mkdir()
+    first = write_corner(tmp_path, "ID", name="a/ID.csv")
+    repeated = str(tmp_path / "b" / "ID.csv")
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "distance-matrix", "--inputs", first, repeated,
+                       write_corner(tmp_path, "UN", name="a/UN.csv"), "--out", str(out))
+    assert code == 1
+    assert err == f"prefmap: error: inputs {first} and {repeated} share the label 'ID'\n"
+    assert not out.exists()
+
+
 def test_recover_from_position_matrix(capsys, tmp_path):
     from prefmap.core import Election, position_matrix
 
@@ -380,13 +394,17 @@ def test_embed_reads_distance_rows_by_label(capsys, tmp_path):
         assert code == 0
     assert coords[0].read_text() == coords[1].read_text()
 
-    for body, label in (("a,0,1\nz,1,0\n", "'z'"), ("a,0,1\na,1,0\n", "'a'")):
+    for text, message in (
+        ("id,a,b\na,0,1\nz,1,0\n", "row label 'z' is not in the header"),
+        ("id,a,b\na,0,1\na,1,0\n", "row label 'a' is repeated"),
+        ("id,a,a\na,0,1\na,1,0\n", "header label 'a' is repeated"),
+    ):
         dist = tmp_path / "bad.csv"
-        dist.write_text("id,a,b\n" + body)
+        dist.write_text(text)
         code, _, err = run(capsys, "embed", "--distances", str(dist),
                            "--coords", str(tmp_path / "bad-coords.csv"))
         assert code == 1
-        assert label in err
+        assert message in err
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "x"])
@@ -408,6 +426,13 @@ def test_embed_without_outputs_fails(capsys, tmp_path):
     code, _, err = run(capsys, "embed", "--distances", str(dist))
     assert code == 1
     assert "--svg" in err
+
+
+def test_embed_checks_outputs_before_reading(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    code, _, err = run(capsys, "embed", "--distances", str(missing))
+    assert code == 1
+    assert err == "embed: nothing to do, pass --svg and/or --coords\n"
 
 
 def mallows_dataset(tmp_path):

@@ -331,13 +331,20 @@ def _token(draw, value: Fraction) -> str:
 def _matrix_text(draw, valid: bool = True) -> str:
     """A frequency or position matrix CSV with mixed token forms, comment
     lines and blank lines: a sum of n permutation matrices, divided by n or
-    not.  Unless ``valid``, some mass may move within a row, which keeps
-    the row sums and can break a column sum or the sign of an entry."""
+    not.  The pinned rows take one column in every permutation, so they
+    hold integers beside rows of other denominators.  Unless ``valid``,
+    some mass may move within a row, which keeps the row sums and can
+    break a column sum or the sign of an entry."""
     m = draw(st.integers(1, 5))
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 25, 100]))
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=4)))
     weights = [b - a for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
     perms = draw(st.lists(st.permutations(range(m)), min_size=len(weights), max_size=len(weights)))
+    pinned = draw(st.sets(st.integers(0, m - 1)))
+    keep = {perms[0][i] for i in pinned}
+    for p in perms[1:]:
+        rest = iter([c for c in p if c not in keep])
+        p[:] = [perms[0][i] if i in pinned else next(rest) for i in range(m)]
     unit = n if draw(st.booleans()) else 1
     counts = stacked(list(zip(weights, perms)))
     if not valid:

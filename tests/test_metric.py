@@ -462,19 +462,39 @@ _CROSSING_BLOCK = [  # pairs on both sides of the int64 bound, m = 3
 ]
 
 
+_AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs need _augment
+    _mix([(Fraction(2), (0, 2, 3, 1)), (Fraction(3), (2, 0, 3, 1))]),
+    _mix([(Fraction(1), (1, 3, 2, 0)), (Fraction(1), (3, 0, 1, 2))]),
+    _mix([(Fraction(1), (1, 3, 0, 2)), (Fraction(1), (2, 3, 1, 0))]),
+    _mix([(Fraction(9), (2, 0, 1, 3)), (Fraction(2**71 + 2), (3, 2, 1, 0))]),
+    _mix([(Fraction(1), (3, 2, 1, 0))]),
+]
+
+
 @pytest.mark.parametrize("block_entries", [2**16, 9])
 @settings(max_examples=150, deadline=None)
 @given(_blocks(), st.integers(0, 7))
 @example(_CROSSING_BLOCK, 2)
+@example(_AUGMENTING_BLOCK, 2)
 def test_batched_values_match_fraction_oracle(block_entries, items, cut):
-    # a tiny block bound splits the pairs into many blocks and the
-    # positions into many chunks
+    # the large bound puts each dtype's pairs in one block; the tiny one
+    # puts at most 9 // m**2 pairs in each block, one from m = 3 on
     expected = [[oracles.fraction_positionwise(x, y).value for y in items] for x in items]
     with mock.patch.object(metric, "_BLOCK", block_entries):
         table = distance_matrix(items)
         cross = cross_distances(items[:cut], items[cut:])
     assert table == expected
     assert cross == [row[cut:] for row in expected[:cut]]
+
+
+@pytest.mark.parametrize("m, size", [(50, 26), (100, 6)])
+def test_cost_blocks_hold_block_entries(m, size):
+    # blocks are sized by their m * m cost entries, not by m**3
+    assert size == metric._BLOCK // (m * m)
+    items = [compass_matrix(kind, m) for kind in ("ID", "UN", "ST", "AN")]
+    pairs = [(k % 4, k // 4 % 4) for k in range(size + 1)]
+    blocks = [block for block, _, _ in metric._cost_blocks(items, items, pairs)]
+    assert blocks == [list(range(size)), [size]]
 
 
 def test_batched_values_match_positionwise_at_m100():
