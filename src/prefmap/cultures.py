@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Election, FrequencyMatrix, _frequency, frequency_matrix
-from .metric import cross_distances, normalized
+from .metric import _block_pairs, cross_distances, normalized
 
 CULTURE_TAGS = (
     "IC",
@@ -412,9 +412,12 @@ def fit_mallows(
     grid value (ties to the smaller), its mean, and the standard
     deviation over per-dataset-election mean distances at that value.
     Grid points use independent derived seeds, so they can be evaluated
-    in any order (or concurrently) with identical results.  The samples of
-    one grid value are drawn and tallied as one block of votes, so memory
-    grows with samples_per_value * votes_per_sample * m, not with the grid.
+    in any order (or concurrently) with identical results.  A grid value
+    above 1/2 is refused: its samples relabel those at 1 - g, which the
+    distance ignores.  Consecutive values share a cross_distances call, enough
+    to fill one block of pairs, but each value's votes are drawn and tallied
+    as one block on its own: memory holds one value's samples_per_value *
+    votes_per_sample * m votes and one block of matrices, not the grid.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -426,6 +429,8 @@ def fit_mallows(
     for g in grid:
         if not 0 <= g <= 1:
             raise ValueError("grid values must lie in [0, 1]")
+        if g > 0.5:
+            raise ValueError(f"grid value {g} is above 1/2: it scores as its mirror {1 - g:g}")
     if samples_per_value < 1:
         raise ValueError("samples_per_value must be positive")
     m = sizes.pop()
@@ -435,17 +440,24 @@ def fit_mallows(
 
     best: tuple[float, float] | None = None  # (mean, relphi)
     best_per_election: list[float] = []
-    for gi, relphi in enumerate(grid):
-        seeds = [derive_seed(seed, gi + 1, s + 1) for s in range(samples_per_value)]
-        samples = _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
-        per_election = [
-            float(normalized(sum(row, Fraction(0)) / samples_per_value, m))
-            for row in cross_distances(data, samples)
-        ]
-        mean = sum(per_election) / len(per_election)
-        if best is None or (mean, relphi) < best:
-            best = (mean, relphi)
-            best_per_election = per_election
+    group = -(-_block_pairs(m) // (len(data) * samples_per_value))
+    for at in range(0, len(grid), group):
+        values = grid[at : at + group]
+        samples = []
+        for gi, relphi in enumerate(values, at):
+            seeds = [derive_seed(seed, gi + 1, s + 1) for s in range(samples_per_value)]
+            samples += _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
+        rows = cross_distances(data, samples)
+        for k, relphi in enumerate(values):
+            own = slice(k * samples_per_value, (k + 1) * samples_per_value)
+            per_election = [
+                float(normalized(sum(row[own], Fraction(0)) / samples_per_value, m))
+                for row in rows
+            ]
+            mean = sum(per_election) / len(per_election)
+            if best is None or (mean, relphi) < best:
+                best = (mean, relphi)
+                best_per_election = per_election
     assert best is not None
     mean, relphi = best
     var = sum((v - mean) ** 2 for v in best_per_election) / len(best_per_election)

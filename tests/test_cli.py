@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
@@ -538,16 +539,44 @@ def test_fit_mallows_value_errors():
         fit_mallows([two], [0.5], 1, 0, votes_per_sample=0)
 
 
-def test_fit_mallows_matches_pairwise_oracle():
+def _fit_dataset():
     from prefmap.cultures import sample_mallows_norm
 
-    # mixed voter counts, so the dataset's denominators differ; grid values
-    # above 1/2 sample around the reversed order
-    dataset = [sample_mallows_norm(5, 20 + 7 * i, 0.3, seed=70 + i) for i in range(4)]
-    grid = [0.0, 0.25, 0.3, 0.55, 0.8, 1.0]
+    # mixed voter counts, so the dataset's denominators differ
+    return [sample_mallows_norm(5, 20 + 7 * i, 0.3, seed=70 + i) for i in range(4)]
+
+
+def test_fit_mallows_matches_pairwise_oracle():
+    dataset = _fit_dataset()
+    grid = [0.0, 0.25, 0.3, 0.5]
     for seed in (0, 5):
         expected = oracles.pairwise_fit_mallows(dataset, grid, 3, seed, votes_per_sample=30)
         assert fit_mallows(dataset, grid, 3, seed, votes_per_sample=30) == expected
+
+
+@pytest.mark.parametrize("g, mirror", [(0.55, "0.45"), (0.8, "0.2"), (1.0, "0")])
+def test_fit_mallows_rejects_mirrored_grid_values(g, mirror):
+    # above 1/2 the sampler runs around the reversed order, a relabelling
+    # that the distance cannot see, so g would score as 1 - g does
+    with pytest.raises(ValueError, match=rf"grid value {g} is above 1/2: .* mirror {mirror}$"):
+        fit_mallows(_fit_dataset(), [0.0, 0.25, g], 3, 0, votes_per_sample=30)
+
+
+@pytest.mark.parametrize("block_entries, calls", [(25 * 12, 7), (25 * 30, 3), (2**16, 1)])
+def test_fit_mallows_groups_grid_values_by_block(block_entries, calls):
+    # 4 elections and 3 samples make 12 pairs per grid value at m = 5, so a
+    # block of 12, 30 or 2621 pairs takes groups of 1, 3 or all 7 values;
+    # with 3, the last group holds one value
+    from prefmap import cultures, metric
+
+    dataset = _fit_dataset()
+    grid = [0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5]
+    expected = oracles.pairwise_fit_mallows(dataset, grid, 3, 5, votes_per_sample=30)
+    with mock.patch.object(metric, "_BLOCK", block_entries), mock.patch.object(
+        cultures, "cross_distances", wraps=cultures.cross_distances
+    ) as spy:
+        assert fit_mallows(dataset, grid, 3, 5, votes_per_sample=30) == expected
+    assert spy.call_count == calls
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

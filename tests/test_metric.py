@@ -397,6 +397,76 @@ def test_totals_stay_exact_past_int64():
     assert [oracles.brute_force_assignment(x)[0] for x in cost.tolist()] == [4 * c, c + 1]
 
 
+def _augmented(cost: np.ndarray) -> list[int]:
+    """Totals of a block with every pair completed by ``_augment``."""
+    u, v, col_of = metric._start(cost)
+    totals = []
+    for b in range(len(cost)):
+        ub, vb = u[b].tolist(), v[b].tolist()
+        metric._augment(cost[b].tolist(), ub, vb, col_of[b].tolist())
+        totals.append(sum(ub) + sum(vb))
+    return totals
+
+
+def _lockstep_totals(cost: np.ndarray) -> list[int]:
+    """Totals of a block with every pair left free by ``_start`` completed
+    by ``_lockstep``, whose duals must be feasible and whose matching must
+    be a permutation on tight edges."""
+    u, v, col_of = metric._start(cost)
+    live = np.flatnonzero((col_of < 0).any(axis=1))
+    with mock.patch.object(metric, "_LOCKSTEP", 1):
+        assert metric._lockstep(cost, u, v, col_of, live).size == 0
+    reduced = cost.astype(object) - u[:, :, None] - v[:, None, :]
+    assert (reduced >= 0).all()
+    for b in range(len(cost)):
+        assert sorted(col_of[b].tolist()) == list(range(cost.shape[1]))
+        assert (reduced[b, np.arange(cost.shape[1]), col_of[b]] == 0).all()
+    return (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
+
+
+_MIXED_FREE_BLOCK = [  # m = 3: the greedy start completes the first and last pairs only
+    [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+    [[0, 0, 5], [0, 5, 5], [5, 5, 0]],
+    [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.lists(
+    _tie_heavy_costs(m).map(lambda c: [[x % 2**40 for x in row] for row in c]),
+    min_size=1, max_size=8)))
+@example([[[5]]])
+@example([[[0, 0], [0, 1]]])  # one pair whose second row is left free
+@example([[[0, 0], [0, 1]], [[1, 0], [0, 1]], [[2, 2], [0, 0]]])
+@example(_MIXED_FREE_BLOCK)
+def test_lockstep_matches_augment_and_brute_force(block):
+    cost = np.array(block, dtype=np.int64)
+    totals = _lockstep_totals(cost)
+    assert totals == _augmented(cost)
+    if cost.shape[1] <= 6:
+        assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+
+
+def test_lockstep_keys_guard_int64():
+    # past the largest cost whose keys fit int64, _totals falls back to
+    # _augment; at it, the block runs in lockstep without _augment
+    m = 4
+    limit = ((2**63 >> ((m - 1).bit_length() + 1)) - 2) // (2 * m + 1)
+    for c, augments in ((limit, 0), (limit + 1, 2)):
+        block = [
+            [[c, 0, c, c], [c, 0, c, c], [c, c, 0, c], [c, c, c, 1]],
+            [[c, c, 0, c], [c, c, 0, c], [0, c, c, c], [c, c, c, c]],
+            [[c] * 4] * 4,
+        ]
+        cost = np.array(block, dtype=np.int64)
+        with mock.patch.object(metric, "_LOCKSTEP", 1), mock.patch.object(
+            metric, "_augment", wraps=metric._augment
+        ) as spy:
+            totals = metric._totals(cost)
+        assert spy.call_count == augments
+        assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+
+
 def test_distance_matrix_structure():
     mats = [
         frequency_matrix(make_random_election(seed, 4, 5)) for seed in range(4)
@@ -471,6 +541,15 @@ _AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs need 
 ]
 
 
+def _check_batched_values(block_entries, items, cut):
+    expected = [[oracles.fraction_positionwise(x, y).value for y in items] for x in items]
+    with mock.patch.object(metric, "_BLOCK", block_entries):
+        table = distance_matrix(items)
+        cross = cross_distances(items[:cut], items[cut:])
+    assert table == expected
+    assert cross == [row[cut:] for row in expected[:cut]]
+
+
 @pytest.mark.parametrize("block_entries", [2**16, 9])
 @settings(max_examples=150, deadline=None)
 @given(_blocks(), st.integers(0, 7))
@@ -479,12 +558,17 @@ _AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs need 
 def test_batched_values_match_fraction_oracle(block_entries, items, cut):
     # the large bound puts each dtype's pairs in one block; the tiny one
     # puts at most 9 // m**2 pairs in each block, one from m = 3 on
-    expected = [[oracles.fraction_positionwise(x, y).value for y in items] for x in items]
-    with mock.patch.object(metric, "_BLOCK", block_entries):
-        table = distance_matrix(items)
-        cross = cross_distances(items[:cut], items[cut:])
-    assert table == expected
-    assert cross == [row[cut:] for row in expected[:cut]]
+    _check_batched_values(block_entries, items, cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks(), st.integers(0, 7))
+@example(_CROSSING_BLOCK, 2)
+@example(_AUGMENTING_BLOCK, 2)
+def test_batched_values_match_fraction_oracle_in_lockstep(items, cut):
+    # every int64 block with a free row after the start runs in lockstep
+    with mock.patch.object(metric, "_LOCKSTEP", 1):
+        _check_batched_values(2**16, items, cut)
 
 
 @pytest.mark.parametrize("m, size", [(50, 26), (100, 6)])
