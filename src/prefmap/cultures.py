@@ -449,11 +449,14 @@ def fit_mallows(
             samples += _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
         rows = cross_distances(data, samples)
         for k, relphi in enumerate(values):
-            own = slice(k * samples_per_value, (k + 1) * samples_per_value)
-            per_election = [
-                float(normalized(sum(row[own], Fraction(0)) / samples_per_value, m))
-                for row in rows
-            ]
+            per_election = []
+            for row in rows:
+                own = row[k * samples_per_value : (k + 1) * samples_per_value]
+                # one exact sum over the common denominator of the distances
+                scale = math.lcm(*(d.denominator for d in own))
+                total = sum(d.numerator * (scale // d.denominator) for d in own)
+                exact = Fraction(total, scale * samples_per_value)
+                per_election.append(float(normalized(exact, m)))
             mean = sum(per_election) / len(per_election)
             if best is None or (mean, relphi) < best:
                 best = (mean, relphi)

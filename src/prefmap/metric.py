@@ -12,11 +12,12 @@ The assignment solver works on those integers as they are.  Pairs are
 solved in blocks that hold ``_BLOCK`` cost entries.  For a block at
 once, numpy builds the cost matrices and the starting duals, and each
 row greedily takes a free column of reduced cost 0.  Only the rows left
-free go on to a shortest augmenting path search: ``_lockstep`` runs it
-for the pairs of an int64 block together while at least ``_LOCKSTEP``
-have a free row (above the measured crossover) and the costs keep its keys
-in int64; ``_augment`` runs it one pair at a time for the rest.  Every matching
-is then tight under feasible duals, so a pair's total is the sum of its
+free go on to a shortest augmenting path search.  If int64 keys hold it,
+``_lockstep`` runs it for the pairs of a block together while at least
+``_LOCKSTEP`` have a free row, then ``_augment_wide`` in numpy one pair at
+a time from m = ``_WIDE`` on (both above measured crossovers);
+``_augment``, in Python, completes every other pair.  Every matching is
+then tight under feasible duals, so a pair's total is the sum of its
 duals.  The batch callers, ``cross_distances`` and ``distance_matrix``,
 stop there: every optimal matching has the same total.  Only
 ``positionwise`` returns a permutation, and it runs one more pass over
@@ -43,6 +44,10 @@ _BLOCK = 2**16
 # the loops break even near 80 pairs at m = 10, 60 at m = 20, 16 at m = 50;
 # at 128, lockstep is 1.4x, 1.9x, 2.9x faster; at 8, 5x, 4x, 2x slower.
 _LOCKSTEP = 128
+# Smallest m at which _augment_wide replaces _augment.  On the pairs with a free
+# row among 4 compass anchors and 5 elections (n = 100; 2-vCPU machine), it ran
+# 0.7x as fast at m = 30, 1.0x at 40-44, 1.1-1.2x at 48-52, 2.4-2.5x at 100.
+_WIDE = 48
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,60 @@ def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int
     return row_of
 
 
+def _keys_fit(m: int, c: int) -> bool:
+    """Whether int64 keys hold the searches over m x m costs in [0, c].  c
+    bounds the start duals.  Feasible duals sum to at most m * c and each
+    augmentation adds its reach, so all reaches sum to at most m * c.  u only
+    rises, v only falls, by a reach at most: u in [0, (m + 1) c], v in [-m c,
+    c], a dist (reach plus reduced cost) in [0, (2m + 1) c].  With 2**b >= m,
+    keys and partial sums lie in +-2**(b + 1) ((2m + 1) c + 1), keys strictly:
+    int64 holds them, below the initial key 2**63 - 1."""
+    return ((2 * m + 1) * c + 1) << ((m - 1).bit_length() + 1) < 2**63
+
+
+def _augment_wide(cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray) -> None:
+    """``_augment`` on the int64 arrays of one pair whose costs pass
+    ``_keys_fit``, in place, with a few numpy steps over the m columns per
+    Dijkstra step.  A column's state is one key, as in ``_lockstep``.  Each
+    augmentation first shifts the reduced costs but for u into keys, so
+    that relaxing row i is one addition to row i."""
+    m = len(cost)
+    b = (m - 1).bit_length()
+    rows = cost << (b + 1)
+    row_of = np.full(m, -1)
+    row_of[col_of[col_of >= 0]] = np.flatnonzero(col_of >= 0)
+    taken = (row_of >= 0) << b  # the matched bit of the keys
+    row_of = row_of.tolist()
+    keyed, key, relaxed = np.empty_like(rows), *np.empty((2, m), np.int64)
+    unsigned = key.view(np.uint64)
+    for free in np.flatnonzero(col_of < 0).tolist():
+        np.subtract(rows, (v << (b + 1)) - taken, out=keyed)
+        uk = ((u << (b + 1)) - np.arange(m)).tolist()  # reach - uk[i] adds pred i
+        key.fill(2**63 - 1)
+        i, reach = free, 0  # reach shifted as the keys
+        while i >= 0:
+            np.add(keyed[i], reach - uk[i], out=relaxed)
+            np.minimum(key, relaxed, out=key)
+            j = int(unsigned.argmin())
+            reach = int(key[j])
+            key[j] = ~reach
+            reach = reach >> (b + 1) << (b + 1)
+            i = row_of[j]
+        reach >>= b + 1
+        delta = np.where(key < 0, reach - (~key >> (b + 1)), 0)
+        v -= delta
+        u += np.where(col_of >= 0, delta[col_of], 0)
+        u[free] += reach
+        taken[j] = 1 << b
+        pred = (~key & ((1 << b) - 1)).tolist()
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, int(col_of[i])
+            if i == free:
+                break
+
+
 def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     """Minimum-cost assignment over one integer cost matrix, exactly.
 
@@ -165,9 +224,10 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     given to row i: among all optimal assignments, the lexicographically
     smallest.  ``cost`` is a square int64 or ``object`` array.
 
-    ``_start`` and ``_augment`` find one optimal assignment.  The final
-    duals sum to the optimal total, and the optimal assignments are
-    exactly the perfect matchings on the tight edges (reduced cost 0).
+    ``_start`` and one augmenting loop, chosen as in ``_totals``, find one
+    optimal assignment.  The final duals sum to the optimal total, and the
+    optimal assignments are exactly the perfect matchings on the tight
+    edges (reduced cost 0) of any optimal duals, whichever loop gave them.
     The tie-break fixes rows in order: a row keeps its column or swaps,
     along one alternating cycle of tight edges among the rows after it,
     to the smallest tight column such a cycle reaches.  One backward
@@ -175,12 +235,15 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     like the solve.  It is skipped when ``_start`` matches every row, each
     to its smallest tight column left free.
     """
-    u, v, col_of = (a[0].tolist() for a in _start(cost[None]))
-    if -1 not in col_of:
-        return sum(u) + sum(v), col_of
+    m = len(cost)
+    u, v, col_of = (a[0] for a in _start(cost[None]))
+    if (col_of >= 0).all():
+        return sum(u.tolist()) + sum(v.tolist()), col_of.tolist()
+    if m >= _WIDE and cost.dtype == np.int64 and _keys_fit(m, int(cost.max())):
+        _augment_wide(cost, u, v, col_of)
+    u, v, col_of = u.tolist(), v.tolist(), col_of.tolist()
     rows = cost.tolist()
-    row_of = _augment(rows, u, v, col_of)
-    m = len(rows)
+    row_of = _augment(rows, u, v, col_of)  # after _augment_wide it only builds row_of
     tight = [[j for j in range(m) if rows[i][j] - u[i] == v[j]] for i in range(m)]
     tight_rows: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
@@ -281,24 +344,22 @@ def _lockstep(
 def _totals(cost: np.ndarray) -> list[int]:
     """Optimal assignment totals of a block of cost matrices.
 
-    Only the pairs left with a free row by ``_start`` go through
-    ``_lockstep`` or ``_augment``.  Every matching is then tight under
-    feasible duals and so optimal; its total is the dual objective, the
-    same for every optimal matching, so no tie-break is needed.  Totals are
-    Python integers: a total can reach m times the largest cost, past int64.
+    Only the pairs left with a free row by ``_start`` go through the
+    augmenting loops.  Every matching is then tight under feasible duals
+    and so optimal; its total is the dual objective, the same for every
+    optimal matching, so no tie-break is needed.  Totals are Python
+    integers: a total can reach m times the largest cost, past int64.
     """
     u, v, col_of = _start(cost)
     todo = np.flatnonzero((col_of < 0).any(axis=1))
-    if len(todo) >= _LOCKSTEP and cost.dtype == np.int64:
-        m, c = cost.shape[1], int(cost.max())
-        # c bounds the start duals.  Feasible duals sum to at most m * c and each
-        # augmentation adds its reach, so all reaches sum to at most m * c.  u
-        # only rises, v only falls, by a reach at most: u in [0, (m + 1) c], v in
-        # [-m c, c], a dist (reach plus reduced cost) in [0, (2m + 1) c].  With
-        # 2**b >= m, keys and partial sums lie in +-2**(b + 1) ((2m + 1) c + 1),
-        # keys strictly: int64 holds them, below the initial key 2**63 - 1.
-        if ((2 * m + 1) * c + 1) << ((m - 1).bit_length() + 1) < 2**63:
+    m = cost.shape[1]
+    if len(todo) and cost.dtype == np.int64 and _keys_fit(m, int(cost.max())):
+        if len(todo) >= _LOCKSTEP:
             todo = _lockstep(cost, u, v, col_of, todo)
+        if m >= _WIDE:
+            for b in todo.tolist():
+                _augment_wide(cost[b], u[b], v[b], col_of[b])
+            todo = todo[:0]
     totals = (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
     for b in todo.tolist():
         ub, vb = u[b].tolist(), v[b].tolist()

@@ -288,10 +288,12 @@ def test_positionwise_rejects_size_mismatch():
 
 def _assign(cost: list[list[int]]) -> tuple[int, list[int]]:
     """``_assignment_lex`` on Python integers, checked against the int64
-    solve wherever the costs fit it."""
+    solve wherever the costs fit it, from any m on the wide kernel too."""
     out = _assignment_lex(np.array(cost, dtype=object))
     if max(map(max, cost)) < 2**62:
         assert _assignment_lex(np.array(cost, dtype=np.int64)) == out
+        with mock.patch.object(metric, "_WIDE", 1):
+            assert _assignment_lex(np.array(cost, dtype=np.int64)) == out
     return out
 
 
@@ -410,12 +412,27 @@ def _augmented(cost: np.ndarray) -> list[int]:
 
 def _lockstep_totals(cost: np.ndarray) -> list[int]:
     """Totals of a block with every pair left free by ``_start`` completed
-    by ``_lockstep``, whose duals must be feasible and whose matching must
-    be a permutation on tight edges."""
+    by ``_lockstep``."""
     u, v, col_of = metric._start(cost)
     live = np.flatnonzero((col_of < 0).any(axis=1))
     with mock.patch.object(metric, "_LOCKSTEP", 1):
         assert metric._lockstep(cost, u, v, col_of, live).size == 0
+    return _checked_totals(cost, u, v, col_of)
+
+
+def _wide_totals(cost: np.ndarray) -> list[int]:
+    """Totals of a block with every pair completed by ``_augment_wide``."""
+    u, v, col_of = metric._start(cost)
+    for b in range(len(cost)):
+        metric._augment_wide(cost[b], u[b], v[b], col_of[b])
+    return _checked_totals(cost, u, v, col_of)
+
+
+def _checked_totals(
+    cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray
+) -> list[int]:
+    """Dual totals of a completed block, whose duals must be feasible and
+    whose matching must be a permutation on tight edges."""
     reduced = cost.astype(object) - u[:, :, None] - v[:, None, :]
     assert (reduced >= 0).all()
     for b in range(len(cost)):
@@ -431,10 +448,13 @@ _MIXED_FREE_BLOCK = [  # m = 3: the greedy start completes the first and last pa
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda m: st.lists(
+_INT64_BLOCKS = st.integers(1, 12).flatmap(lambda m: st.lists(
     _tie_heavy_costs(m).map(lambda c: [[x % 2**40 for x in row] for row in c]),
-    min_size=1, max_size=8)))
+    min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT64_BLOCKS)
 @example([[[5]]])
 @example([[[0, 0], [0, 1]]])  # one pair whose second row is left free
 @example([[[0, 0], [0, 1]], [[1, 0], [0, 1]], [[2, 2], [0, 0]]])
@@ -447,9 +467,28 @@ def test_lockstep_matches_augment_and_brute_force(block):
         assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
 
 
-def test_lockstep_keys_guard_int64():
+@settings(max_examples=100, deadline=None)
+@given(_INT64_BLOCKS)
+@example(_MIXED_FREE_BLOCK)
+def test_augment_wide_matches_augment_and_brute_force(block):
+    cost = np.array(block, dtype=np.int64)
+    totals = _wide_totals(cost)
+    assert totals == _augmented(cost)
+    with mock.patch.object(metric, "_WIDE", 1):
+        assert metric._totals(cost) == totals
+    if cost.shape[1] <= 6:
+        assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+
+
+@pytest.mark.parametrize("cost", _fixed_m100_costs())
+def test_augment_wide_matches_augment_at_m100(cost):
+    cost = np.array([cost], dtype=np.int64)
+    assert _wide_totals(cost) == _augmented(cost)
+
+
+def _check_keys_guard(threshold: str, kernel: str) -> None:
     # past the largest cost whose keys fit int64, _totals falls back to
-    # _augment; at it, the block runs in lockstep without _augment
+    # _augment; at it, the block runs through the kernel without _augment
     m = 4
     limit = ((2**63 >> ((m - 1).bit_length() + 1)) - 2) // (2 * m + 1)
     for c, augments in ((limit, 0), (limit + 1, 2)):
@@ -459,12 +498,21 @@ def test_lockstep_keys_guard_int64():
             [[c] * 4] * 4,
         ]
         cost = np.array(block, dtype=np.int64)
-        with mock.patch.object(metric, "_LOCKSTEP", 1), mock.patch.object(
+        with mock.patch.object(metric, threshold, 1), mock.patch.object(
             metric, "_augment", wraps=metric._augment
-        ) as spy:
+        ) as spy, mock.patch.object(metric, kernel, wraps=getattr(metric, kernel)) as fast:
             totals = metric._totals(cost)
         assert spy.call_count == augments
+        assert fast.called == (augments == 0)
         assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+
+
+def test_lockstep_keys_guard_int64():
+    _check_keys_guard("_LOCKSTEP", "_lockstep")
+
+
+def test_wide_keys_guard_int64():
+    _check_keys_guard("_WIDE", "_augment_wide")
 
 
 def test_distance_matrix_structure():
@@ -588,6 +636,21 @@ def test_batched_values_match_positionwise_at_m100():
     table = distance_matrix(items)
     assert table == [[positionwise(x, y).value for y in items] for x in items]
     assert cross_distances(items[:2], items) == table[:2]
+
+
+@pytest.mark.parametrize("m", [metric._WIDE, 60])
+def test_positionwise_matches_fraction_oracle_when_wide(m):
+    ic = frequency_matrix(cultures.sample_ic(m, 100, 3))
+    mallows = frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.2, 4))
+    p = list(range(m))
+    q = p[1:] + p[:1]
+    doubled = _mix([(Fraction(1), tuple(p)), (Fraction(1), tuple(q))])  # tie-heavy
+    pairs = [(compass_matrix("UN", m), ic), (compass_matrix("AN", m), mallows), (ic, mallows),
+             (doubled, ic), (doubled, compass_matrix("ST", m))]
+    with mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide:
+        for x, y in pairs:
+            assert positionwise(x, y) == oracles.fraction_positionwise(x, y)
+    assert wide.call_count >= 3
 
 
 def test_batched_values_check_sizes():
