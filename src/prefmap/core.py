@@ -1,9 +1,12 @@
 """Elections over ranked ballots and their position/frequency matrices.
 
-An election is a multiset of strict rankings over a common candidate set.
-Its position matrix counts, for every rank position, how many voters put
-each candidate there; dividing by the number of voters gives the
-bistochastic frequency matrix that the rest of the package works with.
+An election is a multiset of strict rankings over a common candidate set,
+held as one read-only (rows, m) int64 array of candidate indices, best
+first, plus a multiplicity per row.  The array is checked once, when the
+election is built; tallies, Borda scores and restrictions are array steps
+over it.  Its position matrix counts, for every rank position, how many
+voters put each candidate there; dividing by the number of voters gives
+the bistochastic frequency matrix that the rest of the package works with.
 Both are integer matrices: a frequency matrix keeps its counts over one
 common denominator in lowest terms, so all matrix arithmetic is exact
 integer arithmetic and `fractions.Fraction` appears only at the edges.
@@ -18,6 +21,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 Candidate = Hashable
 # A vote is a permutation of candidate indices: vote[i] is the candidate
 # placed at rank i (rank 0 is the top).
@@ -25,47 +30,83 @@ Vote = tuple[int, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+def _vote_array(votes: Sequence[Sequence[int]] | np.ndarray, m: int) -> np.ndarray:
+    """The votes as a read-only (rows, m) int64 array, each row checked to
+    be a permutation of 0..m-1 in one sort.  Raises for the first vote that
+    is not, ragged ones included."""
+    if isinstance(votes, np.ndarray) and votes.ndim == 2:
+        lens = np.full(len(votes), votes.shape[1])
+        flat = votes.astype(np.int64).ravel()
+    else:
+        lens = np.fromiter(map(len, votes), np.int64, len(votes))
+        flat = np.fromiter(chain.from_iterable(votes), np.int64, int(lens.sum()))
+    fits = lens == m
+    rows = flat.reshape(-1, m) if fits.all() else flat[np.repeat(fits, lens)].reshape(-1, m)
+    ok = fits.copy()
+    ok[fits] = (np.sort(rows, axis=1) == np.arange(m)).all(axis=1)
+    if not ok.all():
+        vote = tuple(np.split(flat, np.cumsum(lens))[ok.argmin()].tolist())
+        raise ValueError(f"vote {vote!r} is not a permutation of 0..{m - 1}")
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Election:
     """Immutable election: candidates, votes, and optional multiplicities.
 
-    Votes are stored index-based; ``candidates`` maps index to an opaque
-    identifier (int, str, ...).  ``multiplicities`` runs parallel to
-    ``votes`` and defaults to all ones.  ``meta`` carries provenance
+    Votes (rows of ints or a 2-D int array) are stored index-based, as a
+    read-only int64 copy ``vote_array``; ``candidates`` maps index to an
+    opaque identifier (int, str, ...).  ``multiplicities`` runs parallel
+    to ``votes`` and defaults to all ones.  ``meta`` carries provenance
     (culture tag, parameters, source file) and is ignored by equality.
     """
 
     candidates: tuple[Candidate, ...]
-    votes: tuple[Vote, ...]
-    multiplicities: tuple[int, ...] | None = None
-    meta: Mapping[str, object] = field(default_factory=dict, compare=False)
+    vote_array: np.ndarray
+    multiplicities: tuple[int, ...]
+    meta: Mapping[str, object]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        votes = tuple(tuple(v) for v in self.votes)
-        object.__setattr__(self, "votes", votes)
-        if self.multiplicities is None:
-            mult = (1,) * len(votes)
-        else:
-            mult = tuple(int(k) for k in self.multiplicities)
-        object.__setattr__(self, "multiplicities", mult)
-
-        m = len(self.candidates)
+    def __init__(
+        self,
+        candidates: Iterable[Candidate],
+        votes: Sequence[Sequence[int]] | np.ndarray,
+        multiplicities: Iterable[int] | None = None,
+        meta: Mapping[str, object] | None = None,
+    ) -> None:
+        candidates = tuple(candidates)
+        m = len(candidates)
         if m < 1:
             raise ValueError("election needs at least one candidate")
-        if len(set(self.candidates)) != m:
+        if len(set(candidates)) != m:
             raise ValueError("candidate identifiers must be distinct")
-        if not votes:
+        if not len(votes):
             raise ValueError("election needs at least one vote")
+        mult = (1,) * len(votes) if multiplicities is None else tuple(map(int, multiplicities))
         if len(mult) != len(votes):
             raise ValueError("multiplicities must run parallel to votes")
-        expected = tuple(range(m))
-        for v in votes:
-            if tuple(sorted(v)) != expected:
-                raise ValueError(f"vote {v!r} is not a permutation of 0..{m - 1}")
-        for k in mult:
-            if k < 1:
-                raise ValueError("multiplicities must be positive")
+        array = _vote_array(votes, m)
+        if min(mult) < 1:
+            raise ValueError("multiplicities must be positive")
+        vars(self).update(
+            candidates=candidates,
+            vote_array=array,
+            multiplicities=mult,
+            meta={} if meta is None else meta,
+        )
+
+    def _key(self) -> tuple:
+        return self.candidates, self.vote_array.tobytes(), self.multiplicities
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Election) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def votes(self) -> tuple[Vote, ...]:
+        return tuple(map(tuple, self.vote_array.tolist()))
 
     @property
     def m(self) -> int:
@@ -75,18 +116,29 @@ class Election:
     def n(self) -> int:
         return sum(self.multiplicities)
 
-    def voter_votes(self) -> list[Vote]:
-        """All votes expanded by multiplicity, one entry per voter."""
-        out: list[Vote] = []
-        for v, k in zip(self.votes, self.multiplicities):
-            out.extend([v] * k)
-        return out
-
     def vote_counter(self) -> Counter[Vote]:
-        c: Counter[Vote] = Counter()
-        for v, k in zip(self.votes, self.multiplicities):
-            c[v] += k
-        return c
+        """Voters per distinct vote, the votes in ascending order."""
+        # rows of nonnegative entries sort as the bytes of their big-endian form
+        keys = self.vote_array.astype(">i8").view(np.dtype((np.void, 8 * self.m))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        counts = _voters_in(self, inverse, len(first)).tolist()
+        return Counter(dict(zip(map(tuple, self.vote_array[first].tolist()), counts)))
+
+
+def _voters_in(election: Election, cells: np.ndarray, size: int) -> np.ndarray:
+    """Voters per cell 0..size-1, where ``cells`` holds one row of cells
+    per vote: int64 while n < 2**63, Python integers from there on."""
+    weights = np.array(election.multiplicities, np.int64 if election.n < 2**63 else object)
+    counts = np.zeros(size, weights.dtype)
+    np.add.at(counts, cells.ravel(), np.repeat(weights, cells.size // len(weights)))
+    return counts
+
+
+def _tally(election: Election) -> np.ndarray:
+    """The (m, m) position counts: entry (i, c) counts the voters who put
+    candidate c at rank i."""
+    m = election.m
+    return _voters_in(election, election.vote_array + np.arange(0, m * m, m), m * m).reshape(m, m)
 
 
 def _line_total(
@@ -186,17 +238,12 @@ def _frequency(counts: IntRows, denominator: int) -> FrequencyMatrix:
 
 def position_matrix(election: Election) -> PositionMatrix:
     """Tally the election into its position matrix."""
-    m = election.m
-    counts = [[0] * m for _ in range(m)]
-    for vote, mult in zip(election.votes, election.multiplicities):
-        for i, c in enumerate(vote):
-            counts[i][c] += mult
-    return PositionMatrix(tuple(tuple(row) for row in counts))
+    return PositionMatrix(_tally(election).tolist())
 
 
 def frequency_matrix(election: Election) -> FrequencyMatrix:
     """Position matrix divided by the voter count, exactly."""
-    return frequency_from_position(position_matrix(election))
+    return _frequency(_tally(election).tolist(), election.n)
 
 
 def frequency_from_position(pos: PositionMatrix) -> FrequencyMatrix:
@@ -208,12 +255,8 @@ def frequency_from_position(pos: PositionMatrix) -> FrequencyMatrix:
 def borda_scores(election: Election) -> dict[Candidate, int]:
     """Borda score per candidate: a candidate at rank i among m earns m-1-i
     points from each voter."""
-    m = election.m
-    scores = [0] * m
-    for vote, mult in zip(election.votes, election.multiplicities):
-        for i, c in enumerate(vote):
-            scores[c] += (m - 1 - i) * mult
-    return {election.candidates[c]: scores[c] for c in range(m)}
+    points = np.arange(election.m - 1, -1, -1) @ _tally(election).astype(object)
+    return dict(zip(election.candidates, points.tolist()))
 
 
 def restrict_to_candidates(election: Election, keep: Iterable[Candidate]) -> Election:
@@ -225,20 +268,16 @@ def restrict_to_candidates(election: Election, keep: Iterable[Candidate]) -> Ele
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("cannot restrict to an empty candidate set")
-    index_of = {c: i for i, c in enumerate(election.candidates)}
-    unknown = keep_set - set(index_of)
+    unknown = keep_set - set(election.candidates)
     if unknown:
         raise ValueError(f"unknown candidates in keep set: {sorted(map(str, unknown))}")
 
-    kept_old = [i for i, c in enumerate(election.candidates) if c in keep_set]
-    new_index = {old: new for new, old in enumerate(kept_old)}
-    new_candidates = tuple(election.candidates[i] for i in kept_old)
-    new_votes = tuple(
-        tuple(new_index[c] for c in vote if c in new_index) for vote in election.votes
-    )
+    kept = [i for i, c in enumerate(election.candidates) if c in keep_set]
+    # the kept columns of each vote's ranks, ordered again
+    ranks = np.argsort(election.vote_array, axis=1)[:, kept]
     return Election(
-        candidates=new_candidates,
-        votes=new_votes,
+        candidates=tuple(election.candidates[i] for i in kept),
+        votes=np.argsort(ranks, axis=1),
         multiplicities=election.multiplicities,
         meta=dict(election.meta),
     )

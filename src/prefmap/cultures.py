@@ -199,8 +199,8 @@ def derive_seed(seed: int, *indices: int) -> int:
     return seed
 
 
-def _election(m: int, votes: list[tuple[int, ...]], meta: dict) -> Election:
-    return Election(candidates=tuple(range(m)), votes=tuple(votes), meta=meta)
+def _election(m: int, votes: Sequence[Sequence[int]] | np.ndarray, meta: dict) -> Election:
+    return Election(candidates=tuple(range(m)), votes=votes, meta=meta)
 
 
 def sample_ic(m: int, n: int, seed: int) -> Election:
@@ -291,16 +291,12 @@ def _insertion_ranks(m: int, phi: float, draws: np.ndarray) -> np.ndarray:
 
 def _mallows_votes(
     m: int, n: int, phi: float, central: tuple[int, ...], rng: random.Random
-) -> list[tuple[int, ...]]:
-    """n Mallows votes from rng, drawn and ranked in blocks of _BLOCK votes."""
-    central_arr = np.array(central)
-    votes: list[tuple[int, ...]] = []
+) -> np.ndarray:
+    """n Mallows votes from rng, as rows, drawn and ranked in blocks of _BLOCK votes."""
+    votes = np.empty((n, m), np.int64)
     for start in range(0, n, _BLOCK):
-        rows = min(_BLOCK, n - start)
-        ranks = _insertion_ranks(m, phi, _draws(rng, rows, m))
-        block = np.empty_like(ranks)
-        block[np.arange(rows)[:, None], ranks] = central_arr
-        votes.extend(map(tuple, block.tolist()))
+        rows = np.arange(start, min(start + _BLOCK, n))
+        votes[rows[:, None], _insertion_ranks(m, phi, _draws(rng, len(rows), m))] = central
     return votes
 
 
@@ -525,7 +521,7 @@ def sample_walsh(m: int, n: int, seed: int) -> Election:
     )
 
 
-def _distance_ranks(points: np.ndarray, voters: np.ndarray) -> list[list[int]]:
+def _distance_ranks(points: np.ndarray, voters: np.ndarray) -> np.ndarray:
     """Each voter's ranking of the candidate ``points`` (rows of an (m,
     dimension) array), nearest first, equal distances to the lower index.
 
@@ -539,7 +535,7 @@ def _distance_ranks(points: np.ndarray, voters: np.ndarray) -> list[list[int]]:
     d2 = np.zeros((len(voters), len(points)))
     for k in range(points.shape[1]):
         d2 += np.float_power(points[:, k] - voters[:, k, None], 2)
-    return np.argsort(d2, axis=1, kind="stable").tolist()
+    return np.argsort(d2, axis=1, kind="stable")
 
 
 def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:

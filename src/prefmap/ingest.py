@@ -17,7 +17,9 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .core import Election, borda_scores, restrict_to_candidates
 from .cultures import derive_seed
@@ -212,9 +214,10 @@ def serialize_election(
     path: str | os.PathLike[str],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write a strict-complete election; candidate ids are 1..m by index."""
-    counter = election.vote_counter()
-    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    """Write a strict-complete election; candidate ids are 1..m by index.
+    Distinct votes go by falling count, equal counts in ascending order."""
+    # the counter lists the votes in ascending order, and the sort is stable
+    ordered = sorted(election.vote_counter().items(), key=lambda kv: -kv[1])
     labels = [str(c + 1) for c in range(election.m)]
     lines = [f"# {c}\n" for c in comments]
     lines.append(f"{election.m}\n")
@@ -265,13 +268,19 @@ def load_election(path: str | os.PathLike[str]) -> Election:
     for _, tied in odd:
         fault = "ties not allowed" if tied else "incomplete vote"
         raise ValueError(f"{path}: {fault} in a strict election")
-    index_of = {cid: k for k, cid in enumerate(ids)}.__getitem__
     return Election(
-        candidates=tuple(ids),
-        votes=tuple(tuple(map(index_of, ranking)) for ranking, _ in ballots),
-        multiplicities=tuple(mults),
+        candidates=ids,
+        votes=_index_rows(ids, (ranking for ranking, _ in ballots)),
+        multiplicities=mults,
         meta={"source": str(path)},
     )
+
+
+def _index_rows(ids: Sequence[int], rankings: Iterable[Sequence[int]]) -> np.ndarray:
+    """Complete rankings of the candidate ``ids`` as rows of their indices."""
+    index_of = {cid: k for k, cid in enumerate(ids)}.__getitem__
+    flat = np.fromiter(map(index_of, itertools.chain.from_iterable(rankings)), np.int64)
+    return flat.reshape(-1, len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +355,6 @@ def complete_votes(profile: PartialProfile, seed: int) -> Election:
     """
     rng = random.Random(seed)
     m = profile.m
-    index_of = {cid: k for k, cid in enumerate(profile.candidates)}
 
     voters: list[list[int]] = []
     for vote, count in zip(profile.votes, profile.multiplicities):
@@ -377,11 +385,11 @@ def complete_votes(profile: PartialProfile, seed: int) -> Election:
             else:
                 missing = sorted(set(all_ids) - set(v))
                 v.append(missing[rng.randrange(len(missing))])
-        votes.append(tuple(index_of[c] for c in v))
+        votes.append(v)
 
     return Election(
         candidates=profile.candidates,
-        votes=tuple(votes),
+        votes=_index_rows(all_ids, votes),
         meta={"source": profile.source, "completion_seed": seed},
     )
 
@@ -417,14 +425,14 @@ def sample_dataset(
     for _ in range(samples):
         src_idx = rng.randrange(len(elections))
         src = elections[src_idx]
-        expanded = src.voter_votes()
-        votes = tuple(
-            expanded[rng.randrange(len(expanded))] for _ in range(votes_per_sample)
-        )
+        # voter k casts the row whose running multiplicity first passes k
+        ends = np.cumsum(np.array(src.multiplicities, dtype=object))
+        draws = itertools.starmap(rng.randrange, itertools.repeat((src.n,), votes_per_sample))
+        voters = np.fromiter(draws, object, votes_per_sample)
         out.append(
             Election(
                 candidates=src.candidates,
-                votes=votes,
+                votes=src.vote_array[np.searchsorted(ends, voters, side="right")],
                 meta={"source_index": src_idx, "source": src.meta.get("source", "")},
             )
         )

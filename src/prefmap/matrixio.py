@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
@@ -49,10 +48,6 @@ def _split(token: str) -> tuple[int, int]:
     if q == 0:
         raise ValueError(f"bad rational {token!r}: Fraction({p}, 0)")
     return p, q
-
-
-def parse_rational(token: str) -> Fraction:
-    return Fraction(*_split(token))
 
 
 def _ratio(c: int, d: int) -> str:

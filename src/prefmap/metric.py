@@ -12,11 +12,12 @@ The assignment solver works on those integers as they are.  Pairs are
 solved in blocks that hold ``_BLOCK`` cost entries.  For a block at
 once, numpy builds the cost matrices and the starting duals, and each
 row greedily takes a free column of reduced cost 0.  Only the rows left
-free go on to a shortest augmenting path search.  If int64 keys hold it,
-``_lockstep`` runs it for the pairs of a block together while at least
-``_LOCKSTEP`` have a free row, then ``_augment_wide`` in numpy one pair at
-a time from m = ``_WIDE`` on (both above measured crossovers);
-``_augment``, in Python, completes every other pair.  Every matching is
+free go on to a shortest augmenting path search, whose loop ``_complete``
+picks.  If int64 keys hold it, ``_lockstep`` runs it for the pairs of a
+block together while at least ``_LOCKSTEP`` have a free row, then
+``_augment_wide`` in numpy one pair at a time from m = ``_WIDE`` on (both
+above measured crossovers); ``_augment``, in Python, completes every
+other pair.  Every matching is
 then tight under feasible duals, so a pair's total is the sum of its
 duals.  The batch callers, ``cross_distances`` and ``distance_matrix``,
 stop there: every optimal matching has the same total.  Only
@@ -96,7 +97,7 @@ def _start(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, col_of
 
 
-def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> list[int]:
+def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> None:
     """Complete a partial matching of one cost matrix to an optimal one.
 
     ``u``, ``v`` and ``col_of`` are as ``_start`` gives them, and are
@@ -104,7 +105,7 @@ def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int
     augmenting path over the reduced costs, in the form of Crouse (2016)
     that scipy's ``linear_sum_assignment`` also uses: it scans only
     unscanned columns, prefers a free column on a tie, and moves the duals
-    once per augmentation.  Returns ``row_of``, the row of each column.
+    once per augmentation.
     """
     m = len(cost)
     row_of = [-1] * m
@@ -160,7 +161,6 @@ def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int
             col_of[i], j = j, col_of[i]
             if i == free:
                 break
-    return row_of
 
 
 def _keys_fit(m: int, c: int) -> bool:
@@ -224,10 +224,10 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     given to row i: among all optimal assignments, the lexicographically
     smallest.  ``cost`` is a square int64 or ``object`` array.
 
-    ``_start`` and one augmenting loop, chosen as in ``_totals``, find one
-    optimal assignment.  The final duals sum to the optimal total, and the
-    optimal assignments are exactly the perfect matchings on the tight
-    edges (reduced cost 0) of any optimal duals, whichever loop gave them.
+    ``_start`` and ``_complete`` find one optimal assignment.  The final
+    duals sum to the optimal total, and the optimal assignments are
+    exactly the perfect matchings on the tight edges (reduced cost 0) of
+    any optimal duals, whichever loop gave them.
     The tie-break fixes rows in order: a row keeps its column or swaps,
     along one alternating cycle of tight edges among the rows after it,
     to the smallest tight column such a cycle reaches.  One backward
@@ -236,14 +236,13 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
     to its smallest tight column left free.
     """
     m = len(cost)
-    u, v, col_of = (a[0] for a in _start(cost[None]))
+    u, v, col_of = _start(cost[None])
     if (col_of >= 0).all():
-        return sum(u.tolist()) + sum(v.tolist()), col_of.tolist()
-    if m >= _WIDE and cost.dtype == np.int64 and _keys_fit(m, int(cost.max())):
-        _augment_wide(cost, u, v, col_of)
-    u, v, col_of = u.tolist(), v.tolist(), col_of.tolist()
+        return sum(u[0].tolist()) + sum(v[0].tolist()), col_of[0].tolist()
+    u, v = _complete(cost[None], u, v, col_of)
+    u, v, col_of = u[0].tolist(), v[0].tolist(), col_of[0].tolist()
+    row_of = np.argsort(col_of).tolist()
     rows = cost.tolist()
-    row_of = _augment(rows, u, v, col_of)  # after _augment_wide it only builds row_of
     tight = [[j for j in range(m) if rows[i][j] - u[i] == v[j]] for i in range(m)]
     tight_rows: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
@@ -341,16 +340,13 @@ def _lockstep(
     return live
 
 
-def _totals(cost: np.ndarray) -> list[int]:
-    """Optimal assignment totals of a block of cost matrices.
-
-    Only the pairs left with a free row by ``_start`` go through the
-    augmenting loops.  Every matching is then tight under feasible duals
-    and so optimal; its total is the dual objective, the same for every
-    optimal matching, so no tie-break is needed.  Totals are Python
-    integers: a total can reach m times the largest cost, past int64.
-    """
-    u, v, col_of = _start(cost)
+def _complete(
+    cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complete in place the matchings that ``_start`` left partial, by the
+    loops the module docstring names, and return the final duals (u, v).
+    They are ``object`` arrays once ``_augment`` has run, since its Python
+    integer duals can pass int64."""
     todo = np.flatnonzero((col_of < 0).any(axis=1))
     m = cost.shape[1]
     if len(todo) and cost.dtype == np.int64 and _keys_fit(m, int(cost.max())):
@@ -360,12 +356,27 @@ def _totals(cost: np.ndarray) -> list[int]:
             for b in todo.tolist():
                 _augment_wide(cost[b], u[b], v[b], col_of[b])
             todo = todo[:0]
-    totals = (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
+    if len(todo):
+        u, v = u.astype(object), v.astype(object)
     for b in todo.tolist():
-        ub, vb = u[b].tolist(), v[b].tolist()
-        _augment(cost[b].tolist(), ub, vb, col_of[b].tolist())
-        totals[b] = sum(ub) + sum(vb)
-    return totals
+        ub, vb, cb = u[b].tolist(), v[b].tolist(), col_of[b].tolist()
+        _augment(cost[b].tolist(), ub, vb, cb)
+        u[b], v[b], col_of[b] = ub, vb, cb
+    return u, v
+
+
+def _totals(cost: np.ndarray) -> list[int]:
+    """Optimal assignment totals of a block of cost matrices.
+
+    Only the pairs left with a free row by ``_start`` go through
+    ``_complete``.  Every matching is then tight under feasible duals and
+    so optimal; its total is the dual objective, the same for every
+    optimal matching, so no tie-break is needed.  Totals are Python
+    integers: a total can reach m times the largest cost, past int64.
+    """
+    u, v, col_of = _start(cost)
+    u, v = _complete(cost, u, v, col_of)
+    return (u.sum(axis=1, dtype=object) + v.sum(axis=1, dtype=object)).tolist()
 
 
 def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:

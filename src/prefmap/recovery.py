@@ -77,7 +77,7 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
     """
     m = pos.m
     work = [list(row) for row in pos.entries]
-    votes: list[tuple[int, ...]] = []
+    votes: list[list[int]] = []
     mults: list[int] = []
     remaining = pos.n
     max_rounds = m * m - m + 1
@@ -88,7 +88,7 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
         matching = _perfect_matching(support)
         weight = min(work[i][matching[i]] for i in range(m))
         # vote[i] = candidate at rank i, straight off the matching
-        votes.append(tuple(matching))
+        votes.append(matching)
         mults.append(weight)
         for i in range(m):
             work[i][matching[i]] -= weight
@@ -97,8 +97,8 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
         raise RuntimeError("decomposition failed to exhaust the matrix")
     return Election(
         candidates=tuple(range(m)),
-        votes=tuple(votes),
-        multiplicities=tuple(mults),
+        votes=votes,
+        multiplicities=mults,
     )
 
 

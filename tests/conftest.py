@@ -28,6 +28,14 @@ def make_random_election(seed: int, m: int, n: int) -> Election:
     return Election(candidates=tuple(range(m)), votes=tuple(votes))
 
 
+# Vote multiplicities around the float and int64 limits, where a float or
+# an int64 sum would round or wrap.
+MULTIPLICITIES = st.one_of(
+    st.integers(1, 5),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**70]),
+)
+
+
 def weighted_permutations(weight, max_m: int = 6, max_size: int = 5):
     """Strategy: (weight, permutation) pairs over one m in 1..max_m."""
     return st.integers(1, max_m).flatmap(

@@ -38,6 +38,11 @@ at a time; ``partial_load_election`` read a strict file through the tie
 groups of ``parse_preflib``; ``loop_serialize_election`` wrote one cell
 of one vote at a time; ``rank_by_distance`` ranked one hypercube voter at
 a time, as ``loop_hypercube_votes`` does for a whole sample.
+``tuple_election`` is the election check that sorted every vote as a
+tuple, and ``loop_position_matrix``, ``loop_borda_scores``,
+``loop_restrict``, ``loop_vote_counter`` and ``loop_sample_dataset`` are
+the tally, the scores, the restriction, the counter and the resampling
+that walked those tuples one vote at a time.
 """
 
 from __future__ import annotations
@@ -947,7 +952,7 @@ def partial_load_election(path: str | os.PathLike[str]) -> Election:
 def loop_serialize_election(
     election: Election, path: str | os.PathLike[str], comments: Sequence[str] = ()
 ) -> None:
-    counter = election.vote_counter()
+    counter = loop_vote_counter(election)
     ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
     with open(path, "w", encoding="utf-8") as fh:
         for c in comments:
@@ -983,3 +988,88 @@ def loop_hypercube_votes(m: int, n: int, dimension: int, seed: int) -> list[tupl
         rank_by_distance(points, tuple(rng.random() for _ in range(dimension)))
         for _ in range(n)
     ]
+
+
+def tuple_election(
+    candidates: Sequence[Hashable],
+    votes: Sequence[Sequence[int]],
+    multiplicities: Sequence[int] | None = None,
+) -> tuple[tuple, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The candidates, votes and multiplicities the tuple-based election
+    kept, checked in its order and with its messages."""
+    candidates = tuple(candidates)
+    votes = tuple(tuple(v) for v in votes)
+    mult = (1,) * len(votes) if multiplicities is None else tuple(int(k) for k in multiplicities)
+    m = len(candidates)
+    if m < 1:
+        raise ValueError("election needs at least one candidate")
+    if len(set(candidates)) != m:
+        raise ValueError("candidate identifiers must be distinct")
+    if not votes:
+        raise ValueError("election needs at least one vote")
+    if len(mult) != len(votes):
+        raise ValueError("multiplicities must run parallel to votes")
+    expected = tuple(range(m))
+    for v in votes:
+        if tuple(sorted(v)) != expected:
+            raise ValueError(f"vote {v!r} is not a permutation of 0..{m - 1}")
+    for k in mult:
+        if k < 1:
+            raise ValueError("multiplicities must be positive")
+    return candidates, votes, mult
+
+
+def loop_position_matrix(election: Election) -> list[list[int]]:
+    m = election.m
+    counts = [[0] * m for _ in range(m)]
+    for vote, mult in zip(election.votes, election.multiplicities):
+        for i, c in enumerate(vote):
+            counts[i][c] += mult
+    return counts
+
+
+def loop_borda_scores(election: Election) -> dict[Hashable, int]:
+    m = election.m
+    scores = [0] * m
+    for vote, mult in zip(election.votes, election.multiplicities):
+        for i, c in enumerate(vote):
+            scores[c] += (m - 1 - i) * mult
+    return {election.candidates[c]: scores[c] for c in range(m)}
+
+
+def loop_restrict(
+    election: Election, keep: set[Hashable]
+) -> tuple[tuple, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The candidates, votes and multiplicities of the restriction to ``keep``."""
+    keep_set = set(keep)
+    kept_old = [i for i, c in enumerate(election.candidates) if c in keep_set]
+    new_index = {old: new for new, old in enumerate(kept_old)}
+    votes = tuple(
+        tuple(new_index[c] for c in vote if c in new_index) for vote in election.votes
+    )
+    return tuple(election.candidates[i] for i in kept_old), votes, election.multiplicities
+
+
+def loop_vote_counter(election: Election) -> dict[tuple[int, ...], int]:
+    counts: dict[tuple[int, ...], int] = {}
+    for v, k in zip(election.votes, election.multiplicities):
+        counts[v] = counts.get(v, 0) + k
+    return counts
+
+
+def loop_sample_dataset(
+    elections: Sequence[Election], samples: int, votes_per_sample: int, seed: int
+) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """The source index and the votes of every resampled election, drawn
+    from each source's votes expanded by multiplicity."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        src_idx = rng.randrange(len(elections))
+        src = elections[src_idx]
+        expanded = []
+        for v, k in zip(src.votes, src.multiplicities):
+            expanded.extend([v] * k)
+        votes = tuple(expanded[rng.randrange(len(expanded))] for _ in range(votes_per_sample))
+        out.append((src_idx, votes))
+    return out

@@ -7,12 +7,19 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_random_election, mutated, stacked, weighted_permutations
+from conftest import (
+    MULTIPLICITIES,
+    make_random_election,
+    mutated,
+    stacked,
+    weighted_permutations,
+)
 from prefmap.core import (
     Election,
     FrequencyMatrix,
@@ -23,7 +30,7 @@ from prefmap.core import (
     position_matrix,
     restrict_to_candidates,
 )
-from prefmap.matrixio import parse_rational, read_matrix_csv, write_matrix_csv
+from prefmap.matrixio import _split, read_matrix_csv, write_matrix_csv
 
 
 def test_position_matrix_worked_example(worked_example):
@@ -178,6 +185,130 @@ def test_election_validation():
         Election(candidates=(0, 1), votes=((0, 1),), multiplicities=(0,))
     with pytest.raises(ValueError):
         Election(candidates=(0, 0), votes=((0, 1),))
+
+
+# ---------------------------------------------------------------------------
+# the vote array against the tuple-based election
+
+def _form(votes, form):
+    """``votes`` as a tuple of tuples, a list of lists or an int64 array."""
+    if form == "tuples":
+        return tuple(map(tuple, votes))
+    if form == "lists":
+        return [list(v) for v in votes]
+    return np.array(votes, dtype=np.int64)
+
+
+@st.composite
+def _vote_sets(draw, max_m=6):
+    m = draw(st.integers(1, max_m))
+    votes = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=12))
+    mults = draw(st.none() | st.lists(MULTIPLICITIES, min_size=len(votes), max_size=len(votes)))
+    return m, votes, mults, draw(st.sampled_from(["tuples", "lists", "array"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vote_sets())
+def test_election_keeps_the_tuple_oracles_votes(case):
+    m, votes, mults, form = case
+    candidates = [f"c{k}" for k in range(m)]
+    e = Election(candidates, _form(votes, form), mults)
+    assert (e.candidates, e.votes, e.multiplicities) == oracles.tuple_election(
+        candidates, votes, mults
+    )
+    assert e.vote_array.dtype == np.int64 and e.vote_array.shape == (len(votes), m)
+    assert e.n == sum(e.multiplicities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vote_sets(), st.data())
+def test_array_steps_match_loop_oracles(case, data):
+    m, votes, mults, form = case
+    e = Election(range(m), _form(votes, form), mults)
+    counts = oracles.loop_position_matrix(e)
+    assert position_matrix(e).entries == tuple(map(tuple, counts))
+    assert frequency_matrix(e) == frequency_from_position(PositionMatrix(counts))
+    assert borda_scores(e) == oracles.loop_borda_scores(e)
+    assert e.vote_counter() == oracles.loop_vote_counter(e)
+    keep = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+    r = restrict_to_candidates(e, keep)
+    assert (r.candidates, r.votes, r.multiplicities) == oracles.loop_restrict(e, keep)
+
+
+# A vote of ints in -1..m, of length 0..m + 1, mostly a permutation
+@st.composite
+def _rough_votes(draw):
+    m = draw(st.integers(0, 4))
+    candidates = draw(st.lists(st.sampled_from("abcde"), min_size=m, max_size=m))
+    vote = st.one_of(
+        st.permutations(range(m)).map(list),
+        st.lists(st.integers(-1, m), min_size=0, max_size=m + 1),
+    )
+    votes = draw(st.lists(vote, max_size=4))
+    mults = draw(st.none() | st.lists(st.integers(-1, 3), max_size=5))
+    return candidates, votes, mults, draw(st.sampled_from(["tuples", "lists"]))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rough_votes())
+@example((["a", "b"], [[0, 1], [0, 1, 2]], None, "lists"))  # ragged
+@example((["a", "b"], [[0, 1], [0, 2]], None, "tuples"))  # out of range
+@example((["a", "b"], [[1, 1], [0, 1, 0]], None, "tuples"))  # repeated, then ragged
+@example((["a", "b"], [[0, 1], [1, 0]], None, "array"))  # an array that passes
+@example((["a", "b"], [[0, 2], [1, 0]], None, "array"))  # an array that does not
+@example((["a", "b"], [], None, "tuples"))  # no votes
+@example((["a", "b"], [[0, 1]], [1, 2], "tuples"))  # multiplicities of the wrong length
+@example((["a", "b"], [[0, 1], [1, 0]], [2, 0], "tuples"))  # a multiplicity <= 0
+@example((["a", "a"], [[0, 1]], None, "tuples"))  # repeated candidates
+@example(([], [[0]], None, "tuples"))  # no candidates
+def test_election_rejects_with_the_tuple_oracles_message(case):
+    candidates, votes, mults, form = case
+    expected = _outcome(lambda: oracles.tuple_election(candidates, votes, mults))
+    got = _outcome(lambda: Election(candidates, _form(votes, form), mults))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert (got.candidates, got.votes, got.multiplicities) == expected
+
+
+def test_vote_counter_lists_votes_in_ascending_order_past_256_candidates():
+    # candidates 255 and 256 differ in their low byte the other way round
+    rng = random.Random(300)
+    base = rng.sample(range(300), 300)
+    i, j = base.index(255), base.index(256)
+    swapped = list(base)
+    swapped[i], swapped[j] = 256, 255
+    votes = [swapped, base] + [rng.sample(range(300), 300) for _ in range(30)]
+    e = Election(range(300), votes + votes[:5])
+    assert list(e.vote_counter()) == sorted(set(e.votes))
+    assert e.vote_counter() == oracles.loop_vote_counter(e)
+
+
+def test_elections_from_tuples_and_arrays_are_equal():
+    votes = ((0, 1, 2), (2, 0, 1), (0, 1, 2))
+    source = np.array(votes, dtype=np.int32)
+    a = Election("xyz", votes, (1, 2**64, 3), meta={"seed": 1})
+    b = Election("xyz", source, [1, 2**64, 3], meta={"seed": 2})
+    c = Election("xyz", [list(v) for v in votes], (1, 2**64, 3))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != Election("xyz", votes, (1, 2**64, 4))
+    assert a != Election("xzy", votes, (1, 2**64, 3))
+    assert a != Election("xyz", votes[::-1], (3, 2**64, 1))
+    assert a != votes
+    # the election keeps its own read-only copy
+    source[0, 0] = 1
+    assert b.votes == votes
+    assert not b.vote_array.flags.writeable
+    with pytest.raises(ValueError):
+        b.vote_array[0, 0] = 2
 
 
 def test_position_matrix_validation():
@@ -444,7 +575,7 @@ def test_read_matrix_csv_keeps_integer_tokens_integers(tmp_path):
 @settings(max_examples=300, deadline=None)
 @given(st.from_regex(r"[+-]?[0-9]{1,30}(/0*[1-9][0-9]{0,29}|\.[0-9]{1,30})?", fullmatch=True))
 def test_parse_rational_agrees_with_fraction(token):
-    assert parse_rational(f" {token} ") == Fraction(token)
+    assert Fraction(*_split(f" {token} ")) == Fraction(token)
 
 
 @pytest.mark.parametrize(
@@ -454,4 +585,4 @@ def test_parse_rational_agrees_with_fraction(token):
 )
 def test_parse_rational_rejects_other_tokens(token):
     with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")):
-        parse_rational(token)
+        Fraction(*_split(token))

@@ -383,7 +383,7 @@ def test_array_sampler_matches_loop_oracle(m_central, n, phi, seed):
     central = tuple(central)
     rng, loop_rng = random.Random(seed), random.Random(seed)
     votes = cultures._mallows_votes(m, n, phi, central, rng)
-    assert votes == oracles.loop_mallows_votes(m, n, phi, central, loop_rng)
+    assert [*map(tuple, votes.tolist())] == oracles.loop_mallows_votes(m, n, phi, central, loop_rng)
     assert rng.random() == loop_rng.random()  # the same draws were used up
 
 
@@ -405,8 +405,8 @@ def test_array_sampler_matches_loop_oracle_on_exact_ties(m, n, phi, values):
     # at phi = 1 the draws k/4 times the totals 2 and 4 land exactly on a
     # running sum, which the loop's strict r < acc passes over
     central = tuple(range(m))
-    votes = cultures._mallows_votes(m, n, phi, central, ReplayRandom(values))
-    assert votes == oracles.loop_mallows_votes(m, n, phi, central, ReplayRandom(values))
+    votes = cultures._mallows_votes(m, n, phi, central, ReplayRandom(values)).tolist()
+    assert [*map(tuple, votes)] == oracles.loop_mallows_votes(m, n, phi, central, ReplayRandom(values))
 
 
 @pytest.mark.parametrize("m", [100, 171])
@@ -415,8 +415,9 @@ def test_array_sampler_matches_loop_oracle_at_large_m(m, phi):
     central = list(range(m))
     random.Random(m).shuffle(central)
     n = 40 if phi < 1 - 2**-52 else cultures._BLOCK + 2  # the slow loop, once past a block
-    votes = cultures._mallows_votes(m, n, phi, tuple(central), random.Random(7))
-    assert votes == oracles.loop_mallows_votes(m, n, phi, tuple(central), random.Random(7))
+    central = tuple(central)
+    votes = cultures._mallows_votes(m, n, phi, central, random.Random(7)).tolist()
+    assert [*map(tuple, votes)] == oracles.loop_mallows_votes(m, n, phi, central, random.Random(7))
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,9 +447,9 @@ def test_mallows_norm_builds_one_election(monkeypatch, relphi):
     built = []
 
     class CountingElection(cultures.Election):
-        def __post_init__(self) -> None:
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
             built.append(self)
-            super().__post_init__()
 
     monkeypatch.setattr(cultures, "Election", CountingElection)
     e = sample_mallows_norm(7, 50, relphi, seed=3)
@@ -596,13 +597,13 @@ def test_distance_ranks_match_oracle_on_ties():
     points = [(0.24483522451472206, 0.0), (0.24483522351472206, 2.2128498437136358e-05)]
     voters = [(0.0, 0.0), (0.5, 0.5), (0.24483522451472206, 2.2128498437136358e-05)]
     ranks = cultures._distance_ranks(np.array(points), np.array(voters))
-    assert ranks == [list(rank_by_distance(points, v)) for v in voters]
+    assert ranks.tolist() == [list(rank_by_distance(points, v)) for v in voters]
     # 200 candidates on three points: long runs of equal distances, which
     # only a stable sort keeps in index order
     rng = random.Random(3)
     points = [rng.choice([(0.1, 0.2), (0.7, 0.3), (0.4, 0.9)]) for _ in range(200)]
     ranks = cultures._distance_ranks(np.array(points), np.array(voters))
-    assert ranks == [list(rank_by_distance(points, v)) for v in voters]
+    assert ranks.tolist() == [list(rank_by_distance(points, v)) for v in voters]
 
 
 def test_hypercube_vote_matches_distances():

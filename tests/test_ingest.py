@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import os
 import random
@@ -7,12 +9,13 @@ import re
 import tempfile
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mutated
+from conftest import MULTIPLICITIES, mutated
 from prefmap.cli import main
 from prefmap.core import Election
 from prefmap.ingest import (
@@ -294,6 +297,30 @@ def test_serialize_election_matches_loop_oracle(case, comments):
         oracles.loop_serialize_election(election, theirs, comments=comments)
         with open(ours, "rb") as a, open(theirs, "rb") as b:
             assert a.read() == b.read()
+
+
+@st.composite
+def _weighted_elections(draw, max_m=6):
+    """Elections over m candidates whose votes repeat and whose counts pass
+    2**53 and 2**63, given as tuples, lists or an array."""
+    m = draw(st.integers(1, max_m))
+    distinct = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=4))
+    votes = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    mults = draw(st.lists(MULTIPLICITIES, min_size=len(votes), max_size=len(votes)))
+    form = draw(st.sampled_from([tuple, list, np.array]))
+    return Election(range(m), form([form(v) for v in votes]), mults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_elections())
+def test_serialize_election_matches_loop_oracle_with_multiplicities(election):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "a.soc"), os.path.join(tmp, "b.soc")
+        serialize_election(election, ours)
+        oracles.loop_serialize_election(election, theirs)
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+        assert load_election(ours).vote_counter() == oracles.loop_vote_counter(election)
 
 
 def test_serialize_election_matches_loop_oracle_at_m100(tmp_path):
@@ -662,6 +689,44 @@ def test_sample_dataset_deterministic():
     a = sample_dataset(srcs, 5, 10, seed=9)
     b = sample_dataset(srcs, 5, 10, seed=9)
     assert [e.votes for e in a] == [e.votes for e in b]
+
+
+@st.composite
+def _small_weighted_elections(draw):
+    m = draw(st.integers(1, 5))
+    votes = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=6))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(votes), max_size=len(votes)))
+    form = draw(st.sampled_from([tuple, list, np.array]))
+    return Election(range(m), form([form(v) for v in votes]), mults, meta={"source": "s"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_small_weighted_elections(), min_size=1, max_size=3),
+    st.integers(1, 4),
+    st.integers(1, 30),
+    st.integers(0, 2**32),
+)
+def test_sample_dataset_matches_loop_oracle(sources, samples, votes_per_sample, seed):
+    out = sample_dataset(sources, samples, votes_per_sample, seed)
+    expected = oracles.loop_sample_dataset(sources, samples, votes_per_sample, seed)
+    assert [(e.meta["source_index"], e.votes) for e in out] == expected
+    assert all(e.candidates == sources[i].candidates for e, (i, _) in zip(out, expected))
+
+
+def test_sample_dataset_draws_voters_past_int64():
+    # too many voters to expand: voter k casts the row whose running count
+    # first passes k, found here by bisect on Python integers
+    mults = (2**64, 3, 2**70)
+    src = Election((0, 1, 2), ((0, 1, 2), (1, 2, 0), (2, 0, 1)), mults)
+    out = sample_dataset([src], samples=2, votes_per_sample=40, seed=5)
+    rng = random.Random(5)
+    ends = list(itertools.accumulate(mults))
+    for e in out:
+        rng.randrange(1)
+        rows = [bisect.bisect_right(ends, rng.randrange(src.n)) for _ in range(40)]
+        assert e.votes == tuple(src.votes[r] for r in rows)
+    assert {v for e in out for v in e.votes} == {(0, 1, 2), (2, 0, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,12 @@ def test_totals_stay_exact_past_int64():
     assert cost.dtype == np.int64
     assert metric._totals(cost) == [4 * c, c + 1]
     assert [oracles.brute_force_assignment(x)[0] for x in cost.tolist()] == [4 * c, c + 1]
+    # past _keys_fit the second pair goes to _augment, whose duals are
+    # never written back as int64
+    u, v, col_of = metric._start(cost)
+    assert [a.dtype for a in metric._complete(cost, u, v, col_of)] == [object, object]
+    total, perm = _assignment_lex(cost[1])
+    assert (total, tuple(perm)) == oracles.brute_force_assignment(cost[1].tolist())
 
 
 def _augmented(cost: np.ndarray) -> list[int]:
@@ -647,10 +653,12 @@ def test_positionwise_matches_fraction_oracle_when_wide(m):
     doubled = _mix([(Fraction(1), tuple(p)), (Fraction(1), tuple(q))])  # tie-heavy
     pairs = [(compass_matrix("UN", m), ic), (compass_matrix("AN", m), mallows), (ic, mallows),
              (doubled, ic), (doubled, compass_matrix("ST", m))]
-    with mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide:
+    with mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide, \
+            mock.patch.object(metric, "_augment", wraps=metric._augment) as loop:
         for x, y in pairs:
             assert positionwise(x, y) == oracles.fraction_positionwise(x, y)
     assert wide.call_count >= 3
+    assert not loop.called  # the tie-break reads the row of each column off col_of
 
 
 def test_batched_values_check_sizes():
