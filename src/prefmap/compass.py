@@ -13,17 +13,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import FrequencyMatrix, PositionMatrix, frequency_from_position
+import numpy as np
+
+from .core import FrequencyMatrix, _frequency
 
 CORNER_KINDS = ("ID", "UN", "ST", "AN")
 
 # Each corner is 0/1 counts over their common line sum: ID over 1, UN over
-# m, ST over m/2 and AN over 2.
+# m, ST over m/2 and AN over 2.  Its support is one array step over a
+# column of row indices i and a row of column indices j.
 _SUPPORT = {
     "ID": lambda m, i, j: i == j,
-    "UN": lambda m, i, j: True,
+    "UN": lambda m, i, j: np.ones((m, m), bool),
     "ST": lambda m, i, j: (i < m // 2) == (j < m // 2),
-    "AN": lambda m, i, j: i == j or i == m - 1 - j,
+    "AN": lambda m, i, j: (i == j) | (i == m - 1 - j),
 }
 
 # Canonical pair order for paths and tables.
@@ -59,9 +62,8 @@ def compass_matrix(kind: str, m: int) -> FrequencyMatrix:
         raise ValueError("m must be positive")
     if kind in ("ST", "AN") and m % 2:
         raise ValueError(f"{kind} requires an even number of candidates")
-    support = _SUPPORT[kind]
-    counts = [[int(support(m, i, j)) for j in range(m)] for i in range(m)]
-    return frequency_from_position(PositionMatrix(counts))
+    counts = _SUPPORT[kind](m, *np.ogrid[:m, :m]).astype(np.int64).tolist()
+    return _frequency(counts, sum(counts[0]))
 
 
 def closed_form_distance(a: str, b: str, m: int) -> Fraction:
@@ -104,7 +106,7 @@ def convex_combination(
     counts = [
         [wx * a + wy * b for a, b in zip(rx, ry)] for rx, ry in zip(x.counts, y.counts)
     ]
-    return frequency_from_position(PositionMatrix(counts))
+    return _frequency(counts, q * scale)
 
 
 def default_point_count(a: str, b: str, scale: int = 50) -> int:

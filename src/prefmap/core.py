@@ -147,7 +147,11 @@ def _line_total(
     """Validate a nonempty square matrix of nonnegative integers whose rows
     and columns all share one positive sum; return the rows and that sum.
     Messages report sums divided by ``unit``, the matrix's denominator."""
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    raw = tuple(map(tuple, entries))
+    rows = tuple(tuple(map(int, row)) for row in raw)
+    if rows != raw:
+        bad = next(x for x, y in zip(chain(*raw), chain(*rows)) if x != y)
+        raise ValueError(f"{what} entries must be integers, got {bad!r}")
     m = len(rows)
     if m < 1:
         raise ValueError(f"{what} must be nonempty")

@@ -253,10 +253,21 @@ def load_election(path: str | os.PathLike[str]) -> Election:
     tie or one that stops short.
     """
     ids, _, ballots, mults = _read(path, _strict_line)
+    rankings = [ranking for ranking, _ in ballots]
     known = set(ids)
-    # a vote of m ids, as a set equal to the candidates, is complete and
-    # strict; only the others are walked cell by cell to name their fault
-    odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
+    try:
+        # votes of m ids each go through the election's one array check
+        if any(len(ranking) != len(ids) for ranking in rankings):
+            raise ValueError("vote of another length")
+        election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
+        odd = [b for b in ballots if b[1]]
+    except (KeyError, ValueError):
+        # only when it fails are the votes walked cell by cell, to name the
+        # first fault; a vote of m ids, as a set equal to the candidates,
+        # is complete and strict
+        odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
+        if not odd:
+            raise
     for ranking, _ in odd:
         seen: set[int] = set()
         for c in ranking:
@@ -268,12 +279,7 @@ def load_election(path: str | os.PathLike[str]) -> Election:
     for _, tied in odd:
         fault = "ties not allowed" if tied else "incomplete vote"
         raise ValueError(f"{path}: {fault} in a strict election")
-    return Election(
-        candidates=ids,
-        votes=_index_rows(ids, (ranking for ranking, _ in ballots)),
-        multiplicities=mults,
-        meta={"source": str(path)},
-    )
+    return election
 
 
 def _index_rows(ids: Sequence[int], rankings: Iterable[Sequence[int]]) -> np.ndarray:

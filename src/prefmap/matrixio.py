@@ -4,12 +4,20 @@ Format: m lines with m comma-separated values each, no header.  Rationals
 are serialized as ``p/q`` (plain ``p`` for integers), so a file written by
 this module reads back with no precision loss.  Reading goes straight to
 integer counts over one common denominator; it builds no ``Fraction``.
+
+Both directions go through a table of the distinct values, so a matrix of
+m*m cells costs one parse or one format per distinct value, not per cell.
+The reader builds its table in order of first appearance, so the first bad
+token of a file is the one its message names, and scales every count to
+the common denominator through that table.  The writer formats each
+distinct count once and joins every row through its table.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from itertools import chain
 from math import gcd, lcm
 from typing import Union
 
@@ -61,9 +69,9 @@ def write_matrix_csv(matrix: Matrix, path: str | os.PathLike[str]) -> None:
         rows, d = matrix.counts, matrix.denominator
     else:
         rows, d = matrix.entries, 1
+    text = {c: _ratio(c, d) for c in set(chain.from_iterable(rows))}.__getitem__
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(_ratio(c, d) for c in row) + "\n")
+        fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
 
 
 def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
@@ -74,28 +82,25 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
     permutation matrix is both; it reads as a FrequencyMatrix with
     denominator 1.
     """
-    rows: list[list[tuple[int, int]]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([_split(tok) for tok in line.split(",")])
+        rows = [ln.split(",") for ln in map(str.strip, fh) if ln and ln[0] != "#"]
+    parsed = {tok: _split(tok) for tok in dict.fromkeys(chain.from_iterable(rows))}
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     m = len(rows)
-    for row in rows:
-        if len(row) != m:
-            raise ValueError(f"{path}: expected a square {m}x{m} matrix")
+    if any(len(row) != m for row in rows):
+        raise ValueError(f"{path}: expected a square {m}x{m} matrix")
 
     # over the common denominator d, a row summing to 1 sums to d and an
     # integer entry is a multiple of d
-    d = lcm(*(q for row in rows for _, q in row))
-    counts = [[p * (d // q) for p, q in row] for row in rows]
+    d = lcm(*(q for _, q in parsed.values()))
+    scaled = {tok: p * (d // q) for tok, (p, q) in parsed.items()}
+    counts = [list(map(scaled.__getitem__, row)) for row in rows]
     if all(sum(row) == d for row in counts):
         return _frequency(_line_total(counts, "frequency matrix", d)[0], d)
-    if all(c % d == 0 for row in counts for c in row):
-        return PositionMatrix(tuple(tuple(c // d for c in row) for row in counts))
+    whole = {tok: c // d for tok, c in scaled.items() if c % d == 0}
+    if len(whole) == len(scaled):
+        return PositionMatrix([list(map(whole.__getitem__, row)) for row in rows])
     raise ValueError(
         f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
     )

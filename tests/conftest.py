@@ -28,6 +28,14 @@ def make_random_election(seed: int, m: int, n: int) -> Election:
     return Election(candidates=tuple(range(m)), votes=tuple(votes))
 
 
+def outcome(build):
+    """What ``build()`` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
 # Vote multiplicities around the float and int64 limits, where a float or
 # an int64 sum would round or wrap.
 MULTIPLICITIES = st.one_of(

@@ -13,7 +13,12 @@ folding a positional digit into every cost, ``pairwise_fit_mallows``, the
 dispersion fit that compared one pair at a time, ``gradient_embed``, the
 map layout by gradient descent from seeded random points, and
 ``fraction_read_matrix_csv``, the matrix reader that parsed every entry
-into a ``Fraction``, ``charwise_parse_vote_line``, the ballot parser that
+into a ``Fraction``, ``loop_write_matrix_csv``, the writer that formatted
+every cell on its own, ``loop_line_total``, the line-sum check that
+converted every cell by ``int`` and so truncated non-integer entries,
+``support_compass_matrix`` and ``validated_convex_combination``, the
+compass corner and path point built cell by cell and validated again as a
+position matrix, ``charwise_parse_vote_line``, the ballot parser that
 read one character at a time, ``scan_prune_to_coverage``, the
 coverage prune that scanned candidates and votes separately,
 ``mahonian_table``, the inversion counts built as a table of every row up
@@ -70,6 +75,7 @@ from prefmap.core import (
 from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
 from prefmap.embed import MapLayout
 from prefmap.ingest import PartialProfile, PartialVote, parse_preflib
+from prefmap.matrixio import _ratio
 from prefmap.metric import DistanceRecord, normalization_constant
 
 
@@ -286,6 +292,91 @@ def fraction_read_matrix_csv(path: str | os.PathLike[str]) -> FrequencyMatrix | 
     raise ValueError(
         f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
     )
+
+
+def loop_write_matrix_csv(
+    matrix: FrequencyMatrix | PositionMatrix, path: str | os.PathLike[str]
+) -> None:
+    """``write_matrix_csv`` formatting every cell on its own."""
+    if isinstance(matrix, FrequencyMatrix):
+        rows, d = matrix.counts, matrix.denominator
+    else:
+        rows, d = matrix.entries, 1
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(",".join(_ratio(c, d) for c in row) + "\n")
+
+
+def loop_line_total(entries, what: str, unit: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``core._line_total`` converting every cell by ``int`` on its own,
+    which truncates a non-integer entry instead of rejecting it."""
+    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    m = len(rows)
+    if m < 1:
+        raise ValueError(f"{what} must be nonempty")
+    for row in rows:
+        if len(row) != m:
+            raise ValueError(f"{what} must be square")
+        if min(row) < 0:
+            raise ValueError(f"{what} entries must be nonnegative")
+    total = sum(rows[0])
+    for i, row in enumerate(rows):
+        if sum(row) != total:
+            raise ValueError(
+                f"{what} row {i} sums to {Fraction(sum(row), unit)}, "
+                f"expected {Fraction(total, unit)}"
+            )
+    for j, col in enumerate(zip(*rows)):
+        if sum(col) != total:
+            raise ValueError(
+                f"{what} column {j} sums to {Fraction(sum(col), unit)}, "
+                f"expected {Fraction(total, unit)}"
+            )
+    if total < 1:
+        raise ValueError(f"{what} lines must have a positive sum")
+    return rows, total
+
+
+_CELL_SUPPORT = {
+    "ID": lambda m, i, j: i == j,
+    "UN": lambda m, i, j: True,
+    "ST": lambda m, i, j: (i < m // 2) == (j < m // 2),
+    "AN": lambda m, i, j: i == j or i == m - 1 - j,
+}
+
+
+def support_compass_matrix(kind: str, m: int) -> FrequencyMatrix:
+    """``compass_matrix`` asking its support of every cell on its own and
+    validating the counts as a position matrix."""
+    if kind not in _CELL_SUPPORT:
+        raise ValueError(f"unknown compass kind {kind!r}, expected one of {tuple(_CELL_SUPPORT)}")
+    if m < 1:
+        raise ValueError("m must be positive")
+    if kind in ("ST", "AN") and m % 2:
+        raise ValueError(f"{kind} requires an even number of candidates")
+    support = _CELL_SUPPORT[kind]
+    counts = [[int(support(m, i, j)) for j in range(m)] for i in range(m)]
+    return frequency_from_position(PositionMatrix(counts))
+
+
+def validated_convex_combination(
+    x: FrequencyMatrix, y: FrequencyMatrix, alpha: Fraction
+) -> FrequencyMatrix:
+    """``convex_combination`` validating the mixed counts as a position
+    matrix."""
+    alpha = Fraction(alpha)
+    if alpha < 0 or alpha > 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    if x.m != y.m:
+        raise ValueError("matrices must have equal size")
+    p, q = alpha.numerator, alpha.denominator
+    scale = math.lcm(x.denominator, y.denominator)
+    wx = p * (scale // x.denominator)
+    wy = (q - p) * (scale // y.denominator)
+    counts = [
+        [wx * a + wy * b for a, b in zip(rx, ry)] for rx, ry in zip(x.counts, y.counts)
+    ]
+    return frequency_from_position(PositionMatrix(counts))
 
 
 def charwise_parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:

@@ -3,8 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import MULTIPLICITIES, outcome, stacked, weighted_permutations
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
@@ -16,6 +19,7 @@ from prefmap.compass import (
     normalized_limit,
     path_points,
 )
+from prefmap.core import PositionMatrix, frequency_from_position
 from prefmap.metric import normalization_constant, positionwise
 
 
@@ -100,6 +104,31 @@ def test_normalized_limits():
     assert normalization_constant(10) == 33
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([*CORNER_KINDS, "XX"]), st.integers(-1, 12))
+@example("ID", 100)
+@example("UN", 100)
+@example("ST", 100)
+@example("AN", 100)
+def test_compass_matrix_matches_cell_by_cell_oracle(kind, m):
+    new = outcome(lambda: compass_matrix(kind, m))
+    old = outcome(lambda: oracles.support_compass_matrix(kind, m))
+    assert type(new) is type(old) and new == old
+
+
+_FREQUENCY = weighted_permutations(st.one_of(st.integers(1, 3), MULTIPLICITIES), max_m=4).map(
+    lambda parts: frequency_from_position(PositionMatrix(stacked(parts)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FREQUENCY, _FREQUENCY, st.fractions(-1, 2) | st.sampled_from([Fraction(1, 2**64 + 1)]))
+def test_convex_combination_matches_validated_oracle(x, y, alpha):
+    new = outcome(lambda: convex_combination(x, y, alpha))
+    old = outcome(lambda: oracles.validated_convex_combination(x, y, alpha))
+    assert type(new) is type(old) and new == old
+
+
 def test_convex_combination_endpoints_and_validation():
     id4 = compass_matrix("ID", 4)
     un4 = compass_matrix("UN", 4)
@@ -117,8 +146,9 @@ def test_path_points_alphas_and_bistochasticity():
     points = path_points(id4, un4, 3)
     assert [alpha for alpha, _ in points] == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     for alpha, point in points:
-        # FrequencyMatrix construction already enforces bistochasticity
         assert point.m == 4
+        lines = [*point.counts, *zip(*point.counts)]
+        assert all(sum(line) == point.denominator for line in lines)
         assert point == convex_combination(id4, un4, alpha)
 
 

@@ -17,13 +17,16 @@ from conftest import (
     MULTIPLICITIES,
     make_random_election,
     mutated,
+    outcome,
     stacked,
     weighted_permutations,
 )
+from prefmap.compass import CORNER_KINDS, compass_matrix
 from prefmap.core import (
     Election,
     FrequencyMatrix,
     PositionMatrix,
+    _line_total,
     borda_scores,
     frequency_from_position,
     frequency_matrix,
@@ -249,13 +252,6 @@ def _rough_votes(draw):
     return candidates, votes, mults, draw(st.sampled_from(["tuples", "lists"]))
 
 
-def _outcome(build):
-    try:
-        return build()
-    except ValueError as exc:
-        return str(exc)
-
-
 @settings(max_examples=500, deadline=None)
 @given(_rough_votes())
 @example((["a", "b"], [[0, 1], [0, 1, 2]], None, "lists"))  # ragged
@@ -270,8 +266,8 @@ def _outcome(build):
 @example(([], [[0]], None, "tuples"))  # no candidates
 def test_election_rejects_with_the_tuple_oracles_message(case):
     candidates, votes, mults, form = case
-    expected = _outcome(lambda: oracles.tuple_election(candidates, votes, mults))
-    got = _outcome(lambda: Election(candidates, _form(votes, form), mults))
+    expected = outcome(lambda: oracles.tuple_election(candidates, votes, mults))
+    got = outcome(lambda: Election(candidates, _form(votes, form), mults))
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -318,6 +314,59 @@ def test_position_matrix_validation():
         PositionMatrix(((1, -1), (-1, 1)))
     with pytest.raises(ValueError):
         PositionMatrix(((1, 0, 0), (0, 1, 0)))  # not square
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        (((1.5, 0.5), (0.5, 1.5)), "1.5"),
+        (((Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))), "Fraction(3, 2)"),
+        ((("1", 0), (0, "1")), "'1'"),
+    ],
+)
+def test_position_matrix_rejects_non_integer_entries(entries, bad):
+    message = f"position matrix entries must be integers, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PositionMatrix(entries)
+
+
+def test_position_matrix_takes_ints_bools_and_numpy_integers():
+    for entries in (
+        ((True, False), (False, True)), np.eye(2, dtype=np.int32), ((np.int64(1), 0), (0, 1))
+    ):
+        pos = PositionMatrix(entries)
+        assert pos.entries == ((1, 0), (0, 1)) and pos.n == 1
+        assert all(type(x) is int for row in pos.entries for x in row)
+
+
+@st.composite
+def _line_entries(draw):
+    """Rows of integers, as ints, bools and numpy integers where they fit:
+    a sum of weighted permutation matrices, at times with one cell
+    changed, a row or a cell dropped, or no rows at all."""
+    rows = stacked(draw(weighted_permutations(st.one_of(st.integers(0, 3), MULTIPLICITIES))))
+    m = len(rows)
+    edit = draw(st.sampled_from(["none", "cell", "row", "ragged", "empty"]))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if edit == "cell":
+        rows[i][j] = draw(st.one_of(st.integers(-2, 3), MULTIPLICITIES))
+    elif edit == "row":
+        del rows[i]
+    elif edit == "ragged":
+        del rows[i][j]
+    elif edit == "empty":
+        rows = []
+    kinds = {0: [int, bool, np.int8], 1: [int, bool, np.uint64], -1: [int, np.int16]}
+    return [[draw(st.sampled_from(kinds.get(x, [int, np.int64] if abs(x) < 2**63 else [int])))(x)
+             for x in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_entries(), st.sampled_from([1, 3, 2**64 + 1]))
+def test_line_total_matches_loop_oracle(entries, unit):
+    new = outcome(lambda: _line_total(entries, "position matrix", unit))
+    old = outcome(lambda: oracles.loop_line_total(entries, "position matrix", unit))
+    assert type(new) is type(old) and new == old
 
 
 def test_frequency_matrix_validation():
@@ -570,6 +619,71 @@ def test_read_matrix_csv_keeps_integer_tokens_integers(tmp_path):
     freq = read_matrix_csv(path)
     assert isinstance(freq, FrequencyMatrix)
     assert freq.counts == ((1, 1), (1, 1)) and freq.denominator == 2
+
+
+def _written(write, matrix) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        write(matrix, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_WIDE_WEIGHTS = st.one_of(st.integers(1, 3), MULTIPLICITIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_permutations(_WIDE_WEIGHTS), st.booleans())
+def test_write_matrix_csv_matches_loop_oracle(parts, frequency):
+    pos = PositionMatrix(stacked(parts))
+    matrix = frequency_from_position(pos) if frequency else pos
+    data = _written(write_matrix_csv, matrix)
+    assert data == _written(oracles.loop_write_matrix_csv, matrix)
+    new, old = _both_readers(data)
+    assert new == old == (frequency_from_position(pos) if frequency or pos.n == 1 else pos)
+
+
+@st.composite
+def _wide_matrix_text(draw) -> bytes:
+    """A frequency or position matrix CSV whose counts and denominators
+    pass 2**63: p/q tokens reduced or scaled up by a common factor, so
+    equal cells repeat a token, with comment lines, blank lines and up to
+    two cells swapped for edge tokens."""
+    counts = stacked(draw(weighted_permutations(_WIDE_WEIGHTS)))
+    n = sum(counts[0])
+    unit = draw(st.sampled_from([1, n]))
+    k = draw(st.sampled_from([1, 2, 2**64]))
+    cells = [[f"{c * k}/{unit * k}" if draw(st.booleans()) else str(Fraction(c, unit)) for c in row]
+             for row in counts]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, len(cells) - 1))
+        cells[i][j] = draw(st.sampled_from(_EDGE_TOKENS))
+    lines = [",".join(row) for row in cells]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# 1/0", "  "])))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_wide_matrix_text(), _wide_matrix_text().flatmap(mutated)))
+def test_read_matrix_csv_matches_fraction_oracle_past_int64(data):
+    new, old = _both_readers(data)
+    assert type(new) is type(old) and new == old
+
+
+@pytest.mark.parametrize("kind", CORNER_KINDS)
+def test_m100_corner_writes_reads_and_checks_like_the_oracles(kind):
+    corner = compass_matrix(kind, 100)
+    data = _written(write_matrix_csv, corner)
+    assert data == _written(oracles.loop_write_matrix_csv, corner)
+    new, old = _both_readers(data)
+    assert new == old == corner
+    counts = [[c * 3 for c in row] for row in corner.counts]
+    assert _line_total(counts, "m", 3) == oracles.loop_line_total(counts, "m", 3)
+    counts[99][0] += 1
+    new = outcome(lambda: _line_total(counts, "m", 3))
+    assert new == outcome(lambda: oracles.loop_line_total(counts, "m", 3))
+    assert new.startswith("m row 99 sums to ")
 
 
 @settings(max_examples=300, deadline=None)

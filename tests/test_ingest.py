@@ -275,6 +275,27 @@ def test_load_election_messages_match_oracle(tmp_path, edits, message_part):
     assert _load_outcome(oracles.partial_load_election, path) == (ValueError, str(err.value))
 
 
+@pytest.mark.parametrize(
+    "ballots, message_part",
+    [
+        # 2 + 4 ids fill two rows of 3, each a permutation, once flattened
+        (["3, 1,2", "2, 3,1,2,3"], "candidate 3 repeated"),
+        # every vote a permutation, so only the tie is left to name
+        (["3, 1,{2,3}", "2, 3,1,2"], "ties not allowed"),
+        ([], "election needs at least one vote"),
+    ],
+)
+def test_load_election_names_what_the_array_check_rejects(tmp_path, ballots, message_part):
+    total = 5 * bool(ballots)
+    head = STRICT_FILE.split("5, 5, 2")[0]
+    path = tmp_path / "bad.soc"
+    lines = [f"{total}, {total}, {len(ballots)}", *ballots]
+    path.write_text(head + "".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=message_part) as err:
+        load_election(path)
+    assert _load_outcome(oracles.partial_load_election, path) == (ValueError, str(err.value))
+
+
 _NAMES = st.text(min_size=1, max_size=5).map(str.strip).filter(bool)
 
 
