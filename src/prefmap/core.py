@@ -82,7 +82,8 @@ class Election:
             raise ValueError("candidate identifiers must be distinct")
         if not len(votes):
             raise ValueError("election needs at least one vote")
-        mult = (1,) * len(votes) if multiplicities is None else tuple(map(int, multiplicities))
+        ones = (1,) * len(votes)
+        mult = _integers(ones if multiplicities is None else multiplicities, "multiplicities")
         if len(mult) != len(votes):
             raise ValueError("multiplicities must run parallel to votes")
         array = _vote_array(votes, m)
@@ -141,17 +142,23 @@ def _tally(election: Election) -> np.ndarray:
     return _voters_in(election, election.vote_array + np.arange(0, m * m, m), m * m).reshape(m, m)
 
 
-def _line_total(
-    entries: Iterable[Iterable[int]], what: str, unit: int = 1
-) -> tuple[IntRows, int]:
-    """Validate a nonempty square matrix of nonnegative integers whose rows
-    and columns all share one positive sum; return the rows and that sum.
-    Messages report sums divided by ``unit``, the matrix's denominator."""
-    raw = tuple(map(tuple, entries))
-    rows = tuple(tuple(map(int, row)) for row in raw)
-    if rows != raw:
-        bad = next(x for x, y in zip(chain(*raw), chain(*rows)) if x != y)
-        raise ValueError(f"{what} entries must be integers, got {bad!r}")
+def _integers(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """``values`` as Python ints.  Ints, bools and numpy integers pass;
+    anything ``int`` would change, such as 1.5, Fraction(3, 2) or "2",
+    raises naming the first such value."""
+    raw = tuple(values)
+    ints = tuple(map(int, raw))
+    if ints != raw:
+        bad = next(x for x, y in zip(raw, ints) if x != y)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return ints
+
+
+def _line_total(rows: Sequence[Sequence[int]], what: str, unit: int = 1) -> int:
+    """Validate a nonempty square matrix of nonnegative Python integers, as
+    given (outside entries pass ``_integers`` first), whose rows and columns
+    share one positive sum; return that sum.  Messages report sums divided
+    by ``unit``, the matrix's denominator."""
     m = len(rows)
     if m < 1:
         raise ValueError(f"{what} must be nonempty")
@@ -161,37 +168,33 @@ def _line_total(
         if min(row) < 0:
             raise ValueError(f"{what} entries must be nonnegative")
     total = sum(rows[0])
-    for i, row in enumerate(rows):
-        if sum(row) != total:
-            raise ValueError(
-                f"{what} row {i} sums to {Fraction(sum(row), unit)}, "
-                f"expected {Fraction(total, unit)}"
-            )
-    for j, col in enumerate(zip(*rows)):
-        if sum(col) != total:
-            raise ValueError(
-                f"{what} column {j} sums to {Fraction(sum(col), unit)}, "
-                f"expected {Fraction(total, unit)}"
-            )
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if sum(line) != total:
+                raise ValueError(
+                    f"{what} {kind} {i} sums to {Fraction(sum(line), unit)}, "
+                    f"expected {Fraction(total, unit)}"
+                )
     if total < 1:
         raise ValueError(f"{what} lines must have a positive sum")
-    return rows, total
+    return total
 
 
 @dataclass(frozen=True)
 class PositionMatrix:
     """Square integer matrix: entry (i, j) counts voters ranking candidate j
-    at position i.  Every row and every column sums to the voter count n."""
+    at position i.  Every row and every column sums to the voter count n.
+    The one matrix taking arbitrary entries: each row passes ``_integers``."""
 
     entries: IntRows
     m: int = field(init=False)
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        rows, n = _line_total(self.entries, "position matrix")
+        rows = tuple(_integers(row, "position matrix entries") for row in self.entries)
+        object.__setattr__(self, "n", _line_total(rows, "position matrix"))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "m", len(rows))
-        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True, init=False)
@@ -213,9 +216,8 @@ class FrequencyMatrix:
         """Build from rows of exact rationals; every line must sum to 1."""
         rows = [[Fraction(x) for x in row] for row in entries]
         d = lcm(*(x.denominator for row in rows for x in row))
-        counts = ([x.numerator * (d // x.denominator) for x in row] for row in rows)
-        counts, total = _line_total(counts, "frequency matrix", d)
-        if total != d:
+        counts = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        if _line_total(counts, "frequency matrix", d) != d:
             raise ValueError("frequency matrix lines must sum to 1 exactly")
         vars(self).update(vars(_frequency(counts, d)))
 

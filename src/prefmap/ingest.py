@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import Election, borda_scores, restrict_to_candidates
+from .core import Election, _integers, borda_scores, restrict_to_candidates
 from .cultures import derive_seed
 
 # extensions of the PrefLib files the command line reads
@@ -52,7 +52,7 @@ class PartialProfile:
             "votes",
             tuple(tuple(tuple(g) for g in v) for v in self.votes),
         )
-        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
+        object.__setattr__(self, "multiplicities", _integers(self.multiplicities, "multiplicities"))
         if len(set(cands)) != len(cands) or not cands:
             raise ValueError("candidate ids must be distinct and nonempty")
         if len(self.votes) != len(self.multiplicities):
@@ -250,11 +250,11 @@ def load_election(path: str | os.PathLike[str]) -> Election:
     Faults are reported in the order of ``parse_preflib``: the header,
     each ballot line, the header's totals, then the first vote that names
     an unknown candidate or repeats one; only then the first vote with a
-    tie or one that stops short.
+    tie or one that stops short.  Only when ``Election``'s array check
+    fails does ``PartialProfile``'s walk name an unknown or repeated id.
     """
     ids, _, ballots, mults = _read(path, _strict_line)
     rankings = [ranking for ranking, _ in ballots]
-    known = set(ids)
     try:
         # votes of m ids each go through the election's one array check
         if any(len(ranking) != len(ids) for ranking in rankings):
@@ -262,20 +262,15 @@ def load_election(path: str | os.PathLike[str]) -> Election:
         election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
         odd = [b for b in ballots if b[1]]
     except (KeyError, ValueError):
-        # only when it fails are the votes walked cell by cell, to name the
-        # first fault; a vote of m ids, as a set equal to the candidates,
-        # is complete and strict
-        odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
+        # one singleton group per id; a vote that passes is strict and
+        # complete once it has m ids
+        try:
+            PartialProfile(ids, [[(c,) for c in ranking] for ranking in rankings], mults, {})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        odd = [b for b in ballots if b[1] or len(b[0]) != len(ids)]
         if not odd:
             raise
-    for ranking, _ in odd:
-        seen: set[int] = set()
-        for c in ranking:
-            if c not in known:
-                raise ValueError(f"{path}: vote names unknown candidate {c}")
-            if c in seen:
-                raise ValueError(f"{path}: candidate {c} repeated within a vote")
-            seen.add(c)
     for _, tied in odd:
         fault = "ties not allowed" if tied else "incomplete vote"
         raise ValueError(f"{path}: {fault} in a strict election")

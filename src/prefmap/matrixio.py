@@ -9,7 +9,8 @@ Both directions go through a table of the distinct values, so a matrix of
 m*m cells costs one parse or one format per distinct value, not per cell.
 The reader builds its table in order of first appearance, so the first bad
 token of a file is the one its message names, and scales every count to
-the common denominator through that table.  The writer formats each
+the common denominator through that table; its one token parser, a
+regular expression, runs once per distinct token.  The writer formats each
 distinct count once and joins every row through its table.
 """
 
@@ -32,19 +33,6 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 def _split(token: str) -> tuple[int, int]:
     """Numerator and positive denominator as written: "2/4" gives (2, 4)."""
-    # Fast path for "p" and "p/q" in plain ASCII digits, as this module
-    # writes them; int() alone would also take "1_0", " 1" and non-ASCII
-    # digits.  Any other token, q = 0 and numbers too long for int() take
-    # the regex below, with its messages.
-    if token.isascii():
-        try:
-            if token.isdigit():
-                return int(token), 1
-            num, _, den = token.partition("/")
-            if num.isdigit() and den.isdigit() and int(den):
-                return int(num), int(den)
-        except ValueError:
-            pass
     match = _RATIONAL.fullmatch(token.strip())
     if match is None:
         raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")
@@ -97,7 +85,8 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
     scaled = {tok: p * (d // q) for tok, (p, q) in parsed.items()}
     counts = [list(map(scaled.__getitem__, row)) for row in rows]
     if all(sum(row) == d for row in counts):
-        return _frequency(_line_total(counts, "frequency matrix", d)[0], d)
+        _line_total(counts, "frequency matrix", d)
+        return _frequency(counts, d)
     whole = {tok: c // d for tok, c in scaled.items() if c % d == 0}
     if len(whole) == len(scaled):
         return PositionMatrix([list(map(whole.__getitem__, row)) for row in rows])

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import heapq
 
-from .core import Election, FrequencyMatrix, PositionMatrix
+from .core import Election, FrequencyMatrix, PositionMatrix, _integers
 
 
-def _perfect_matching(support: list[list[int]]) -> list[int]:
-    """Perfect matching of rows to columns on a 0/1 support matrix.
+def _perfect_matching(counts: list[list[int]]) -> list[int]:
+    """Perfect matching of rows to columns on the positive entries of ``counts``.
 
     Kuhn's augmenting paths, scanning columns in ascending order so the
     result is deterministic.  The depth-first search keeps its path on an
@@ -34,7 +34,7 @@ def _perfect_matching(support: list[list[int]]) -> list[int]:
     no perfect matching exists, which for a positive-line-sum position
     matrix cannot happen.
     """
-    m = len(support)
+    m = len(counts)
     match_col = [-1] * m  # column -> row
     for i in range(m):
         seen = [False] * m
@@ -44,7 +44,7 @@ def _perfect_matching(support: list[list[int]]) -> list[int]:
         while rows:
             r = rows[-1]
             j = scan[-1]
-            while j < m and (not support[r][j] or seen[j]):
+            while j < m and (counts[r][j] <= 0 or seen[j]):
                 j += 1
             if j == m:  # dead end: back to the row before, past its column
                 rows.pop()
@@ -84,8 +84,7 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
     for _ in range(max_rounds):
         if remaining == 0:
             break
-        support = [[1 if x > 0 else 0 for x in row] for row in work]
-        matching = _perfect_matching(support)
+        matching = _perfect_matching(work)
         weight = min(work[i][matching[i]] for i in range(m))
         # vote[i] = candidate at rank i, straight off the matching
         votes.append(matching)
@@ -222,6 +221,7 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     choices of the m*m + m + 2 node network with a chain of m nodes per
     row that it replaced.
     """
+    (n,) = _integers((n,), "voter counts")
     if n < 1:
         raise ValueError("voter count must be positive")
     d = x.denominator

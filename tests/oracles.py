@@ -47,7 +47,12 @@ a time, as ``loop_hypercube_votes`` does for a whole sample.
 tuple, and ``loop_position_matrix``, ``loop_borda_scores``,
 ``loop_restrict``, ``loop_vote_counter`` and ``loop_sample_dataset`` are
 the tally, the scores, the restriction, the counter and the resampling
-that walked those tuples one vote at a time.
+that walked those tuples one vote at a time.  ``fastpath_split`` is the
+token parser that tried plain ASCII digits through ``int`` before its
+regular expression, ``walk_load_election`` the strict reader that walked
+its ballots a second time to name an unknown or repeated candidate, and
+``support_election_from_position_matrix`` the decomposition that built a
+0/1 support copy of the working counts in every round.
 """
 
 from __future__ import annotations
@@ -74,9 +79,17 @@ from prefmap.core import (
 )
 from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
 from prefmap.embed import MapLayout
-from prefmap.ingest import PartialProfile, PartialVote, parse_preflib
-from prefmap.matrixio import _ratio
+from prefmap.ingest import (
+    PartialProfile,
+    PartialVote,
+    _index_rows,
+    _read,
+    _strict_line,
+    parse_preflib,
+)
+from prefmap.matrixio import _RATIONAL, _ratio
 from prefmap.metric import DistanceRecord, normalization_constant
+from prefmap.recovery import _perfect_matching
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -1164,3 +1177,81 @@ def loop_sample_dataset(
         votes = tuple(expanded[rng.randrange(len(expanded))] for _ in range(votes_per_sample))
         out.append((src_idx, votes))
     return out
+
+
+def fastpath_split(token: str) -> tuple[int, int]:
+    """``matrixio._split`` with a fast path for "p" and "p/q" in plain
+    ASCII digits before the regular expression."""
+    if token.isascii():
+        try:
+            if token.isdigit():
+                return int(token), 1
+            num, _, den = token.partition("/")
+            if num.isdigit() and den.isdigit() and int(den):
+                return int(num), int(den)
+        except ValueError:
+            pass
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError(f"bad rational {token!r}: expected p, p/q or a decimal")
+    num, den, decimals = match.groups()
+    try:
+        p, q = (int(num + decimals), 10**len(decimals)) if decimals else (int(num), int(den or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"bad rational {token!r}: {exc}") from None
+    if q == 0:
+        raise ValueError(f"bad rational {token!r}: Fraction({p}, 0)")
+    return p, q
+
+
+def walk_load_election(path: str | os.PathLike[str]) -> Election:
+    """``ingest.load_election`` walking the ballots cell by cell, after a
+    failed array check, for an unknown or repeated candidate."""
+    ids, _, ballots, mults = _read(path, _strict_line)
+    rankings = [ranking for ranking, _ in ballots]
+    known = set(ids)
+    try:
+        if any(len(ranking) != len(ids) for ranking in rankings):
+            raise ValueError("vote of another length")
+        election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
+        odd = [b for b in ballots if b[1]]
+    except (KeyError, ValueError):
+        odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
+        if not odd:
+            raise
+    for ranking, _ in odd:
+        seen: set[int] = set()
+        for c in ranking:
+            if c not in known:
+                raise ValueError(f"{path}: vote names unknown candidate {c}")
+            if c in seen:
+                raise ValueError(f"{path}: candidate {c} repeated within a vote")
+            seen.add(c)
+    for _, tied in odd:
+        fault = "ties not allowed" if tied else "incomplete vote"
+        raise ValueError(f"{path}: {fault} in a strict election")
+    return election
+
+
+def support_election_from_position_matrix(pos: PositionMatrix) -> Election:
+    """``recovery.election_from_position_matrix`` matching, in every round,
+    on a fresh 0/1 support copy of the working counts."""
+    m = pos.m
+    work = [list(row) for row in pos.entries]
+    votes: list[list[int]] = []
+    mults: list[int] = []
+    remaining = pos.n
+    for _ in range(m * m - m + 1):
+        if remaining == 0:
+            break
+        support = [[1 if x > 0 else 0 for x in row] for row in work]
+        matching = _perfect_matching(support)
+        weight = min(work[i][matching[i]] for i in range(m))
+        votes.append(matching)
+        mults.append(weight)
+        for i in range(m):
+            work[i][matching[i]] -= weight
+        remaining -= weight
+    if remaining != 0:
+        raise RuntimeError("decomposition failed to exhaust the matrix")
+    return Election(candidates=tuple(range(m)), votes=votes, multiplicities=mults)

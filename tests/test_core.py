@@ -190,6 +190,19 @@ def test_election_validation():
         Election(candidates=(0, 0), votes=((0, 1),))
 
 
+@pytest.mark.parametrize(
+    "mults, bad", [([1.5, 2], "1.5"), ([Fraction(3, 2), 2], "Fraction(3, 2)"), (["2", 1], "'2'")]
+)
+def test_election_rejects_non_integer_multiplicities(mults, bad):
+    with pytest.raises(ValueError, match=re.escape(f"multiplicities must be integers, got {bad}")):
+        Election((0, 1), [(0, 1), (1, 0)], mults)
+
+
+def test_election_takes_bool_and_numpy_multiplicities():
+    e = Election((0, 1), [(0, 1), (1, 0)], [True, np.int64(2)])
+    assert e.multiplicities == (1, 2) and all(type(k) is int for k in e.multiplicities)
+
+
 # ---------------------------------------------------------------------------
 # the vote array against the tuple-based election
 
@@ -314,6 +327,8 @@ def test_position_matrix_validation():
         PositionMatrix(((1, -1), (-1, 1)))
     with pytest.raises(ValueError):
         PositionMatrix(((1, 0, 0), (0, 1, 0)))  # not square
+    with pytest.raises(ValueError, match="position matrix column 0 sums to 4, expected 2"):
+        PositionMatrix(((2, 0), (2, 0)))  # equal row sums, unequal columns
 
 
 @pytest.mark.parametrize(
@@ -343,12 +358,16 @@ def test_position_matrix_takes_ints_bools_and_numpy_integers():
 def _line_entries(draw):
     """Rows of integers, as ints, bools and numpy integers where they fit:
     a sum of weighted permutation matrices, at times with one cell
-    changed, a row or a cell dropped, or no rows at all."""
+    changed, one cell moved within its row, a row or a cell dropped, or
+    no rows at all."""
     rows = stacked(draw(weighted_permutations(st.one_of(st.integers(0, 3), MULTIPLICITIES))))
     m = len(rows)
-    edit = draw(st.sampled_from(["none", "cell", "row", "ragged", "empty"]))
+    edit = draw(st.sampled_from(["none", "cell", "shift", "row", "ragged", "empty"]))
     i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-    if edit == "cell":
+    if edit == "shift":  # for m > 1, row sums kept and column sums broken
+        rows[i][(j + 1) % m] += rows[i][j]
+        rows[i][j] = 0
+    elif edit == "cell":
         rows[i][j] = draw(st.one_of(st.integers(-2, 3), MULTIPLICITIES))
     elif edit == "row":
         del rows[i]
@@ -364,9 +383,19 @@ def _line_entries(draw):
 @settings(max_examples=300, deadline=None)
 @given(_line_entries(), st.sampled_from([1, 3, 2**64 + 1]))
 def test_line_total_matches_loop_oracle(entries, unit):
-    new = outcome(lambda: _line_total(entries, "position matrix", unit))
+    # the mixed entries go through the one constructor that takes them
+    pos = outcome(lambda: PositionMatrix(entries))
+    old = outcome(lambda: oracles.loop_line_total(entries, "position matrix"))
+    if isinstance(old, str):
+        assert pos == old
+    else:
+        assert (pos.entries, pos.n) == old
+        assert all(type(x) is int for row in pos.entries for x in row)
+    # _line_total takes rows of Python integers as given
+    ints = [[int(x) for x in row] for row in entries]
+    total = outcome(lambda: _line_total(ints, "position matrix", unit))
     old = outcome(lambda: oracles.loop_line_total(entries, "position matrix", unit))
-    assert type(new) is type(old) and new == old
+    assert total == (old if isinstance(old, str) else old[1])
 
 
 def test_frequency_matrix_validation():
@@ -679,7 +708,7 @@ def test_m100_corner_writes_reads_and_checks_like_the_oracles(kind):
     new, old = _both_readers(data)
     assert new == old == corner
     counts = [[c * 3 for c in row] for row in corner.counts]
-    assert _line_total(counts, "m", 3) == oracles.loop_line_total(counts, "m", 3)
+    assert _line_total(counts, "m", 3) == oracles.loop_line_total(counts, "m", 3)[1]
     counts[99][0] += 1
     new = outcome(lambda: _line_total(counts, "m", 3))
     assert new == outcome(lambda: oracles.loop_line_total(counts, "m", 3))
@@ -700,3 +729,28 @@ def test_parse_rational_agrees_with_fraction(token):
 def test_parse_rational_rejects_other_tokens(token):
     with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")):
         Fraction(*_split(token))
+
+
+_DIGIT_RUNS = st.one_of(
+    st.from_regex(r"0{0,3}[0-9]{1,6}", fullmatch=True),
+    st.sampled_from(["1_0", "\u0663", "\u00b2", "1\u0663", "9" * 4301, "1" + "0" * 5000]),
+)
+
+
+@st.composite
+def _tokens(draw):
+    """Tokens around what the reader's one regex takes: leading zeros,
+    signs, "p/q" with q = 0, decimals, surrounding spaces, "1_0",
+    non-ASCII digits and numbers past int()'s 4,300 digits."""
+    token = draw(st.sampled_from(["", "+", "-", "+-"])) + draw(_DIGIT_RUNS)
+    tail = draw(st.sampled_from(["", "/", ".", "/0", "/00"]))
+    if tail in ("/", "."):
+        tail += draw(_DIGIT_RUNS)
+    pad = st.sampled_from(["", " ", "\t", "\u00a0"])
+    return draw(pad) + token + tail + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_tokens(), st.text("0123456789/.+-_ e\u0663\u00b2", max_size=8)))
+def test_split_matches_fast_path_oracle(token):
+    assert outcome(lambda: _split(token)) == outcome(lambda: oracles.fastpath_split(token))

@@ -296,6 +296,38 @@ def test_load_election_names_what_the_array_check_rejects(tmp_path, ballots, mes
     assert _load_outcome(oracles.partial_load_election, path) == (ValueError, str(err.value))
 
 
+def _loaded_both_ways(data: bytes):
+    """``load_election`` and the cell-walking oracle on the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.soc")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return _load_outcome(load_election, path), _load_outcome(oracles.walk_load_election, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([STRICT_FILE, BRACED_STRICT_FILE]).map(str.encode).flatmap(mutated))
+def test_load_election_matches_cell_walk_oracle_on_mutations(data):
+    new, old = _loaded_both_ways(data)
+    assert new == old
+
+
+@pytest.mark.parametrize(
+    "ballot",
+    [
+        "3, 1,2,9",  # an unknown id
+        "3, 1,2,1",  # a repeated id
+        "3, 1,{2,3}",  # a tie
+        "3, 1,2",  # a short vote
+        "3, 1,2,3,1",  # a ragged row
+        "3, 9,9",  # an unknown id, then its repeat
+    ],
+)
+def test_load_election_matches_cell_walk_oracle_on_faults(ballot):
+    new, old = _loaded_both_ways(STRICT_FILE.replace("3, 1,2,3", ballot).encode())
+    assert new == old and new[0] is ValueError
+
+
 _NAMES = st.text(min_size=1, max_size=5).map(str.strip).filter(bool)
 
 
@@ -660,6 +692,19 @@ def test_complete_votes_expands_multiplicities_independently():
     assert e.n == 50
     # with 50 independent coin flips both orders almost surely appear
     assert len(set(e.votes)) == 2
+
+
+@pytest.mark.parametrize("mults, bad", [((1.5,), "1.5"), (("2",), "'2'")])
+def test_partial_profile_rejects_non_integer_multiplicities(mults, bad):
+    # the profile fails as it is built, before complete_votes can use it
+    with pytest.raises(ValueError, match=re.escape(f"multiplicities must be integers, got {bad}")):
+        complete_votes(PartialProfile((1, 2), (((1,), (2,)),), mults, {}), seed=1)
+
+
+def test_partial_profile_takes_numpy_multiplicities():
+    profile = PartialProfile((1, 2), (((1,), (2,)),), (np.int64(3),), {})
+    assert profile.multiplicities == (3,) and type(profile.multiplicities[0]) is int
+    assert complete_votes(profile, seed=1).n == 3
 
 
 # ---------------------------------------------------------------------------

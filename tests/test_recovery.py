@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_random_election, stacked, weighted_permutations
+from conftest import MULTIPLICITIES, make_random_election, stacked, weighted_permutations
 from prefmap.compass import compass_matrix, convex_combination
 from prefmap.core import (
     Election,
@@ -67,22 +69,32 @@ def test_decomposition_contract_property(parts):
     assert len(recovered.vote_counter()) <= pos.m * pos.m - pos.m + 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(weighted_permutations(st.one_of(st.integers(1, 20), MULTIPLICITIES), max_m=7, max_size=12))
+def test_decomposition_matches_support_copy_oracle(parts):
+    pos = PositionMatrix(stacked(parts))
+    recovered = election_from_position_matrix(pos)
+    expected = oracles.support_election_from_position_matrix(pos)
+    assert (recovered.votes, recovered.multiplicities) == (expected.votes, expected.multiplicities)
+
+
 @st.composite
-def _supports(draw):
-    """0/1 matrices: a union of up to three permutation matrices plus a few
-    stray cells, so that some admit no perfect matching."""
+def _supports(draw, counts=False):
+    """0/1 matrices, or matrices of counts: a union of up to three
+    permutation matrices plus a few stray cells, so that some admit no
+    perfect matching."""
     m = draw(st.integers(1, 10))
     perms = draw(st.lists(st.permutations(range(m)), max_size=3))
     cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
     stray = draw(st.lists(cells, max_size=2 * m))
     support = [[0] * m for _ in range(m)]
     for i, j in [*((i, p[i]) for p in perms for i in range(m)), *stray]:
-        support[i][j] = 1
+        support[i][j] = draw(st.integers(1, 2**64)) if counts else 1
     return support
 
 
 @settings(max_examples=300, deadline=None)
-@given(_supports())
+@given(st.one_of(_supports(), _supports(counts=True)))
 def test_perfect_matching_matches_recursive_oracle(support):
     try:
         expected = oracles.recursive_perfect_matching(support)
@@ -258,6 +270,19 @@ def test_frequency_recovery_rejects_bad_n():
     un2 = compass_matrix("UN", 2)
     with pytest.raises(ValueError):
         election_from_frequency_matrix(un2, 0)
+
+
+@pytest.mark.parametrize("n, bad", [(Fraction(7, 2), "Fraction(7, 2)"), (2.5, "2.5"), ("3", "'3'")])
+def test_rounding_rejects_non_integer_voter_counts(n, bad):
+    x = compass_matrix("UN", 2)
+    with pytest.raises(ValueError, match=re.escape(f"voter counts must be integers, got {bad}")):
+        round_position_matrix(x, n)
+
+
+def test_rounding_takes_bools_and_numpy_integers():
+    x = compass_matrix("UN", 2)
+    for n, want in ((True, 1), (np.int64(4), 4), (np.uint8(3), 3)):
+        assert round_position_matrix(x, n) == round_position_matrix(x, want)
 
 
 def test_rounding_line_sums_always_n():
