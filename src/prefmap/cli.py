@@ -17,12 +17,14 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from typing import Sequence
 
 from . import compass as compass_mod
 from . import cultures, embed, ingest, matrixio
 from .core import FrequencyMatrix, PositionMatrix, frequency_from_position, frequency_matrix
+from .core import _in_file
 from .metric import cross_distances, distance_matrix, normalized
 from .recovery import election_from_frequency_matrix, election_from_position_matrix
 
@@ -197,7 +199,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     config = ingest.PRESETS[args.preset]
     paths = _listing(args.indir, ingest.PREFLIB_SUFFIXES)
     profiles = [ingest.parse_preflib(p) for p in paths]
-    elections, manifest = ingest.run_pipeline(profiles, config, args.seed)
+    with _in_file(args.indir):
+        elections, manifest = ingest.run_pipeline(profiles, config, args.seed)
     os.makedirs(args.out, exist_ok=True)
     manifest["preset"] = args.preset
     files = []
@@ -221,56 +224,51 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distance_cells(path: str, cells: list[str]) -> list[float]:
-    out = []
-    for cell in cells:
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: bad distance {cell!r}: expected a finite number")
-        out.append(value)
-    return out
+def _distance(cell: str) -> float:
+    with suppress(ValueError):
+        if math.isfinite(value := float(cell)):
+            return value
+    raise ValueError(f"bad distance {cell!r}: expected a finite number")
 
 
 def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty distance file")
+        raise ValueError("empty distance file")
     header = lines[0].split(",")
     if header and header[0] == "id":
         labels = header[1:]
         index: dict[str, int] = {}
         for k, label in enumerate(labels):
             if index.setdefault(label, k) != k:
-                raise ValueError(f"{path}: header label {label!r} is repeated")
+                raise ValueError(f"header label {label!r} is repeated")
         by_index: dict[int, list[float]] = {}
         for ln in lines[1:]:
             label, *cells = ln.split(",")
             if label not in index:
-                raise ValueError(f"{path}: row label {label!r} is not in the header")
+                raise ValueError(f"row label {label!r} is not in the header")
             if index[label] in by_index:
-                raise ValueError(f"{path}: row label {label!r} is repeated")
-            by_index[index[label]] = _distance_cells(path, cells)
+                raise ValueError(f"row label {label!r} is repeated")
+            by_index[index[label]] = list(map(_distance, cells))
         rows = [by_index[k] for k in sorted(by_index)]
     else:
         labels = [str(i) for i in range(len(lines))]
-        rows = [_distance_cells(path, ln.split(",")) for ln in lines]
+        rows = [list(map(_distance, ln.split(","))) for ln in lines]
     if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
-        raise ValueError(f"{path}: distance matrix must be square")
+        raise ValueError("distance matrix must be square")
     return labels, rows
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     if not args.svg and not args.coords:
         raise UsageError("embed: nothing to do, pass --svg and/or --coords")
-    labels, rows = _read_distance_csv(args.distances)
-    styling = embed.default_styling(labels)
-    layout = embed.embed_distances(
-        rows, seed=args.seed, iterations=args.iters, ids=labels, styling=styling
-    )
+    with _in_file(args.distances):
+        labels, rows = _read_distance_csv(args.distances)
+        styling = embed.default_styling(labels)
+        layout = embed.embed_distances(
+            rows, seed=args.seed, iterations=args.iters, ids=labels, styling=styling
+        )
     if args.svg:
         embed.render_svg(layout, args.svg)
         _say(args, f"wrote {args.svg}")
@@ -423,15 +421,15 @@ def _defaults(args: argparse.Namespace) -> dict[str, object]:
     Config values stay strings for argparse to convert; quiet reads 1/true/yes."""
     values: dict[str, object] = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _in_file(args.config), open(args.config, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 key, sep, value = map(str.strip, line.partition("="))
                 if key.startswith("#") or not (key or sep):
                     continue
                 if not sep:
-                    raise ValueError(f"{args.config} line {lineno}: expected key=value")
+                    raise ValueError(f"line {lineno}: expected key=value")
                 if key not in _CONFIG_KEYS:
-                    raise ValueError(f"{args.config} line {lineno}: unknown key {key!r}")
+                    raise ValueError(f"line {lineno}: unknown key {key!r}")
                 values[key] = value.lower() in ("1", "true", "yes") if key == "quiet" else value
     if getattr(args, "coarse", False):
         values.update(grid_step=0.01, samples=20)

@@ -15,11 +15,12 @@ integer arithmetic and `fractions.Fraction` appears only at the edges.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -142,16 +143,30 @@ def _tally(election: Election) -> np.ndarray:
     return _voters_in(election, election.vote_array + np.arange(0, m * m, m), m * m).reshape(m, m)
 
 
-def _integers(values: Iterable[object], what: str) -> tuple[int, ...]:
-    """``values`` as Python ints.  Ints, bools and numpy integers pass;
-    anything ``int`` would change, such as 1.5, Fraction(3, 2) or "2",
-    raises naming the first such value."""
+def _integers(values: Iterable[object], what: str, number: type = int) -> tuple:
+    """``values`` as Python ints, or as Fractions with ``number=Fraction``.
+    Each must equal what ``number`` makes of it, so 1.5, "2", None or inf
+    fail as ints and "1/2" as a Fraction; the first to fail is named."""
     raw = tuple(values)
-    ints = tuple(map(int, raw))
-    if ints != raw:
-        bad = next(x for x, y in zip(raw, ints) if x != y)
-        raise ValueError(f"{what} must be integers, got {bad!r}")
-    return ints
+    with suppress(TypeError, ValueError, OverflowError):
+        exact = tuple(map(number, raw))
+        if exact == raw:
+            return exact
+    for x in raw:
+        with suppress(TypeError, ValueError, OverflowError):
+            if number(x) == x:
+                continue
+        raise ValueError(f"{what} must be {'integers' if number is int else 'numbers'}, got {x!r}")
+
+
+@contextmanager
+def _in_file(path: object) -> Iterator[None]:
+    """Start the message of every ValueError raised inside, UnicodeDecodeError
+    included, with ``PATH: ``: the one place an input fault names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _line_total(rows: Sequence[Sequence[int]], what: str, unit: int = 1) -> int:
@@ -184,7 +199,7 @@ def _line_total(rows: Sequence[Sequence[int]], what: str, unit: int = 1) -> int:
 class PositionMatrix:
     """Square integer matrix: entry (i, j) counts voters ranking candidate j
     at position i.  Every row and every column sums to the voter count n.
-    The one matrix taking arbitrary entries: each row passes ``_integers``."""
+    Each row passes ``_integers``."""
 
     entries: IntRows
     m: int = field(init=False)
@@ -213,8 +228,8 @@ class FrequencyMatrix:
     denominator: int
 
     def __init__(self, entries: Iterable[Iterable[Fraction | int]]) -> None:
-        """Build from rows of exact rationals; every line must sum to 1."""
-        rows = [[Fraction(x) for x in row] for row in entries]
+        """Build from rows that pass ``_integers`` as Fractions; every line must sum to 1."""
+        rows = [_integers(row, "frequency matrix entries", Fraction) for row in entries]
         d = lcm(*(x.denominator for row in rows for x in row))
         counts = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
         if _line_total(counts, "frequency matrix", d) != d:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import Election, _integers, borda_scores, restrict_to_candidates
+from .core import Election, _in_file, _integers, borda_scores, restrict_to_candidates
 from .cultures import derive_seed
 
 # extensions of the PrefLib files the command line reads
@@ -123,81 +123,72 @@ def _read(
     """The candidate ids, their names, the ballots and their counts of a
     PrefLib-style file.  Checks the header, every ballot line through
     ``parse_line`` (which returns the count and the ballot of a line), and
-    then the header's totals, in that order."""
-    with open(path, "r", encoding="utf-8") as fh:
+    then the header's totals, in that order; every fault names the file."""
+    with _in_file(path), open(path, "r", encoding="utf-8") as fh:
         rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    it = iter(rows)
+        if not rows:
+            raise ValueError("empty file")
+        it = iter(rows)
 
-    def next_row(what: str) -> tuple[int, str]:
+        def next_row(what: str) -> tuple[int, str]:
+            try:
+                return next(it)
+            except StopIteration:
+                raise ValueError(f"truncated file, expected {what}") from None
+
+        lineno, first = next_row("candidate count")
         try:
-            return next(it)
-        except StopIteration:
-            raise ValueError(f"{path}: truncated file, expected {what}") from None
-
-    lineno, first = next_row("candidate count")
-    try:
-        m = int(first)
-    except ValueError:
-        raise ValueError(f"{path} line {lineno}: bad candidate count {first!r}") from None
-    if m < 1:
-        raise ValueError(f"{path} line {lineno}: candidate count must be positive")
-
-    ids: list[int] = []
-    names: dict[int, str] = {}
-    for _ in range(m):
-        lineno, ln = next_row("candidate line")
-        head, sep, name = ln.partition(",")
-        if not sep:
-            raise ValueError(f"{path} line {lineno}: expected 'id, name'")
-        try:
-            cid = int(head.strip())
+            m = int(first)
         except ValueError:
-            raise ValueError(f"{path} line {lineno}: bad candidate id {head!r}") from None
-        if cid in names:
-            raise ValueError(f"{path} line {lineno}: duplicate candidate id {cid}")
-        ids.append(cid)
-        names[cid] = name.strip()
+            raise ValueError(f"line {lineno}: bad candidate count {first!r}") from None
+        if m < 1:
+            raise ValueError(f"line {lineno}: candidate count must be positive")
 
-    lineno, counts_line = next_row("counts line")
-    parts = [p.strip() for p in counts_line.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"{path} line {lineno}: expected 'voters, sum, distinct'")
-    try:
-        n_voters, sum_counts, distinct = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"{path} line {lineno}: bad counts line {counts_line!r}") from None
+        ids: list[int] = []
+        names: dict[int, str] = {}
+        for _ in range(m):
+            lineno, ln = next_row("candidate line")
+            head, sep, name = ln.partition(",")
+            if not sep:
+                raise ValueError(f"line {lineno}: expected 'id, name'")
+            try:
+                cid = int(head.strip())
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad candidate id {head!r}") from None
+            if cid in names:
+                raise ValueError(f"line {lineno}: duplicate candidate id {cid}")
+            ids.append(cid)
+            names[cid] = name.strip()
 
-    ballots: list[Ballot] = []
-    mults: list[int] = []
-    for lineno, ln in it:
+        lineno, counts_line = next_row("counts line")
+        parts = [p.strip() for p in counts_line.split(",")]
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'voters, sum, distinct'")
         try:
-            count, ballot = parse_line(ln, lineno)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        ballots.append(ballot)
-        mults.append(count)
+            n_voters, sum_counts, distinct = (int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad counts line {counts_line!r}") from None
 
-    if len(ballots) != distinct:
-        raise ValueError(
-            f"{path}: header promises {distinct} distinct ballots, found {len(ballots)}"
-        )
-    if sum(mults) != sum_counts:
-        raise ValueError(
-            f"{path}: ballot counts sum to {sum(mults)}, header says {sum_counts}"
-        )
-    if n_voters != sum_counts:
-        raise ValueError(
-            f"{path}: voter count {n_voters} != sum of counts {sum_counts}"
-        )
-    return ids, names, ballots, mults
+        ballots: list[Ballot] = []
+        mults: list[int] = []
+        for lineno, ln in it:
+            count, ballot = parse_line(ln, lineno)
+            ballots.append(ballot)
+            mults.append(count)
+
+        if len(ballots) != distinct:
+            raise ValueError(f"header promises {distinct} distinct ballots, found {len(ballots)}")
+        if sum(mults) != sum_counts:
+            raise ValueError(f"ballot counts sum to {sum(mults)}, header says {sum_counts}")
+        if n_voters != sum_counts:
+            raise ValueError(f"voter count {n_voters} != sum of counts {sum_counts}")
+        return ids, names, ballots, mults
 
 
 def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
     """Parse a PrefLib-style file (strict, tied, or partial ballots)."""
     ids, names, votes, mults = _read(path, _parse_vote_line)
-    try:
+    with _in_file(path):
         return PartialProfile(
             candidates=tuple(ids),
             votes=tuple(votes),
@@ -205,8 +196,6 @@ def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
             names=names,
             source=str(path),
         )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def serialize_election(
@@ -255,26 +244,24 @@ def load_election(path: str | os.PathLike[str]) -> Election:
     """
     ids, _, ballots, mults = _read(path, _strict_line)
     rankings = [ranking for ranking, _ in ballots]
-    try:
-        # votes of m ids each go through the election's one array check
-        if any(len(ranking) != len(ids) for ranking in rankings):
-            raise ValueError("vote of another length")
-        election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
-        odd = [b for b in ballots if b[1]]
-    except (KeyError, ValueError):
-        # one singleton group per id; a vote that passes is strict and
-        # complete once it has m ids
+    with _in_file(path):
         try:
+            # votes of m ids each go through the election's one array check
+            if any(len(ranking) != len(ids) for ranking in rankings):
+                raise ValueError("vote of another length")
+            election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
+            odd = [b for b in ballots if b[1]]
+        except (KeyError, ValueError):
+            # one singleton group per id; a vote that passes is strict and
+            # complete once it has m ids
             PartialProfile(ids, [[(c,) for c in ranking] for ranking in rankings], mults, {})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        odd = [b for b in ballots if b[1] or len(b[0]) != len(ids)]
-        if not odd:
-            raise
-    for _, tied in odd:
-        fault = "ties not allowed" if tied else "incomplete vote"
-        raise ValueError(f"{path}: {fault} in a strict election")
-    return election
+            odd = [b for b in ballots if b[1] or len(b[0]) != len(ids)]
+            if not odd:
+                raise
+        for _, tied in odd:
+            fault = "ties not allowed" if tied else "incomplete vote"
+            raise ValueError(f"{fault} in a strict election")
+        return election
 
 
 def _index_rows(ids: Sequence[int], rankings: Iterable[Sequence[int]]) -> np.ndarray:

@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Union
 
-from .core import FrequencyMatrix, PositionMatrix, _frequency, _line_total
+from .core import FrequencyMatrix, PositionMatrix, _frequency, _in_file, _line_total
 
 Matrix = Union[PositionMatrix, FrequencyMatrix]
 
@@ -42,7 +42,7 @@ def _split(token: str) -> tuple[int, int]:
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"bad rational {token!r}: {exc}") from None
     if q == 0:
-        raise ValueError(f"bad rational {token!r}: Fraction({p}, 0)")
+        raise ValueError(f"bad rational {token!r}: zero denominator")
     return p, q
 
 
@@ -66,30 +66,28 @@ def read_matrix_csv(path: str | os.PathLike[str]) -> Matrix:
     """Parse a matrix CSV, auto-detecting its kind by row sums.
 
     Rows summing to 1 give a FrequencyMatrix; integer entries with larger
-    equal row sums give a PositionMatrix.  Anything else is rejected.  A 0/1
-    permutation matrix is both; it reads as a FrequencyMatrix with
-    denominator 1.
+    equal row sums give a PositionMatrix.  Anything else is rejected with a
+    message that starts with the path.  A 0/1 permutation matrix is both;
+    it reads as a FrequencyMatrix with denominator 1.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _in_file(path), open(path, "r", encoding="utf-8") as fh:
         rows = [ln.split(",") for ln in map(str.strip, fh) if ln and ln[0] != "#"]
-    parsed = {tok: _split(tok) for tok in dict.fromkeys(chain.from_iterable(rows))}
-    if not rows:
-        raise ValueError(f"{path}: no matrix rows found")
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError(f"{path}: expected a square {m}x{m} matrix")
+        parsed = {tok: _split(tok) for tok in dict.fromkeys(chain.from_iterable(rows))}
+        if not rows:
+            raise ValueError("no matrix rows found")
+        m = len(rows)
+        if any(len(row) != m for row in rows):
+            raise ValueError(f"expected a square {m}x{m} matrix")
 
-    # over the common denominator d, a row summing to 1 sums to d and an
-    # integer entry is a multiple of d
-    d = lcm(*(q for _, q in parsed.values()))
-    scaled = {tok: p * (d // q) for tok, (p, q) in parsed.items()}
-    counts = [list(map(scaled.__getitem__, row)) for row in rows]
-    if all(sum(row) == d for row in counts):
-        _line_total(counts, "frequency matrix", d)
-        return _frequency(counts, d)
-    whole = {tok: c // d for tok, c in scaled.items() if c % d == 0}
-    if len(whole) == len(scaled):
-        return PositionMatrix([list(map(whole.__getitem__, row)) for row in rows])
-    raise ValueError(
-        f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
-    )
+        # over the common denominator d, a row summing to 1 sums to d and an
+        # integer entry is a multiple of d
+        d = lcm(*(q for _, q in parsed.values()))
+        scaled = {tok: p * (d // q) for tok, (p, q) in parsed.items()}
+        counts = [list(map(scaled.__getitem__, row)) for row in rows]
+        if all(sum(row) == d for row in counts):
+            _line_total(counts, "frequency matrix", d)
+            return _frequency(counts, d)
+        whole = {tok: c // d for tok, c in scaled.items() if c % d == 0}
+        if len(whole) == len(scaled):
+            return PositionMatrix([list(map(whole.__getitem__, row)) for row in rows])
+        raise ValueError("rows neither sum to 1 (frequency) nor hold integers (position)")

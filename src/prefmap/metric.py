@@ -14,11 +14,11 @@ once, numpy builds the cost matrices and the starting duals, and each
 row greedily takes a free column of reduced cost 0.  Only the rows left
 free go on to a shortest augmenting path search, whose loop ``_complete``
 picks.  If int64 keys hold it, ``_lockstep`` runs it for the pairs of a
-block together while at least ``_LOCKSTEP`` have a free row, then
-``_augment_wide`` in numpy one pair at a time from m = ``_WIDE`` on (both
-above measured crossovers); ``_augment``, in Python, completes every
-other pair.  Every matching is
-then tight under feasible duals, so a pair's total is the sum of its
+block together while at least ``_LOCKSTEP`` have a free row, which only
+blocks at m <= 22 can hold; ``_augment_wide`` completes one pair at a time
+in numpy from m = ``_WIDE`` on.  ``_augment``, in Python, completes every
+other pair, so every int64 pair at m = 23-47.  Every matching is then
+tight under feasible duals, so a pair's total is the sum of its
 duals.  The batch callers, ``cross_distances`` and ``distance_matrix``,
 stop there: every optimal matching has the same total.  Only
 ``positionwise`` returns a permutation, and it runs one more pass over
@@ -43,7 +43,9 @@ _BLOCK = 2**16
 # Pairs with a free row from which _lockstep runs.  Completing k such pairs
 # of paper-style distance_matrix blocks (n = 100; 2-vCPU machine) both ways,
 # the loops break even near 80 pairs at m = 10, 60 at m = 20, 16 at m = 50;
-# at 128, lockstep is 1.4x, 1.9x, 2.9x faster; at 8, 5x, 4x, 2x slower.
+# at 128, lockstep is 1.4x, 1.9x, 2.9x faster; at 8, 5x, 4x, 2x slower.  But
+# a block holds _BLOCK // m**2 pairs, 123 at m = 23, so _lockstep runs only
+# for m <= 22, and at m = 23-47 every int64 pair goes to Python _augment.
 _LOCKSTEP = 128
 # Smallest m at which _augment_wide replaces _augment.  On the pairs with a free
 # row among 4 compass anchors and 5 elections (n = 100; 2-vCPU machine), it ran

@@ -277,34 +277,37 @@ def fraction_parse_rational(token: str) -> Fraction:
         if decimals is not None:
             return Fraction(int(num + decimals), 10 ** len(decimals))
         return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad rational {token!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {token!r}: zero denominator") from None
 
 
 def fraction_read_matrix_csv(path: str | os.PathLike[str]) -> FrequencyMatrix | PositionMatrix:
     """``read_matrix_csv`` by ``Fraction`` arithmetic: rows of ``Fraction``
     entries summing to 1 give a FrequencyMatrix, integer entries a
-    PositionMatrix."""
-    rows: list[list[Fraction]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([fraction_parse_rational(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: no matrix rows found")
-    m = len(rows)
-    for row in rows:
-        if len(row) != m:
-            raise ValueError(f"{path}: expected a square {m}x{m} matrix")
-    if all(sum(row) == 1 for row in rows):
-        return FrequencyMatrix(tuple(tuple(row) for row in rows))
-    if all(x.denominator == 1 for row in rows for x in row):
-        return PositionMatrix(tuple(tuple(x.numerator for x in row) for row in rows))
-    raise ValueError(
-        f"{path}: rows neither sum to 1 (frequency) nor hold integers (position)"
-    )
+    PositionMatrix.  Every fault names the file."""
+    try:
+        rows: list[list[Fraction]] = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                rows.append([fraction_parse_rational(tok) for tok in line.split(",")])
+        if not rows:
+            raise ValueError("no matrix rows found")
+        m = len(rows)
+        for row in rows:
+            if len(row) != m:
+                raise ValueError(f"expected a square {m}x{m} matrix")
+        if all(sum(row) == 1 for row in rows):
+            return FrequencyMatrix(tuple(tuple(row) for row in rows))
+        if all(x.denominator == 1 for row in rows for x in row):
+            return PositionMatrix(tuple(tuple(x.numerator for x in row) for row in rows))
+        raise ValueError("rows neither sum to 1 (frequency) nor hold integers (position)")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def loop_write_matrix_csv(
@@ -1045,12 +1048,15 @@ def partial_load_election(path: str | os.PathLike[str]) -> Election:
         if len(flat) != profile.m:
             raise ValueError(f"{path}: incomplete vote in a strict election")
         votes.append(flat)
-    return Election(
-        candidates=profile.candidates,
-        votes=tuple(votes),
-        multiplicities=profile.multiplicities,
-        meta={"source": str(path)},
-    )
+    try:
+        return Election(
+            candidates=profile.candidates,
+            votes=tuple(votes),
+            multiplicities=profile.multiplicities,
+            meta={"source": str(path)},
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def loop_serialize_election(
@@ -1200,7 +1206,7 @@ def fastpath_split(token: str) -> tuple[int, int]:
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"bad rational {token!r}: {exc}") from None
     if q == 0:
-        raise ValueError(f"bad rational {token!r}: Fraction({p}, 0)")
+        raise ValueError(f"bad rational {token!r}: zero denominator")
     return p, q
 
 
@@ -1215,10 +1221,10 @@ def walk_load_election(path: str | os.PathLike[str]) -> Election:
             raise ValueError("vote of another length")
         election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
         odd = [b for b in ballots if b[1]]
-    except (KeyError, ValueError):
+    except (KeyError, ValueError) as exc:
         odd = [b for b in ballots if b[1] or len(b[0]) != len(ids) or set(b[0]) != known]
         if not odd:
-            raise
+            raise ValueError(f"{path}: {exc}") from None
     for ranking, _ in odd:
         seen: set[int] = set()
         for c in ranking:

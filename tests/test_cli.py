@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import mutated
 from prefmap import ingest
 from prefmap.cli import UsageError, build_parser, main
 from prefmap.compass import compass_matrix
@@ -593,11 +599,11 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
 
 def test_config_unknown_key_fails(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
-    config.write_text("volume=11\n")
+    config.write_text("# defaults\nvolume=11\n")
     code, _, err = run(capsys, "generate", "--culture", "ic", "--m", "3", "--n", "2",
                        "--config", str(config), "--out", str(tmp_path / "x.soc"))
     assert code == 1
-    assert "volume" in err
+    assert f"prefmap: error: {config}: line 2: unknown key 'volume'" in err
 
 
 def test_config_abbreviated_flag_wins(capsys, tmp_path):
@@ -761,6 +767,83 @@ def test_missing_file_is_reported_not_raised(capsys, tmp_path):
                        "--b", str(tmp_path / "no2.csv"))
     assert code == 1
     assert "error" in err.lower()
+
+
+_TEN = "".join(f"{c}, c{c}\n" for c in range(1, 11))
+# One valid input per command that reads a file, as (name, bytes, argv):
+# "IN" stands for the input's path, "DIR" for the directory that holds it,
+# "AUX" for a valid 3 x 3 matrix and "OUT" for an output path.
+_FAULT_CASES = {
+    "distance-csv": ("in.csv", b"1/3,2/3,0\n2/3,1/6,1/6\n0,1/6,5/6\n",
+                     ["distance", "--a", "AUX", "--b", "IN"]),
+    "distance-soc": ("in.soc", b"3\n1, a\n2, b\n3, c\n5, 5, 2\n3, 1,2,3\n2, 3,1,2\n",
+                     ["distance", "--a", "AUX", "--b", "IN"]),
+    "recover": ("in.csv", b"3,1,3\n3,3,1\n1,3,3\n", ["recover", "--matrix", "IN", "--out", "OUT"]),
+    "embed": ("in.csv", b"id,a,b,c\na,0,1,2\nb,1,0,1.5\nc,2,1.5,0\n",
+              ["embed", "--distances", "IN", "--coords", "OUT", "--iters", "50"]),
+    # ten candidates, so the default preset keeps the profile
+    "ingest": ("in.soc", f"10\n{_TEN}4, 4, 2\n3, 1,2,3,4,5,6,7,8,9,10\n"
+               "1, 10,9,8,7,6,5,4,3,2,1\n".encode(), ["ingest", "--in", "DIR", "--out", "OUT"]),
+    "fit-mallows": ("in.soc", b"3\n1, a\n2, b\n3, c\n5, 5, 2\n3, 1,2,3\n2, 3,1,2\n",
+                    ["fit-mallows", "--dataset", "DIR", "--grid-step", "0.5", "--samples", "1"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FAULT_CASES)).flatmap(
+    lambda case: mutated(_FAULT_CASES[case][1]).map(lambda data: (case, data))))
+def test_an_input_fault_names_its_file(case_data):
+    # a command given an edited input succeeds, or exits 1 naming the
+    # input once; only a fault between two inputs may name neither
+    case, data = case_data
+    name, _, argv = _FAULT_CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = os.path.join(tmp, "input")
+        os.mkdir(folder)
+        path = os.path.join(folder, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        aux = os.path.join(tmp, "aux.csv")
+        write_matrix_csv(compass_matrix("ID", 3), aux)
+        where = {"IN": path, "DIR": folder, "AUX": aux, "OUT": os.path.join(tmp, "out")}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([where.get(arg, arg) for arg in argv])
+    err = err.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in err and "Fraction(" not in err, err
+    if code == 1:
+        # ingest names its input directory for a fault of the whole dataset
+        named = path if path in err or case != "ingest" else folder
+        if named in err:
+            assert err.startswith(f"prefmap: error: {named}: ") and err.count(named) == 1, err
+        else:
+            assert "matrix sizes differ" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["embed", "--coords", "xy.csv", "--distances"], "0,1\n2,0\n",
+         "distance matrix must be symmetric"),
+        (["embed", "--coords", "xy.csv", "--distances"], "1,1\n1,0\n", "diagonal must be zero"),
+        (["recover", "--out", "r.soc", "--matrix"], "1/2,1/2\n1,0\n",
+         "frequency matrix column 0 sums to 3/2, expected 1"),
+        # three candidates: the default preset, which wants ten, drops the profile
+        (["ingest", "--out", "out", "--in"], "3\n1, a\n2, b\n3, c\n1, 1, 1\n1, 1,2,3\n",
+         "no profile survived the pipeline filters"),
+    ],
+)
+def test_faults_after_reading_name_the_input(capsys, tmp_path, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "input"
+    folder.mkdir()
+    path = folder / ("in.soc" if argv[0] == "ingest" else "in.csv")
+    path.write_text(text)
+    named = folder if argv[0] == "ingest" else path
+    code, _, err = run(capsys, *argv, str(named))
+    assert code == 1
+    assert err == f"prefmap: error: {named}: {message}\n"
 
 
 def readme_block(section, language):

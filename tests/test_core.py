@@ -191,7 +191,10 @@ def test_election_validation():
 
 
 @pytest.mark.parametrize(
-    "mults, bad", [([1.5, 2], "1.5"), ([Fraction(3, 2), 2], "Fraction(3, 2)"), (["2", 1], "'2'")]
+    "mults, bad",
+    [([1.5, 2], "1.5"), ([Fraction(3, 2), 2], "Fraction(3, 2)"), (["2", 1], "'2'"),
+     # values int() cannot convert at all: its ValueError, TypeError, OverflowError
+     ([1, "a"], "'a'"), ([None, 1], "None"), ([float("inf"), 1], "inf")],
 )
 def test_election_rejects_non_integer_multiplicities(mults, bad):
     with pytest.raises(ValueError, match=re.escape(f"multiplicities must be integers, got {bad}")):
@@ -337,6 +340,8 @@ def test_position_matrix_validation():
         (((1.5, 0.5), (0.5, 1.5)), "1.5"),
         (((Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))), "Fraction(3, 2)"),
         ((("1", 0), (0, "1")), "'1'"),
+        (((float("inf"), 0), (0, float("inf"))), "inf"),
+        (((None, 1), (1, 0)), "None"),
     ],
 )
 def test_position_matrix_rejects_non_integer_entries(entries, bad):
@@ -406,6 +411,26 @@ def test_frequency_matrix_validation():
         FrequencyMatrix(((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2))))
     with pytest.raises(ValueError):
         FrequencyMatrix(((1, 1), (1, 1)))  # equal line sums, but not 1
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        ((("1/2", "1/2"), ("1/2", "1/2")), "'1/2'"),
+        ((("1", 0), (0, 1)), "'1'"),
+        (((float("inf"), 0), (0, 1)), "inf"),
+        (((float("nan"), 0), (0, 1)), "nan"),
+        (((None, 1), (1, 0)), "None"),
+    ],
+)
+def test_frequency_matrix_takes_entries_by_the_position_matrix_rule(entries, bad):
+    # one rule for both matrices: a value passes only as the number it is
+    message = f"frequency matrix entries must be numbers, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FrequencyMatrix(entries)
+    # a float is taken at its binary value
+    half = FrequencyMatrix(((0.5, 0.5), (np.float64(0.5), Fraction(1, 2))))
+    assert half.counts == ((1, 1), (1, 1)) and half.denominator == 2
 
 
 def test_frequency_matrix_is_stored_in_lowest_terms():
@@ -727,8 +752,14 @@ def test_parse_rational_agrees_with_fraction(token):
      "+-1", "1/2/3", "1/-2", "2.5/3", "0x10", "\u0663", "1 /2", "1/0"],
 )
 def test_parse_rational_rejects_other_tokens(token):
-    with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")) as err:
         Fraction(*_split(token))
+    assert "Fraction(" not in str(err.value)
+
+
+def test_parse_rational_names_a_zero_denominator():
+    with pytest.raises(ValueError, match=re.escape("bad rational '1/0': zero denominator")):
+        _split("1/0")
 
 
 _DIGIT_RUNS = st.one_of(

@@ -120,14 +120,21 @@ def test_parse_ties_and_partial(tmp_path):
         (lambda s: s.replace("3, 1,2,3", "3, 1,2,9"), "unknown candidate"),
         (lambda s: s.replace("3, 1,2,3", "3, 1,2,1"), "repeated"),
         (lambda s: "\n".join(s.splitlines()[:3]) + "\n", "truncated"),
+        (lambda s: s.replace("\n3\n", "\nx\n"), "line 2: bad candidate count 'x'"),
+        (lambda s: s.replace("3, Gamma", "3 Gamma"), "line 5: expected 'id, name'"),
+        (lambda s: s.replace("5, 5, 2", "5, 5"), "line 6: expected 'voters, sum, distinct'"),
+        (lambda s: s.replace("Gamma", "Gamma\udcff"), "'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_parse_rejects_malformed(tmp_path, mutation, message_part):
     path = tmp_path / "bad.soc"
-    path.write_text(mutation(STRICT_FILE))
-    with pytest.raises(ValueError) as err:
-        parse_preflib(path)
-    assert message_part in str(err.value)
+    path.write_text(mutation(STRICT_FILE), errors="surrogateescape")
+    for read in (parse_preflib, load_election):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        # the file is named once, at the start
+        assert str(err.value).startswith(f"{path}: ") and str(err.value).count(str(path)) == 1
+        assert message_part in str(err.value)
 
 
 def test_parse_rejects_bad_braces(tmp_path):
