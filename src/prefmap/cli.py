@@ -286,6 +286,8 @@ def _cmd_fit_mallows(args: argparse.Namespace) -> int:
             f"finite number in (0, 0.5], got {step!r}"
         )
     dataset = [ingest.load_election(p) for p in _listing(args.dataset, (".soc",))]
+    with _in_file(args.dataset):
+        cultures._dataset_m(dataset)  # a dataset-level fault names the directory
     count = int(round(0.5 / step)) + 1
     grid = [min(k * step, 0.5) for k in range(count)]
     result = cultures.fit_mallows(dataset, grid, args.samples, args.seed)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,19 +96,19 @@ def mahonian_row(m: int) -> tuple[int, ...]:
     """Inversion counts of m elements: entry i is the number of permutations
     with exactly i inversions (m = 0 is the empty permutation).
 
-    Row m is row m-1 times 1 + x + ... + x^(m-1), one running sum over a
-    window of m entries; only the previous row is kept."""
+    Row k is row k-1 times 1 + x + ... + x^(k-1): entry i is P[i] - P[i-k]
+    over the prefix sums P of row k-1.  Rows are palindromes and entry i
+    reads row k-1 only up to i, so each row is built to its middle from the
+    previous half mirrored, and the last row is mirrored once."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    row = [1]
+    half, top = [1], 0  # entries 0..top//2 of the row with last index top
     for k in range(2, m + 1):
-        acc = 0
-        out = []
-        for new, old in zip(row + [0] * (k - 1), [0] * k + row):
-            acc += new - old
-            out.append(acc)
-        row = out
-    return tuple(row)
+        prev = half + half[: top + 1 - len(half)][::-1]
+        top += k - 1
+        sums = list(itertools.accumulate(prev[: top // 2 + 1]))
+        half = sums[:k] + list(map(operator.sub, sums[k:], sums))
+    return tuple(half + half[: top + 1 - len(half)][::-1])
 
 
 @lru_cache(maxsize=256)
@@ -393,6 +394,16 @@ class FitResult:
     std_distance: float
 
 
+def _dataset_m(dataset: Sequence[Election]) -> int:
+    """The one candidate count of a nonempty dataset of elections."""
+    if not dataset:
+        raise ValueError("dataset must be nonempty")
+    sizes = sorted({e.m for e in dataset})
+    if len(sizes) != 1:
+        raise ValueError(f"dataset mixes candidate counts: {sizes}")
+    return sizes[0]
+
+
 def fit_mallows(
     dataset: Sequence[Election],
     grid: Sequence[float],
@@ -415,11 +426,7 @@ def fit_mallows(
     as one block on its own: memory holds one value's samples_per_value *
     votes_per_sample * m votes and one block of matrices, not the grid.
     """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    sizes = {e.m for e in dataset}
-    if len(sizes) != 1:
-        raise ValueError(f"dataset mixes candidate counts: {sorted(sizes)}")
+    m = _dataset_m(dataset)
     if not grid:
         raise ValueError("grid must be nonempty")
     for g in grid:
@@ -429,7 +436,6 @@ def fit_mallows(
             raise ValueError(f"grid value {g} is above 1/2: it scores as its mirror {1 - g:g}")
     if samples_per_value < 1:
         raise ValueError("samples_per_value must be positive")
-    m = sizes.pop()
     if m < 2:
         raise ValueError("normalization needs at least two candidates")
     data = [frequency_matrix(e) for e in dataset]

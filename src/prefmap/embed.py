@@ -110,7 +110,7 @@ def embed_distances(
 
     ``iterations`` caps the Guttman steps.  The returned layout is centered
     at the origin.  Identical inputs with the same seed give
-    bitwise-identical coordinates.
+    bitwise-identical coordinates on one numpy/BLAS build and thread count.
     """
     k = len(distances)
     for row in distances:

@@ -382,11 +382,11 @@ def _totals(cost: np.ndarray) -> list[int]:
 
 
 def _costs(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Cost matrices of a block of pairs from their scaled prefix sums:
-    ``cost[b, i, j]`` is the sum over positions p of
+    """Cost matrices of a block of pairs from their scaled prefix sums, in
+    their dtype: ``cost[b, i, j]`` is the sum over positions p of
     ``|px[b, p, i] - py[b, p, j]|``.  Each position is added through one
-    reused temporary of the cost's shape.  The last position adds
-    nothing: there every column's prefix sum is the whole scale."""
+    reused temporary of the cost's shape.  The last position adds nothing:
+    every column's prefix sum is the whole scale there."""
     pairs, m, _ = px.shape
     cost = np.zeros((pairs, m, m), dtype=px.dtype)
     diff = np.empty_like(cost)
@@ -408,8 +408,10 @@ def _cost_blocks(
     """Cost tensors of ``xs[i]`` against ``ys[j]`` for the pairs (i, j), in
     blocks: yields the block's indices into ``pairs``, their scales and the
     ``_costs`` of their prefix sums multiplied up to the scale lcm(Dx, Dy).
-    Those lie in [0, scale], so a cost is at most m * scale: int64 for
-    pairs below 2**62, Python integers for the others."""
+    Those, their differences and every partial cost lie in [-m * scale,
+    m * scale]: int64 for pairs below 2**62, Python integers for the others.
+    An int64 block is built in int16, int32 or int64, the narrowest that
+    holds its largest m * scale (more numpy lanes per step), then cast to int64."""
     if not pairs:
         return
     zs, off = (xs, 0) if ys is xs else ([*xs, *ys], len(xs))  # each matrix once
@@ -424,15 +426,18 @@ def _cost_blocks(
     sums = np.add.accumulate(np.fromiter(flat, kind, len(zs) * m * m).reshape(-1, m, m), axis=1)
     scales = [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
     size = _block_pairs(m)
-    for dtype in (np.int64, object):
-        todo = [k for k, s in enumerate(scales) if (m * s < 2**62) == (dtype is np.int64)]
+    for wide in (np.int64, object):
+        todo = [k for k, s in enumerate(scales) if (m * s < 2**62) == (wide is np.int64)]
         for at in range(0, len(todo), size):
             block = todo[at : at + size]
+            top = m * max(scales[k] for k in block)
+            dtype = np.int16 if top < 2**15 else np.int32 if top < 2**31 else wide
             picks = [(k, pairs[k][0]) for k in block] + [(k, off + pairs[k][1]) for k in block]
             up = np.array([scales[k] // zs[z].denominator for k, z in picks], dtype=dtype)
             p = sums.take([z for _, z in picks], axis=0).astype(dtype, copy=False)
             p *= up[:, None, None]
-            yield block, [scales[k] for k in block], _costs(p[: len(block)], p[len(block) :])
+            cost = _costs(p[: len(block)], p[len(block) :])
+            yield block, [scales[k] for k in block], cost.astype(wide, copy=False)
 
 
 def _values(

@@ -134,6 +134,7 @@ def _place_units(
     src_left = list(row_need)
     sink_left = list(col_need)
     placed = [[0] * m for _ in range(m)]
+    holders: list[set[int]] = [set() for _ in range(m)]  # column j: rows i with placed[i][j]
     potential = [0] * (sink + 1)
     for _ in range(sum(row_need)):
         dist: list[float | int] = [inf] * (sink + 1)
@@ -166,15 +167,14 @@ def _place_units(
                             heapq.heappush(heap, (nd, v))
             elif u < sink:
                 j = u - m - 1
-                for i in range(m):
-                    if placed[i][j]:
-                        nd = base - cost[i][j] - potential[i + 1]
-                        if nd < dist[i + 1]:
-                            dist[i + 1] = nd
-                            entries[i] = [j]
-                            heapq.heappush(heap, (nd, i + 1))
-                        elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
-                            entries[i].append(j)
+                for i in holders[j]:  # order is free: each row once, entries read by max/min
+                    nd = base - cost[i][j] - potential[i + 1]
+                    if nd < dist[i + 1]:
+                        dist[i + 1] = nd
+                        entries[i] = [j]
+                        heapq.heappush(heap, (nd, i + 1))
+                    elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
+                        entries[i].append(j)
                 if sink_left[j] > 0:
                     nd = base - potential[sink]
                     if nd < dist[sink]:
@@ -200,11 +200,13 @@ def _place_units(
         while True:
             i, j = prev[v] - 1, v - m - 1
             placed[i][j] = 1
+            holders[j].add(i)
             e = max((e for e in entries[i] if e <= j), default=min(entries[i]))
             if e < 0:
                 src_left[i] -= 1
                 break
             placed[i][e] = 0
+            holders[e].remove(i)
             v = m + 1 + e
     return placed
 

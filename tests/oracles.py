@@ -53,6 +53,8 @@ regular expression, ``walk_load_election`` the strict reader that walked
 its ballots a second time to name an unknown or repeated candidate, and
 ``support_election_from_position_matrix`` the decomposition that built a
 0/1 support copy of the working counts in every round.
+``window_mahonian_row`` is the Mahonian row built in full, one running sum
+over a window of m entries per row, with no use of the rows' symmetry.
 """
 
 from __future__ import annotations
@@ -651,6 +653,23 @@ def mahonian_table(m_max: int) -> tuple[tuple[int, ...], ...]:
             row[i] = val
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def window_mahonian_row(m: int) -> tuple[int, ...]:
+    """Row m of inversion counts: row k is row k-1 times 1 + x + ... +
+    x^(k-1), one running sum over a window of k entries; only the previous
+    row is kept."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    row = [1]
+    for k in range(2, m + 1):
+        acc = 0
+        out = []
+        for new, old in zip(row + [0] * (k - 1), [0] * k + row):
+            acc += new - old
+            out.append(acc)
+        row = out
+    return tuple(row)
 
 
 def unscaled_float_inversion_row(m: int) -> tuple[float, ...]:

@@ -534,6 +534,23 @@ def test_normalization_needs_two_candidates(capsys, tmp_path):
     assert "normalization needs at least two candidates" in err
 
 
+def test_fit_mallows_names_a_dataset_that_mixes_candidate_counts(capsys, tmp_path):
+    from prefmap.core import Election
+
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    for name, m in (("a.soc", 3), ("b.soc", 2)):
+        election = Election(candidates=tuple(range(m)), votes=(tuple(range(m)),))
+        ingest.serialize_election(election, dataset / name)
+    code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                         "--grid-step", "0.5", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert err == f"prefmap: error: {dataset}: dataset mixes candidate counts: [2, 3]\n"
+    dataset.joinpath("b.soc").unlink()  # a flag fault is not the dataset's
+    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset), "--samples", "0")
+    assert (code, err) == (1, "prefmap: error: samples_per_value must be positive\n")
+
+
 def test_fit_mallows_value_errors():
     from prefmap.core import Election
 

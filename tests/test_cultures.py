@@ -70,6 +70,13 @@ def test_mahonian_row_matches_table_oracle():
         mahonian_row(-1)
 
 
+def test_mahonian_row_matches_window_oracle():
+    # the row is built to its middle and mirrored; the oracle builds it whole
+    table = oracles.mahonian_table(171)
+    for m in [*range(81), 100, 171]:
+        assert mahonian_row(m) == oracles.window_mahonian_row(m) == table[m]
+
+
 # ---------------------------------------------------------------------------
 # expected swaps and calibration
 

@@ -597,9 +597,12 @@ _AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs need 
 
 def _check_batched_values(block_entries, items, cut):
     expected = [[oracles.fraction_positionwise(x, y).value for y in items] for x in items]
+    pairs = list(itertools.combinations(range(len(items)), 2))
     with mock.patch.object(metric, "_BLOCK", block_entries):
         table = distance_matrix(items)
         cross = cross_distances(items[:cut], items[cut:])
+        dtypes = {cost.dtype for _, _, cost in metric._cost_blocks(items, items, pairs)}
+    assert dtypes <= {np.dtype(np.int64), np.dtype(object)}  # narrow costs are widened
     assert table == expected
     assert cross == [row[cut:] for row in expected[:cut]]
 
@@ -623,6 +626,37 @@ def test_batched_values_match_fraction_oracle_in_lockstep(items, cut):
     # every int64 block with a free row after the start runs in lockstep
     with mock.patch.object(metric, "_LOCKSTEP", 1):
         _check_batched_values(2**16, items, cut)
+
+
+def _with_denominator(m, d):
+    """d - 1 votes of the identity and one of its reverse, over d voters."""
+    p = tuple(range(m))
+    return _mix([(Fraction(d - 1), p), (Fraction(1), p[::-1])])
+
+
+# Denominators whose pair with a denominator-1 matrix puts m * scale at the
+# edges of the cost dtypes: 2**15 - 2, 2**15, 2**31 - 2, 2**31 and 2**62 - 2
+# at m = 2; 2**15 - 1, 2**15 + 6, 2**31 - 2, 2**31 + 5 and past 2**62 at
+# m = 7.  2**31 - 1 is prime, so no pair of m > 1 reaches it.  At m = 7,
+# 2**13 and 2**29 give costs past 2**15 and 2**31 with m * scale below 2**16
+# and 2**32, which a bound one bit too high would wrap.
+_WIDTH_EDGES = {
+    2: [2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**61 - 1],
+    7: [4681, 4682, 2**13, 306783378, 306783379, 2**29, 2**60],
+}
+
+
+@pytest.mark.parametrize("block_entries", [2**16, 9])
+@pytest.mark.parametrize("m", sorted(_WIDTH_EDGES))
+def test_cost_widths_match_fraction_oracle(block_entries, m):
+    # one call mixes every width; the tiny bound also mixes them in a block
+    items = [_with_denominator(m, d) for d in (1, *_WIDTH_EDGES[m])]
+    with mock.patch.object(metric, "_costs", wraps=metric._costs) as costs:
+        _check_batched_values(block_entries, items, 2)
+        for y in items:
+            assert positionwise(items[0], y) == oracles.fraction_positionwise(items[0], y)
+    built = {call.args[0].dtype for call in costs.call_args_list}
+    assert built == {np.dtype(t) for t in (np.int16, np.int32, np.int64, object)}
 
 
 @pytest.mark.parametrize("m, size", [(50, 26), (100, 6)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import MULTIPLICITIES, make_random_election, stacked, weighted_permutations
-from prefmap.compass import compass_matrix, convex_combination
+from prefmap.compass import compass_matrix, convex_combination, full_compass
 from prefmap.core import (
     Election,
     FrequencyMatrix,
@@ -142,6 +142,10 @@ _TIE_HEAVY_6 = frequency_from_position(PositionMatrix(
      (0, 4, 6, 2, 1, 0), (2, 2, 1, 7, 1, 0), (0, 1, 2, 1, 1, 8))
 ))
 
+# half-way points of the m = 20 compass recovered at n = 100: every cell is
+# fractional and every cost equal, so every tie rule is exercised
+_HALFWAY = dict(full_compass(20, scale=1))
+
 
 @settings(max_examples=400, deadline=None)
 @given(
@@ -152,6 +156,9 @@ _TIE_HEAVY_6 = frequency_from_position(PositionMatrix(
 )
 @example(_TIE_HEAVY, 3)  # entries at 4, then 1; the path leaves into column 0 through entry 1
 @example(_TIE_HEAVY_6, 21)  # entries at 2 and 0; the path leaves into column 5 through entry 2
+@example(_HALFWAY["ID-UN:1/2"], 100)
+@example(_HALFWAY["UN-AN:1/2"], 100)
+@example(_HALFWAY["UN-ST:1/2"], 100)
 def test_rounding_matches_chain_oracle(x, n):
     assert round_position_matrix(x, n) == oracles.chain_round_position_matrix(x, n)
 
@@ -161,6 +168,7 @@ def test_rounding_matches_chain_oracle(x, n):
     st.integers(2, 9), st.integers(0, 10**6), st.integers(1, 30), st.integers(1, 30),
     st.fractions(0, 1), st.integers(1, 120),
 )
+@example(6, 297, 12, 24, Fraction(7, 10), 6)  # a column pops after a path took a unit out of it
 def test_rounding_matches_chain_oracle_on_mixtures(m, seed, n1, n2, alpha, n):
     x = convex_combination(
         frequency_matrix(make_random_election(seed, m, n1)),
