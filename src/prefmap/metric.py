@@ -12,18 +12,18 @@ The assignment solver works on those integers as they are.  Pairs are
 solved in blocks that hold ``_BLOCK`` cost entries.  For a block at
 once, numpy builds the cost matrices and the starting duals, and each
 row greedily takes a free column of reduced cost 0.  Only the rows left
-free go on to a shortest augmenting path search, whose loop ``_complete``
-picks.  If int64 keys hold it, ``_lockstep`` runs it for the pairs of a
-block together while at least ``_LOCKSTEP`` have a free row, which only
-blocks at m <= 22 can hold; ``_augment_wide`` completes one pair at a time
-in numpy from m = ``_WIDE`` on.  ``_augment``, in Python, completes every
-other pair, so every int64 pair at m = 23-47.  Every matching is then
-tight under feasible duals, so a pair's total is the sum of its
-duals.  The batch callers, ``cross_distances`` and ``distance_matrix``,
-stop there: every optimal matching has the same total.  Only
-``positionwise`` returns a permutation, and it runs one more pass over
-the edges of reduced cost 0 to pick the lexicographically smallest
-optimal column matching.
+free go on to a shortest augmenting path search, in one of two numpy
+loops that ``_complete`` picks: ``_lockstep`` runs the pairs of a block
+together if at least ``_LOCKSTEP`` have a free row, which only blocks at
+m <= 45 can hold, and ``_augment_wide`` completes fewer one pair at a
+time.  Both run on int64 keys while ``_key_top`` bounds them below 2**63,
+and on ``object`` costs and duals (Python integers) otherwise.  Every
+matching is then tight under feasible duals, so a pair's total is the
+sum of its duals.  The batch callers, ``cross_distances`` and
+``distance_matrix``, stop there: every optimal matching has the same
+total.  Only ``positionwise`` returns a permutation, and it runs one more
+pass over the edges of reduced cost 0 to pick the lexicographically
+smallest optimal column matching.
 """
 
 from __future__ import annotations
@@ -40,17 +40,14 @@ from .core import FrequencyMatrix
 
 # cost entries per block of pairs in the batched solve
 _BLOCK = 2**16
-# Pairs with a free row from which _lockstep runs.  Completing k such pairs
-# of paper-style distance_matrix blocks (n = 100; 2-vCPU machine) both ways,
-# the loops break even near 80 pairs at m = 10, 60 at m = 20, 16 at m = 50;
-# at 128, lockstep is 1.4x, 1.9x, 2.9x faster; at 8, 5x, 4x, 2x slower.  But
-# a block holds _BLOCK // m**2 pairs, 123 at m = 23, so _lockstep runs only
-# for m <= 22, and at m = 23-47 every int64 pair goes to Python _augment.
-_LOCKSTEP = 128
-# Smallest m at which _augment_wide replaces _augment.  On the pairs with a free
-# row among 4 compass anchors and 5 elections (n = 100; 2-vCPU machine), it ran
-# 0.7x as fast at m = 30, 1.0x at 40-44, 1.1-1.2x at 48-52, 2.4-2.5x at 100.
-_WIDE = 48
+# Pairs with a free row from which _lockstep runs; _augment_wide takes fewer
+# one at a time.  Completing k such pairs of paper-style blocks (compass
+# anchors, IC, urn and normalized-Mallows elections, n = 100; 2-vCPU machine)
+# both ways, the loops break even near 12 pairs at m = 10 and 22-26 at m =
+# 20-40; at 32, lockstep is 2.1x, 1.3x, 1.2x, 1.2x faster at m = 10, 20, 30,
+# 40; at 8, 0.8x, 0.5x, 0.5x, 0.4x as fast.  A block holds _BLOCK // m**2
+# pairs, 32 at m = 45, so _lockstep runs only for m <= 45.
+_LOCKSTEP = 32
 
 
 @dataclass(frozen=True)
@@ -99,107 +96,61 @@ def _start(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, col_of
 
 
-def _augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> None:
-    """Complete a partial matching of one cost matrix to an optimal one.
-
-    ``u``, ``v`` and ``col_of`` are as ``_start`` gives them, and are
-    updated in place.  Each row left free is placed by a shortest
-    augmenting path over the reduced costs, in the form of Crouse (2016)
-    that scipy's ``linear_sum_assignment`` also uses: it scans only
-    unscanned columns, prefers a free column on a tie, and moves the duals
-    once per augmentation.
-    """
-    m = len(cost)
-    row_of = [-1] * m
-    for i, j in enumerate(col_of):
-        if j >= 0:
-            row_of[j] = i
-    inf = float("inf")
-    for free in range(m):
-        if col_of[free] >= 0:
-            continue
-        # Dijkstra over reduced costs from row `free` to the nearest free
-        # column: dist[j] is the shortest path length to column j, pred[j]
-        # the row before it on that path.
-        dist: list[float | int] = [inf] * m
-        pred = [-1] * m
-        unseen = list(range(m))
-        rows_seen = []
-        cols_seen = []
-        reach: float | int = 0
-        i = free
-        while True:
-            rows_seen.append(i)
-            row, base = cost[i], reach - u[i]
-            low: float | int = inf
-            at = -1
-            for k, j in enumerate(unseen):
-                d = base + row[j] - v[j]
-                if d < dist[j]:
-                    dist[j], pred[j] = d, i
-                else:
-                    d = dist[j]
-                # on a tie, a free column ends the search sooner
-                if d < low or (d == low and row_of[j] < 0):
-                    low, at = d, k
-            reach = low
-            j = unseen[at]
-            unseen[at] = unseen[-1]
-            unseen.pop()
-            cols_seen.append(j)
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-        # Move the duals so that the path is tight and no reduced cost
-        # turns negative, then flip the path.
-        u[free] += reach
-        for i in rows_seen[1:]:
-            u[i] += reach - dist[col_of[i]]
-        for c in cols_seen:
-            v[c] -= reach - dist[c]
-        while True:
-            i = pred[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == free:
-                break
-
-
-def _keys_fit(m: int, c: int) -> bool:
-    """Whether int64 keys hold the searches over m x m costs in [0, c].  c
-    bounds the start duals.  Feasible duals sum to at most m * c and each
+def _key_top(cost: np.ndarray) -> int:
+    """The initial key of the searches over ``cost``, the m x m costs in
+    [0, c] of one pair or a block: every key lies below it.  c bounds the
+    start duals.  Feasible duals sum to at most m * c and each
     augmentation adds its reach, so all reaches sum to at most m * c.  u only
     rises, v only falls, by a reach at most: u in [0, (m + 1) c], v in [-m c,
     c], a dist (reach plus reduced cost) in [0, (2m + 1) c].  With 2**b >= m,
     keys and partial sums lie in +-2**(b + 1) ((2m + 1) c + 1), keys strictly:
-    int64 holds them, below the initial key 2**63 - 1."""
-    return ((2 * m + 1) * c + 1) << ((m - 1).bit_length() + 1) < 2**63
+    int64 holds them if that bound is below 2**63."""
+    m = cost.shape[-1]
+    return ((2 * m + 1) * int(cost.max()) + 1) << ((m - 1).bit_length() + 1)
+
+
+def _nearest(key: np.ndarray, top: int):
+    """The argmin over the unscanned keys of ``key`` (along an axis, if
+    given), bound once per loop.  An int64 scanned key ~k is negative, so
+    read as unsigned it lies past every unscanned one; an ``object`` one is
+    masked to ``top``."""
+    if key.dtype == np.int64:
+        return key.view(np.uint64).argmin
+    return lambda axis=None: np.where(key < 0, top, key).argmin(axis)
 
 
 def _augment_wide(cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray) -> None:
-    """``_augment`` on the int64 arrays of one pair whose costs pass
-    ``_keys_fit``, in place, with a few numpy steps over the m columns per
-    Dijkstra step.  A column's state is one key, as in ``_lockstep``.  Each
-    augmentation first shifts the reduced costs but for u into keys, so
-    that relaxing row i is one addition to row i."""
+    """Complete a partial matching of one cost matrix to an optimal one.
+
+    ``u``, ``v`` and ``col_of`` are as ``_start`` gives them, int64 if
+    ``_key_top`` fits int64 or else ``object``, and are updated in place.
+    Each row left free is placed by a shortest augmenting path over the
+    reduced costs, in the form of Crouse (2016) that scipy's
+    ``linear_sum_assignment`` also uses: it scans only unscanned columns,
+    prefers a free column on a tie, and moves the duals once per
+    augmentation.  A Dijkstra step is a few numpy steps over the m columns,
+    whose state is one key each, as in ``_lockstep``.  Each augmentation
+    first shifts the reduced costs but for u into keys, so that relaxing
+    row i is one addition to row i."""
     m = len(cost)
     b = (m - 1).bit_length()
+    top = _key_top(cost)
     rows = cost << (b + 1)
     row_of = np.full(m, -1)
     row_of[col_of[col_of >= 0]] = np.flatnonzero(col_of >= 0)
     taken = (row_of >= 0) << b  # the matched bit of the keys
     row_of = row_of.tolist()
-    keyed, key, relaxed = np.empty_like(rows), *np.empty((2, m), np.int64)
-    unsigned = key.view(np.uint64)
+    keyed, key, relaxed = np.empty_like(rows), *np.empty((2, m), cost.dtype)
+    nearest = _nearest(key, top)
     for free in np.flatnonzero(col_of < 0).tolist():
         np.subtract(rows, (v << (b + 1)) - taken, out=keyed)
         uk = ((u << (b + 1)) - np.arange(m)).tolist()  # reach - uk[i] adds pred i
-        key.fill(2**63 - 1)
+        key.fill(top)
         i, reach = free, 0  # reach shifted as the keys
         while i >= 0:
             np.add(keyed[i], reach - uk[i], out=relaxed)
             np.minimum(key, relaxed, out=key)
-            j = int(unsigned.argmin())
+            j = int(nearest())
             reach = int(key[j])
             key[j] = ~reach
             reach = reach >> (b + 1) << (b + 1)
@@ -279,39 +230,38 @@ def _assignment_lex(cost: np.ndarray) -> tuple[int, list[int]]:
 
 def _lockstep(
     cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray, live: np.ndarray
-) -> np.ndarray:
-    """Complete in place the partial matchings of the pairs ``live`` of an
-    int64 block by the augmentations of ``_augment``, in lockstep: each
+) -> None:
+    """Complete in place the partial matchings of the pairs ``live`` of a
+    block by the augmentations of ``_augment_wide``, in lockstep: each
     round, every live pair augments once from its first free row, with one
-    numpy step per Dijkstra step for all of them, while ``_LOCKSTEP`` pairs
-    have a free row.  Returns the pairs left.  A column's state is one int64
-    key: ((2 * dist + matched) << b) + pred while unscanned, so a minimum
-    relaxes dist and pred together and an argmin takes the nearest column, a
-    free one on a tie; ~key once scanned.  Relaxations are nonnegative, so a
-    minimum never touches a scanned key, and an argmin over the keys read as
-    unsigned never takes one.
+    numpy step per Dijkstra step for all of them, until no pair has a free
+    row.  A column's state is one key: ((2 * dist + matched) << b) + pred
+    while unscanned, so a minimum relaxes dist and pred together and an
+    argmin takes the nearest column, a free one on a tie; ~key once
+    scanned.  Relaxations are nonnegative, so a minimum never touches a
+    scanned key, and ``_nearest`` never takes one.
     """
     m = cost.shape[1]
     b = (m - 1).bit_length()
+    top = _key_top(cost)
     rows = (cost << (b + 1)).reshape(-1, m)
     cu, cv, cc = u[live], v[live], col_of[live]
     cr = np.full_like(cc, -1)
     k, i = np.nonzero(cc >= 0)
     cr[k, cc[k, i]] = i
-    for _ in range(m):  # a round places one free row of every live pair
-        if live.size < _LOCKSTEP:
-            break
+    while live.size:  # a round places one free row of every live pair
         at = np.arange(live.size)
         base, uk, vk = live * m, cu << (b + 1), (cv << (b + 1)) - ((cr >= 0) << b)
         i = free = (cc < 0).argmax(axis=1)
-        reach, end = np.zeros((2, live.size), np.int64)  # reach shifted as the keys
-        key, going = np.full((live.size, m), np.iinfo(np.int64).max), np.ones(live.size, bool)
+        reach, end = np.zeros((2, live.size), cost.dtype)  # reach shifted as the keys
+        key, going = np.full((live.size, m), top, cost.dtype), np.ones(live.size, bool)
+        nearest = _nearest(key, top)
         for _ in range(m):  # a step scans a column, and a free one is left
             relaxed = np.take(rows, base + i, axis=0)
             relaxed -= vk
             relaxed += (reach - uk[at, i] + i)[:, None]
             np.minimum(key, relaxed, out=key)
-            j = key.view(np.uint64).argmin(axis=1)
+            j = nearest(1)
             kj = key[at, j]
             key[at, j] = np.where(going, ~kj, kj)
             reach = np.where(going, kj >> (b + 1) << (b + 1), reach)
@@ -326,7 +276,8 @@ def _lockstep(
         cv -= delta
         cu += np.where(cc >= 0, np.take_along_axis(delta, cc, axis=1), 0)
         cu[at, free] += reach
-        pred, j = ~key & ((1 << b) - 1), end
+        # indices, int64 also when the keys are object
+        pred, j = (~key & ((1 << b) - 1)).astype(np.int64), end.astype(np.int64)
         for _ in range(m):  # a path holds at most m rows
             i = pred[at, j]
             back = cc[at, i]
@@ -339,31 +290,23 @@ def _lockstep(
         u[live], v[live], col_of[live] = cu, cv, cc
         left = (cc < 0).any(axis=1)
         live, cu, cv, cc, cr = live[left], cu[left], cv[left], cc[left], cr[left]
-    return live
 
 
 def _complete(
     cost: np.ndarray, u: np.ndarray, v: np.ndarray, col_of: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complete in place the matchings that ``_start`` left partial, by the
-    loops the module docstring names, and return the final duals (u, v).
-    They are ``object`` arrays once ``_augment`` has run, since its Python
-    integer duals can pass int64."""
+    loop the module docstring names, and return the final duals (u, v).
+    They are ``object`` arrays for an ``object`` block and for an int64
+    block whose keys would pass int64, which runs on ``object`` costs."""
     todo = np.flatnonzero((col_of < 0).any(axis=1))
-    m = cost.shape[1]
-    if len(todo) and cost.dtype == np.int64 and _keys_fit(m, int(cost.max())):
-        if len(todo) >= _LOCKSTEP:
-            todo = _lockstep(cost, u, v, col_of, todo)
-        if m >= _WIDE:
-            for b in todo.tolist():
-                _augment_wide(cost[b], u[b], v[b], col_of[b])
-            todo = todo[:0]
-    if len(todo):
-        u, v = u.astype(object), v.astype(object)
-    for b in todo.tolist():
-        ub, vb, cb = u[b].tolist(), v[b].tolist(), col_of[b].tolist()
-        _augment(cost[b].tolist(), ub, vb, cb)
-        u[b], v[b], col_of[b] = ub, vb, cb
+    if cost.dtype == np.int64 and len(todo) and _key_top(cost) >= 2**63:
+        cost, u, v = cost.astype(object), u.astype(object), v.astype(object)
+    if len(todo) >= _LOCKSTEP:
+        _lockstep(cost, u, v, col_of, todo)
+    else:
+        for b in todo.tolist():
+            _augment_wide(cost[b], u[b], v[b], col_of[b])
     return u, v
 
 

@@ -39,7 +39,9 @@ of one vote at a time into a list, which ``loop_mallows_norm_votes`` and
 the swap expectation summed one count at a time.  ``bitloop_start`` is
 the greedy start of the assignment solve that packed each row's tight
 columns into the bits of a Python integer and placed one row of one pair
-at a time; ``partial_load_election`` read a strict file through the tie
+at a time, and ``python_augment`` the shortest augmenting path search that
+completed one pair at a time in Python lists, the third loop of the
+solve; ``partial_load_election`` read a strict file through the tie
 groups of ``parse_preflib``; ``loop_serialize_election`` wrote one cell
 of one vote at a time; ``rank_by_distance`` ranked one hypercube voter at
 a time, as ``loop_hypercube_votes`` does for a whole sample.
@@ -1053,6 +1055,72 @@ def bitloop_start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int
             col_of.append(low.bit_length() - 1)
         matchings.append(col_of)
     return list(zip(u.tolist(), v.tolist(), matchings))
+
+
+def python_augment(cost: list[list[int]], u: list[int], v: list[int], col_of: list[int]) -> None:
+    """Complete a partial matching of one cost matrix to an optimal one.
+
+    ``u``, ``v`` and ``col_of`` are as ``metric._start`` gives them, and
+    are updated in place.  Each row left free is placed by a shortest
+    augmenting path over the reduced costs, in the form of Crouse (2016)
+    that scipy's ``linear_sum_assignment`` also uses: it scans only
+    unscanned columns, prefers a free column on a tie, and moves the duals
+    once per augmentation.
+    """
+    m = len(cost)
+    row_of = [-1] * m
+    for i, j in enumerate(col_of):
+        if j >= 0:
+            row_of[j] = i
+    inf = float("inf")
+    for free in range(m):
+        if col_of[free] >= 0:
+            continue
+        # Dijkstra over reduced costs from row `free` to the nearest free
+        # column: dist[j] is the shortest path length to column j, pred[j]
+        # the row before it on that path.
+        dist: list[float | int] = [inf] * m
+        pred = [-1] * m
+        unseen = list(range(m))
+        rows_seen = []
+        cols_seen = []
+        reach: float | int = 0
+        i = free
+        while True:
+            rows_seen.append(i)
+            row, base = cost[i], reach - u[i]
+            low: float | int = inf
+            at = -1
+            for k, j in enumerate(unseen):
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j], pred[j] = d, i
+                else:
+                    d = dist[j]
+                # on a tie, a free column ends the search sooner
+                if d < low or (d == low and row_of[j] < 0):
+                    low, at = d, k
+            reach = low
+            j = unseen[at]
+            unseen[at] = unseen[-1]
+            unseen.pop()
+            cols_seen.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # Move the duals so that the path is tight and no reduced cost
+        # turns negative, then flip the path.
+        u[free] += reach
+        for i in rows_seen[1:]:
+            u[i] += reach - dist[col_of[i]]
+        for c in cols_seen:
+            v[c] -= reach - dist[c]
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == free:
+                break
 
 
 def partial_load_election(path: str | os.PathLike[str]) -> Election:

@@ -288,12 +288,12 @@ def test_positionwise_rejects_size_mismatch():
 
 def _assign(cost: list[list[int]]) -> tuple[int, list[int]]:
     """``_assignment_lex`` on Python integers, checked against the int64
-    solve wherever the costs fit it, from any m on the wide kernel too."""
+    solve wherever the costs fit it, and on both loops."""
+    kinds = [object, np.int64] if max(map(max, cost)) < 2**62 else [object]
     out = _assignment_lex(np.array(cost, dtype=object))
-    if max(map(max, cost)) < 2**62:
-        assert _assignment_lex(np.array(cost, dtype=np.int64)) == out
-        with mock.patch.object(metric, "_WIDE", 1):
-            assert _assignment_lex(np.array(cost, dtype=np.int64)) == out
+    for lockstep, kind in itertools.product([metric._LOCKSTEP, 1], kinds):
+        with mock.patch.object(metric, "_LOCKSTEP", lockstep):
+            assert _assignment_lex(np.array(cost, dtype=kind)) == out
     return out
 
 
@@ -397,7 +397,7 @@ def test_totals_stay_exact_past_int64():
     assert cost.dtype == np.int64
     assert metric._totals(cost) == [4 * c, c + 1]
     assert [oracles.brute_force_assignment(x)[0] for x in cost.tolist()] == [4 * c, c + 1]
-    # past _keys_fit the second pair goes to _augment, whose duals are
+    # past the key bound the block runs on object costs, whose duals are
     # never written back as int64
     u, v, col_of = metric._start(cost)
     assert [a.dtype for a in metric._complete(cost, u, v, col_of)] == [object, object]
@@ -406,23 +406,21 @@ def test_totals_stay_exact_past_int64():
 
 
 def _augmented(cost: np.ndarray) -> list[int]:
-    """Totals of a block with every pair completed by ``_augment``."""
+    """Totals of a block with every pair completed by the Python oracle."""
     u, v, col_of = metric._start(cost)
     totals = []
     for b in range(len(cost)):
         ub, vb = u[b].tolist(), v[b].tolist()
-        metric._augment(cost[b].tolist(), ub, vb, col_of[b].tolist())
+        oracles.python_augment(cost[b].tolist(), ub, vb, col_of[b].tolist())
         totals.append(sum(ub) + sum(vb))
     return totals
 
 
 def _lockstep_totals(cost: np.ndarray) -> list[int]:
     """Totals of a block with every pair left free by ``_start`` completed
-    by ``_lockstep``."""
+    by ``_lockstep``, whatever their number."""
     u, v, col_of = metric._start(cost)
-    live = np.flatnonzero((col_of < 0).any(axis=1))
-    with mock.patch.object(metric, "_LOCKSTEP", 1):
-        assert metric._lockstep(cost, u, v, col_of, live).size == 0
+    metric._lockstep(cost, u, v, col_of, np.flatnonzero((col_of < 0).any(axis=1)))
     return _checked_totals(cost, u, v, col_of)
 
 
@@ -480,8 +478,7 @@ def test_augment_wide_matches_augment_and_brute_force(block):
     cost = np.array(block, dtype=np.int64)
     totals = _wide_totals(cost)
     assert totals == _augmented(cost)
-    with mock.patch.object(metric, "_WIDE", 1):
-        assert metric._totals(cost) == totals
+    assert metric._totals(cost) == totals  # fewer than _LOCKSTEP pairs
     if cost.shape[1] <= 6:
         assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
 
@@ -492,33 +489,88 @@ def test_augment_wide_matches_augment_at_m100(cost):
     assert _wide_totals(cost) == _augmented(cost)
 
 
-def _check_keys_guard(threshold: str, kernel: str) -> None:
-    # past the largest cost whose keys fit int64, _totals falls back to
-    # _augment; at it, the block runs through the kernel without _augment
-    m = 4
-    limit = ((2**63 >> ((m - 1).bit_length() + 1)) - 2) // (2 * m + 1)
-    for c, augments in ((limit, 0), (limit + 1, 2)):
-        block = [
-            [[c, 0, c, c], [c, 0, c, c], [c, c, 0, c], [c, c, c, 1]],
-            [[c, c, 0, c], [c, c, 0, c], [0, c, c, c], [c, c, c, c]],
-            [[c] * 4] * 4,
-        ]
+_M4_LIMIT = ((2**63 >> 3) - 2) // 9  # the largest m = 4 cost whose keys fit int64
+
+
+def _guard_block(c: int) -> list[list[list[int]]]:
+    """Three m = 4 cost matrices of largest entry c; the first two augment."""
+    return [
+        [[c, 0, c, c], [c, 0, c, c], [c, c, 0, c], [c, c, c, 1]],
+        [[c, c, 0, c], [c, c, 0, c], [0, c, c, c], [c, c, c, c]],
+        [[c] * 4] * 4,
+    ]
+
+
+def _check_keys_guard(lockstep: int, kernel: str) -> None:
+    # at the largest cost whose keys fit int64, the block runs through the
+    # kernel on int64; one past it, through the same kernel on object costs,
+    # with object duals
+    for c, kind in ((_M4_LIMIT, np.int64), (_M4_LIMIT + 1, object)):
+        block = _guard_block(c)
         cost = np.array(block, dtype=np.int64)
-        with mock.patch.object(metric, threshold, 1), mock.patch.object(
-            metric, "_augment", wraps=metric._augment
-        ) as spy, mock.patch.object(metric, kernel, wraps=getattr(metric, kernel)) as fast:
-            totals = metric._totals(cost)
-        assert spy.call_count == augments
-        assert fast.called == (augments == 0)
+        assert (metric._key_top(cost) < 2**63) == (kind is np.int64)
+        u, v, col_of = metric._start(cost)
+        with mock.patch.object(metric, "_LOCKSTEP", lockstep), mock.patch.object(
+            metric, kernel, wraps=getattr(metric, kernel)
+        ) as fast:
+            u, v = metric._complete(cost, u, v, col_of)
+        assert fast.call_count == (1 if kernel == "_lockstep" else 2)
+        assert {call.args[0].dtype for call in fast.call_args_list} == {np.dtype(kind)}
+        assert u.dtype == v.dtype == np.dtype(kind)
+        totals = _checked_totals(cost, u, v, col_of)
         assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+        assert totals == _augmented(cost)
 
 
 def test_lockstep_keys_guard_int64():
-    _check_keys_guard("_LOCKSTEP", "_lockstep")
+    _check_keys_guard(1, "_lockstep")
 
 
 def test_wide_keys_guard_int64():
-    _check_keys_guard("_WIDE", "_augment_wide")
+    _check_keys_guard(metric._LOCKSTEP, "_augment_wide")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.lists(
+    st.tuples(_tie_heavy_costs(m), st.integers(0, 2**64)).map(
+        lambda ck: [[x + ck[1] for x in row] for row in ck[0]]),
+    min_size=1, max_size=6)))
+@example(_guard_block(_M4_LIMIT + 1))
+@example([[[2**62, 2**62], [2**62, 2**62 + 1]]])
+@example(_MIXED_FREE_BLOCK)
+def test_numpy_loops_on_object_blocks_match_python_augment(block):
+    # Python integers, past 2**62 or past the key bound of int64, run
+    # through both numpy loops; each gives feasible duals and a tight
+    # permutation whose total is the oracle's
+    cost = np.array(block, dtype=object)
+    totals = _augmented(cost)
+    assert _lockstep_totals(cost) == totals
+    assert _wide_totals(cost) == totals
+    if cost.shape[1] <= 6:
+        assert totals == [oracles.brute_force_assignment(x)[0] for x in block]
+
+
+def test_one_crossover_between_the_loops():
+    # below _LOCKSTEP augmenting pairs a block goes pair by pair to
+    # _augment_wide; at it, to _lockstep, which leaves no pair with a free row
+    rng = random.Random(23)
+    block: list[list[list[int]]] = []
+    while len(block) < metric._LOCKSTEP:
+        cost = [[rng.randint(0, 9) for _ in range(5)] for _ in range(5)]
+        if (metric._start(np.array([cost]))[2] < 0).any():
+            block.append(cost)
+    totals = []
+    for k in (metric._LOCKSTEP - 1, metric._LOCKSTEP):
+        cost = np.array(block[:k], dtype=np.int64)
+        u, v, col_of = metric._start(cost)
+        with mock.patch.object(metric, "_lockstep", wraps=metric._lockstep) as lock, \
+                mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide:
+            u, v = metric._complete(cost, u, v, col_of)
+        assert (lock.call_count, wide.call_count) == ((0, k) if k < metric._LOCKSTEP else (1, 0))
+        assert (col_of >= 0).all()
+        totals.append(_checked_totals(cost, u, v, col_of))
+    assert totals[0] == totals[1][:-1]
+    assert totals[1] == [oracles.brute_force_assignment(x)[0] for x in block]
 
 
 def test_distance_matrix_structure():
@@ -586,7 +638,7 @@ _CROSSING_BLOCK = [  # pairs on both sides of the int64 bound, m = 3
 ]
 
 
-_AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs need _augment
+_AUGMENTING_BLOCK = [  # m = 4: 4 of 6 int64 pairs and 2 of 4 object pairs augment
     _mix([(Fraction(2), (0, 2, 3, 1)), (Fraction(3), (2, 0, 3, 1))]),
     _mix([(Fraction(1), (1, 3, 2, 0)), (Fraction(1), (3, 0, 1, 2))]),
     _mix([(Fraction(1), (1, 3, 0, 2)), (Fraction(1), (2, 3, 1, 0))]),
@@ -623,7 +675,7 @@ def test_batched_values_match_fraction_oracle(block_entries, items, cut):
 @example(_CROSSING_BLOCK, 2)
 @example(_AUGMENTING_BLOCK, 2)
 def test_batched_values_match_fraction_oracle_in_lockstep(items, cut):
-    # every int64 block with a free row after the start runs in lockstep
+    # every block with a free row after the start runs in lockstep
     with mock.patch.object(metric, "_LOCKSTEP", 1):
         _check_batched_values(2**16, items, cut)
 
@@ -678,7 +730,7 @@ def test_batched_values_match_positionwise_at_m100():
     assert cross_distances(items[:2], items) == table[:2]
 
 
-@pytest.mark.parametrize("m", [metric._WIDE, 60])
+@pytest.mark.parametrize("m", [48, 60])
 def test_positionwise_matches_fraction_oracle_when_wide(m):
     ic = frequency_matrix(cultures.sample_ic(m, 100, 3))
     mallows = frequency_matrix(cultures.sample_mallows_norm(m, 100, 0.2, 4))
@@ -687,12 +739,11 @@ def test_positionwise_matches_fraction_oracle_when_wide(m):
     doubled = _mix([(Fraction(1), tuple(p)), (Fraction(1), tuple(q))])  # tie-heavy
     pairs = [(compass_matrix("UN", m), ic), (compass_matrix("AN", m), mallows), (ic, mallows),
              (doubled, ic), (doubled, compass_matrix("ST", m))]
-    with mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide, \
-            mock.patch.object(metric, "_augment", wraps=metric._augment) as loop:
+    with mock.patch.object(metric, "_augment_wide", wraps=metric._augment_wide) as wide:
         for x, y in pairs:
             assert positionwise(x, y) == oracles.fraction_positionwise(x, y)
     assert wide.call_count >= 3
-    assert not loop.called  # the tie-break reads the row of each column off col_of
+    assert {call.args[0].dtype for call in wide.call_args_list} == {np.dtype(np.int64)}
 
 
 def test_batched_values_check_sizes():
