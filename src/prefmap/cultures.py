@@ -20,14 +20,13 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .core import Election, FrequencyMatrix, _frequency, frequency_matrix
-from .metric import _block_pairs, cross_distances, normalized
+from .metric import _block_pairs, _values
 
 CULTURE_TAGS = (
     "IC",
@@ -421,7 +420,7 @@ def fit_mallows(
     Grid points use independent derived seeds, so they can be evaluated
     in any order (or concurrently) with identical results.  A grid value
     above 1/2 is refused: its samples relabel those at 1 - g, which the
-    distance ignores.  Consecutive values share a cross_distances call, enough
+    distance ignores.  Consecutive values share a ``_values`` call, enough
     to fill one block of pairs, but each value's votes are drawn and tallied
     as one block on its own: memory holds one value's samples_per_value *
     votes_per_sample * m votes and one block of matrices, not the grid.
@@ -449,16 +448,18 @@ def fit_mallows(
         for gi, relphi in enumerate(values, at):
             seeds = [derive_seed(seed, gi + 1, s + 1) for s in range(samples_per_value)]
             samples += _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
-        rows = cross_distances(data, samples)
+        pairs = [(i, j) for i in range(len(data)) for j in range(len(samples))]
+        totals = _values(data, samples, pairs)
         for k, relphi in enumerate(values):
             per_election = []
-            for row in rows:
-                own = row[k * samples_per_value : (k + 1) * samples_per_value]
-                # one exact sum over the common denominator of the distances
-                scale = math.lcm(*(d.denominator for d in own))
-                total = sum(d.numerator * (scale // d.denominator) for d in own)
-                exact = Fraction(total, scale * samples_per_value)
-                per_election.append(float(normalized(exact, m)))
+            for i in range(len(data)):
+                at = i * len(samples) + k * samples_per_value
+                own = totals[at : at + samples_per_value]
+                # the mean distance over (m*m - 1) / 3, as one exact sum over the
+                # common scale and one correctly rounded integer division
+                scale = math.lcm(*(s for _, s in own))
+                total = sum(t * (scale // s) for t, s in own)
+                per_election.append(3 * total / (scale * samples_per_value * (m * m - 1)))
             mean = sum(per_election) / len(per_election)
             if best is None or (mean, relphi) < best:
                 best = (mean, relphi)
@@ -551,18 +552,15 @@ def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:
     if dimension < 1:
         raise ValueError("dimension must be positive")
     rng = random.Random(seed)
-    cand_points = tuple(
-        tuple(rng.random() for _ in range(dimension)) for _ in range(m)
-    )
-    draws = np.fromiter((rng.random() for _ in range(n * dimension)), float, n * dimension)
-    votes = _distance_ranks(np.array(cand_points), draws.reshape(n, dimension))
+    points = _draws(rng, m, dimension)
+    votes = _distance_ranks(points, _draws(rng, n, dimension))
     return _election(
         m,
         votes,
         {
             "culture": "HYPERCUBE",
             "dimension": dimension,
-            "candidate_points": cand_points,
+            "candidate_points": tuple(map(tuple, points.tolist())),
             "seed": seed,
         },
     )

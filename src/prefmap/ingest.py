@@ -238,30 +238,28 @@ def load_election(path: str | os.PathLike[str]) -> Election:
 
     Faults are reported in the order of ``parse_preflib``: the header,
     each ballot line, the header's totals, then the first vote that names
-    an unknown candidate or repeats one; only then the first vote with a
-    tie or one that stops short.  Only when ``Election``'s array check
-    fails does ``PartialProfile``'s walk name an unknown or repeated id.
+    an unknown candidate or repeats one; only then the first odd ballot,
+    one with a tie or one that stops short.  A file without odd ballots
+    goes through ``Election``'s one array check, and ``PartialProfile``'s
+    walk runs only when there are odd ballots or when that check fails.
     """
     ids, _, ballots, mults = _read(path, _strict_line)
     rankings = [ranking for ranking, _ in ballots]
+    # a vote longer than m repeats an id, which the walk below names
+    odd = [tied for ranking, tied in ballots if tied or len(ranking) != len(ids)]
     with _in_file(path):
-        try:
-            # votes of m ids each go through the election's one array check
-            if any(len(ranking) != len(ids) for ranking in rankings):
-                raise ValueError("vote of another length")
-            election = Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
-            odd = [b for b in ballots if b[1]]
-        except (KeyError, ValueError):
-            # one singleton group per id; a vote that passes is strict and
-            # complete once it has m ids
-            PartialProfile(ids, [[(c,) for c in ranking] for ranking in rankings], mults, {})
-            odd = [b for b in ballots if b[1] or len(b[0]) != len(ids)]
-            if not odd:
-                raise
-        for _, tied in odd:
-            fault = "ties not allowed" if tied else "incomplete vote"
-            raise ValueError(f"{fault} in a strict election")
-        return election
+        if not odd:
+            try:
+                return Election(ids, _index_rows(ids, rankings), mults, {"source": str(path)})
+            except (KeyError, ValueError) as err:
+                fault = err  # an unknown or repeated id, or a file of no votes
+        # one singleton group per id: the walk names an unknown or repeated
+        # id, and a vote that passes it is strict and complete if not odd
+        PartialProfile(ids, [[(c,) for c in ranking] for ranking in rankings], mults, {})
+        if odd:
+            what = "ties not allowed" if odd[0] else "incomplete vote"
+            fault = ValueError(f"{what} in a strict election")
+        raise fault
 
 
 def _index_rows(ids: Sequence[int], rankings: Iterable[Sequence[int]]) -> np.ndarray:
@@ -431,24 +429,22 @@ def sample_dataset(
 # preset pipeline
 
 
+# The paper's fixed protocol: a profile needs at least MIN_CANDIDATES
+# candidates, is cut to its Borda top TOP_K, and the dataset is resampled
+# into SAMPLES_PER_DATASET elections of VOTES_PER_SAMPLE votes.
+MIN_CANDIDATES = 10
+TOP_K = 10
+SAMPLES_PER_DATASET = 15
+VOTES_PER_SAMPLE = 100
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings for one dataset family."""
+    """The settings in which dataset families differ."""
 
     prune: bool = False
-    coverage_threshold: float = 0.70
-    min_candidates: int = 10
     max_candidates: int | None = None
-    top_k: int = 10
     min_voters: int | None = None
-    samples_per_dataset: int = 15
-    votes_per_sample: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0 < self.coverage_threshold <= 1:
-            raise ValueError("coverage threshold must lie in (0, 1]")
-        if self.top_k < 1 or self.min_candidates < self.top_k:
-            raise ValueError("need min_candidates >= top_k >= 1")
 
 
 PRESETS: dict[str, PipelineConfig] = {
@@ -480,15 +476,15 @@ def run_pipeline(
         record: dict[str, object] = {"source": profile.source or f"profile-{idx}"}
         records.append(record)
         if config.prune:
-            profile, stats = prune_to_coverage(profile, config.coverage_threshold)
+            profile, stats = prune_to_coverage(profile)
             record.update(stats)
-        if profile.m < config.min_candidates:
-            record["dropped"] = f"fewer than {config.min_candidates} candidates"
+        if profile.m < MIN_CANDIDATES:
+            record["dropped"] = f"fewer than {MIN_CANDIDATES} candidates"
         elif config.max_candidates is not None and profile.m > config.max_candidates:
             record["dropped"] = f"more than {config.max_candidates} candidates"
         else:
             election = complete_votes(profile, derive_seed(seed, 1, idx))
-            election = select_top_k(election, config.top_k)
+            election = select_top_k(election, TOP_K)
             if config.min_voters is not None and election.n < config.min_voters:
                 record["dropped"] = f"fewer than {config.min_voters} voters"
             else:
@@ -497,10 +493,7 @@ def run_pipeline(
     if not intermediates:
         raise ValueError("no profile survived the pipeline filters")
     sampled = sample_dataset(
-        intermediates,
-        config.samples_per_dataset,
-        config.votes_per_sample,
-        derive_seed(seed, 2, 0),
+        intermediates, SAMPLES_PER_DATASET, VOTES_PER_SAMPLE, derive_seed(seed, 2, 0)
     )
     manifest = {
         "seed": seed,

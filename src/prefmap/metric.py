@@ -387,12 +387,14 @@ def _values(
     xs: Sequence[FrequencyMatrix],
     ys: Sequence[FrequencyMatrix],
     pairs: Sequence[tuple[int, int]],
-) -> list[Fraction]:
-    """Exact distance of ``xs[i]`` and ``ys[j]`` for each pair (i, j)."""
-    out = [Fraction(0)] * len(pairs)
+) -> list[tuple[int, int]]:
+    """Exact distance of ``xs[i]`` and ``ys[j]`` for each pair (i, j), as
+    the Python integers (total, scale): the distance is total / scale, with
+    scale = lcm(Dx, Dy), not in lowest terms."""
+    out = [(0, 1)] * len(pairs)
     for block, scales, cost in _cost_blocks(xs, ys, pairs):
         for k, scale, total in zip(block, scales, _totals(cost)):
-            out[k] = Fraction(total, scale)
+            out[k] = (total, scale)
     return out
 
 
@@ -414,7 +416,7 @@ def cross_distances(
     tie-break that only ``positionwise`` needs for its permutation.
     """
     pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-    values = _values(xs, ys, pairs)
+    values = [Fraction(total, scale) for total, scale in _values(xs, ys, pairs)]
     k = len(ys)
     return [values[i * k : (i + 1) * k] for i in range(len(xs))]
 
@@ -429,9 +431,8 @@ def distance_matrix(items: Sequence[FrequencyMatrix]) -> list[list[Fraction]]:
     k = len(items)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     out = [[Fraction(0)] * k for _ in range(k)]
-    for (i, j), d in zip(pairs, _values(items, items, pairs)):
-        out[i][j] = d
-        out[j][i] = d
+    for (i, j), (total, scale) in zip(pairs, _values(items, items, pairs)):
+        out[i][j] = out[j][i] = Fraction(total, scale)
     return out
 
 

@@ -22,7 +22,7 @@ from conftest import mutated
 from prefmap import ingest
 from prefmap.cli import UsageError, build_parser, main
 from prefmap.compass import compass_matrix
-from prefmap.cultures import fit_mallows
+from prefmap.cultures import fit_mallows, sample_mallows_norm
 from prefmap.matrixio import read_matrix_csv, write_matrix_csv
 
 
@@ -575,6 +575,13 @@ def test_fit_mallows_matches_pairwise_oracle():
     for seed in (0, 5):
         expected = oracles.pairwise_fit_mallows(dataset, grid, 3, seed, votes_per_sample=30)
         assert fit_mallows(dataset, grid, 3, seed, votes_per_sample=30) == expected
+    # at m = 2, samples of 6 votes reduce to denominators 1, 2, 3 or 6, so the
+    # pair scales of one election at one grid value can be 2 and 3: their
+    # common scale is their lcm, not the largest
+    tiny = [sample_mallows_norm(2, 1 + i, 0.3, seed=70 + i) for i in range(3)]
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    expected = oracles.pairwise_fit_mallows(tiny, grid, 4, 15, votes_per_sample=6)
+    assert fit_mallows(tiny, grid, 4, 15, votes_per_sample=6) == expected
 
 
 @pytest.mark.parametrize("g, mirror", [(0.55, "0.45"), (0.8, "0.2"), (1.0, "0")])
@@ -596,7 +603,7 @@ def test_fit_mallows_groups_grid_values_by_block(block_entries, calls):
     grid = [0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5]
     expected = oracles.pairwise_fit_mallows(dataset, grid, 3, 5, votes_per_sample=30)
     with mock.patch.object(metric, "_BLOCK", block_entries), mock.patch.object(
-        cultures, "cross_distances", wraps=cultures.cross_distances
+        cultures, "_values", wraps=cultures._values
     ) as spy:
         assert fit_mallows(dataset, grid, 3, 5, votes_per_sample=30) == expected
     assert spy.call_count == calls

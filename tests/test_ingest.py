@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -19,7 +22,11 @@ from conftest import MULTIPLICITIES, mutated
 from prefmap.cli import main
 from prefmap.core import Election
 from prefmap.ingest import (
+    MIN_CANDIDATES,
     PRESETS,
+    SAMPLES_PER_DATASET,
+    TOP_K,
+    VOTES_PER_SAMPLE,
     PartialProfile,
     PartialVote,
     PipelineConfig,
@@ -807,27 +814,22 @@ def test_sample_dataset_draws_voters_past_int64():
 
 
 def test_preset_table():
-    assert set(PRESETS) == {
-        "default", "irish", "glasgow", "aspen", "ers", "figure-skating",
-        "speed-skating", "tdf", "gdi", "tshirt", "sushi", "cities",
+    # presets vary only pruning and the candidate and voter filters
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+        "prune", "max_candidates", "min_voters"
+    ]
+    plain = PipelineConfig(prune=False, max_candidates=None, min_voters=None)
+    assert PRESETS == {
+        **dict.fromkeys(["default", "irish", "glasgow", "aspen", "tshirt", "sushi", "cities"], plain),
+        "ers": PipelineConfig(min_voters=500),
+        "figure-skating": PipelineConfig(min_voters=9),
+        "speed-skating": PipelineConfig(prune=True, min_voters=80),
+        "tdf": PipelineConfig(prune=True, min_voters=20, max_candidates=75),
+        "gdi": PipelineConfig(prune=True),
     }
-    assert PRESETS["ers"].min_voters == 500
-    assert PRESETS["speed-skating"].prune and PRESETS["speed-skating"].min_voters == 80
-    assert PRESETS["tdf"].prune and PRESETS["tdf"].max_candidates == 75
-    assert PRESETS["tdf"].min_voters == 20
-    assert PRESETS["gdi"].prune
-    assert PRESETS["figure-skating"].min_voters == 9
-    for config in PRESETS.values():
-        assert config.top_k == 10
-        assert config.samples_per_dataset == 15
-        assert config.votes_per_sample == 100
-
-
-def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(coverage_threshold=0.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(min_candidates=5, top_k=10)
+    # the rest of the paper's protocol is fixed
+    assert (MIN_CANDIDATES, TOP_K, SAMPLES_PER_DATASET, VOTES_PER_SAMPLE) == (10, 10, 15, 100)
+    assert inspect.signature(prune_to_coverage).parameters["threshold"].default == 0.70
 
 
 def make_big_profile(seed: int, m: int = 12, n: int = 30) -> PartialProfile:
@@ -842,23 +844,21 @@ def make_big_profile(seed: int, m: int = 12, n: int = 30) -> PartialProfile:
 
 def test_run_pipeline_shapes_and_manifest():
     profiles = [make_big_profile(s) for s in range(3)]
-    config = PipelineConfig(samples_per_dataset=6, votes_per_sample=40)
-    elections, manifest = run_pipeline(profiles, config, seed=5)
-    assert len(elections) == 6
+    elections, manifest = run_pipeline(profiles, PipelineConfig(), seed=5)
+    assert len(elections) == 15
     for e in elections:
         assert e.m == 10  # Borda top 10 of 12
-        assert e.n == 40
+        assert e.n == 100
     assert manifest["seed"] == 5
     assert len(manifest["profiles"]) == 3
     assert all(rec.get("kept") for rec in manifest["profiles"])
-    assert len(manifest["samples"]) == 6
+    assert len(manifest["samples"]) == 15
 
 
 def test_run_pipeline_filters_small_profiles():
     small = make_big_profile(1, m=5)
     big = make_big_profile(2, m=12)
-    config = PipelineConfig(samples_per_dataset=2, votes_per_sample=10)
-    elections, manifest = run_pipeline([small, big], config, seed=1)
+    elections, manifest = run_pipeline([small, big], PipelineConfig(), seed=1)
     dropped = [rec for rec in manifest["profiles"] if "dropped" in rec]
     assert len(dropped) == 1
     assert "candidates" in dropped[0]["dropped"]
@@ -867,17 +867,80 @@ def test_run_pipeline_filters_small_profiles():
 
 def test_run_pipeline_min_voters_filter():
     profiles = [make_big_profile(3, n=30)]
-    config = PipelineConfig(min_voters=100, samples_per_dataset=2, votes_per_sample=5)
     with pytest.raises(ValueError):
-        run_pipeline(profiles, config, seed=0)
+        run_pipeline(profiles, PipelineConfig(min_voters=100), seed=0)
 
 
 def test_run_pipeline_deterministic():
     profiles = [make_big_profile(s) for s in range(2)]
-    config = PipelineConfig(samples_per_dataset=4, votes_per_sample=20)
-    a, _ = run_pipeline(profiles, config, seed=7)
-    b, _ = run_pipeline(profiles, config, seed=7)
+    a, _ = run_pipeline(profiles, PipelineConfig(), seed=7)
+    b, _ = run_pipeline(profiles, PipelineConfig(), seed=7)
     assert [e.votes for e in a] == [e.votes for e in b]
+
+
+def _preset_profiles() -> list[PartialProfile]:
+    """Four profiles that every preset's filters treat differently.
+
+    "wide": 12 candidates and 600 voters, some ballots tied or short and
+    few ranking 11 or 12, so pruning drops those two; "small": 9
+    candidates; "many": 80 candidates and 30 voters; "mid": 11 candidates
+    and 85 voters, some ballots short."""
+    rng = random.Random(24)
+
+    def ballot(m: int, rare: set[int], keep: int) -> PartialVote:
+        order = [c for c in rng.sample(range(1, m + 1), m) if c not in rare or rng.random() < 0.3]
+        order = order[: max(keep, 1)]
+        if len(order) > 3 and rng.random() < 0.3:  # one tie group
+            at = rng.randrange(len(order) - 1)
+            return (*((c,) for c in order[:at]), tuple(order[at : at + 2]),
+                    *((c,) for c in order[at + 2 :]))
+        return tuple((c,) for c in order)
+
+    def profile(name: str, m: int, distinct: int, count: int, rare: set[int], short: int):
+        votes = tuple(ballot(m, rare, m - rng.randrange(short + 1)) for _ in range(distinct))
+        return PartialProfile(tuple(range(1, m + 1)), votes, (count,) * distinct,
+                              {c: f"c{c}" for c in range(1, m + 1)}, name)
+
+    return [
+        profile("wide", 12, 120, 5, {11, 12}, 2),
+        profile("small", 9, 40, 1, set(), 0),
+        profile("many", 80, 30, 1, set(), 0),
+        profile("mid", 11, 17, 5, set(), 3),
+    ]
+
+
+# SHA-256 of the sampled elections and of the manifest of every preset on
+# _preset_profiles at seed 3; a preset's filters, protocol and seeds all
+# reach these bytes
+_PRESET_SHA256 = {
+    **dict.fromkeys(
+        ["default", "irish", "glasgow", "aspen", "figure-skating", "tshirt", "sushi", "cities"],
+        ("ed4a14b995945ca8af35a7862c1aef371713e3b6070ed034e0956ae8b19a1023",
+         "b4ad11af11a049b42306ba8fdee954aba407eb1f87b83cb8a4a91eca84ad1025"),
+    ),
+    "ers": ("42a42181ee2aa6af738e950282df7520fa8570045d04ed0d7546458b9f26bd8d",
+            "3e52a651ba45b4df8c3bdf3d43dc98662917ca7745cace426ba33f47cbdd4be3"),
+    "speed-skating": ("1450b315bcf4604fa8d011db9de6539aa2fd5b8f768d16206b43a5a96abff61f",
+                      "7b2bf4367efe0c97c9df07823fa6c44c43c191e2833b26793938141ec071779e"),
+    "tdf": ("1450b315bcf4604fa8d011db9de6539aa2fd5b8f768d16206b43a5a96abff61f",
+            "8a2174b6c4ec0885c5126c07b8d40124b7f815b800495a9583919797ebbf2835"),
+    "gdi": ("22b1f8dba4a54d7c310d380a254d98db2c6797e7e9e9c73a38951435df62a989",
+            "94ace419d23c2eda21c4282ed17b1cbc1cb68d50c5cd16e5170a3957f325f302"),
+}
+
+
+def test_run_pipeline_presets_are_pinned():
+    profiles = _preset_profiles()
+    digests = {}
+    for name, config in PRESETS.items():
+        elections, manifest = run_pipeline(profiles, config, seed=3)
+        rows = [(e.candidates, e.vote_array.tolist(), e.multiplicities, sorted(e.meta.items()))
+                for e in elections]
+        digests[name] = (
+            hashlib.sha256(repr(rows).encode()).hexdigest(),
+            hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest(),
+        )
+    assert digests == _PRESET_SHA256
 
 
 @st.composite

@@ -680,6 +680,22 @@ def test_batched_values_match_fraction_oracle_in_lockstep(items, cut):
         _check_batched_values(2**16, items, cut)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_blocks(), st.integers(0, 7))
+@example(_CROSSING_BLOCK, 2)
+@example(_AUGMENTING_BLOCK, 2)
+def test_values_are_integer_totals_over_the_pair_scale(items, cut):
+    # what fit_mallows sums: Python integers, over lcm(Dx, Dy) of each pair,
+    # mixed denominators and pairs past 2**62 (object costs) included
+    xs, ys = items[:cut], items[cut:]
+    pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+    values = metric._values(xs, ys, pairs)
+    assert {type(v) for pair in values for v in pair} <= {int}
+    assert [s for _, s in values] == [lcm(xs[i].denominator, ys[j].denominator) for i, j in pairs]
+    cross = cross_distances(xs, ys)
+    assert [Fraction(t, s) for t, s in values] == [d for row in cross for d in row]
+
+
 def _with_denominator(m, d):
     """d - 1 votes of the identity and one of its reverse, over d voters."""
     p = tuple(range(m))
