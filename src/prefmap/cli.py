@@ -152,11 +152,8 @@ def _cmd_compass(args: argparse.Namespace) -> int:
         for label, matrix in labeled:
             fname = label.replace(":", "_").replace("/", "_") + ".csv"
             matrixio.write_matrix_csv(matrix, os.path.join(args.out, fname))
-            if ":" in label:
-                pair, alpha = label.split(":", 1)
-            else:
-                pair, alpha = label, "1"
-            fh.write(f"{label},{pair},{alpha},{fname}\n")
+            pair, colon, alpha = label.partition(":")  # a corner's alpha is 1
+            fh.write(f"{label},{pair},{alpha if colon else '1'},{fname}\n")
     _say(args, f"wrote {len(labeled)} matrices and manifest to {args.out}")
     return 0
 

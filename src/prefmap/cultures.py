@@ -394,12 +394,14 @@ class FitResult:
 
 
 def _dataset_m(dataset: Sequence[Election]) -> int:
-    """The one candidate count of a nonempty dataset of elections."""
+    """The one candidate count, at least two, of a nonempty dataset."""
     if not dataset:
         raise ValueError("dataset must be nonempty")
     sizes = sorted({e.m for e in dataset})
     if len(sizes) != 1:
         raise ValueError(f"dataset mixes candidate counts: {sizes}")
+    if sizes[0] < 2:
+        raise ValueError("normalization needs at least two candidates")
     return sizes[0]
 
 
@@ -435,8 +437,6 @@ def fit_mallows(
             raise ValueError(f"grid value {g} is above 1/2: it scores as its mirror {1 - g:g}")
     if samples_per_value < 1:
         raise ValueError("samples_per_value must be positive")
-    if m < 2:
-        raise ValueError("normalization needs at least two candidates")
     data = [frequency_matrix(e) for e in dataset]
 
     best: tuple[float, float] | None = None  # (mean, relphi)

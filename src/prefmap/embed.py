@@ -29,6 +29,9 @@ from .compass import CORNER_KINDS
 # styling entry: (css color, marker shape, group label)
 Styling = Mapping[Hashable, tuple[str, str, str]]
 
+# the styling entry of a point that the styling does not name
+_UNSTYLED = ("#444444", "dot", "")
+
 # a Guttman step that lowers the stress by this relative amount or less ends the run
 _RELATIVE_TOL = 1e-9
 
@@ -181,27 +184,17 @@ def layout_stress(
 def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, str]]:
     """Color/marker/group assignment keyed off the compass label scheme.
 
-    Bare anchor names become emphasized corners; ``A-B:k/K`` labels group
-    by their path; everything else lands in an unnamed group.
-    """
-    groups: list[str] = []
-    for pid in ids:
-        text = str(pid)
-        if text in CORNER_KINDS:
-            groups.append("corner")
-        elif ":" in text:
-            groups.append(text.split(":", 1)[0])
-        else:
-            groups.append("")
-    palette_of: dict[str, str] = {}
+    One statement decides each label's group: the text before the first
+    ``:``, else ``corner`` for a bare anchor name, else the unnamed group.
+    The group ``corner`` is drawn as black stars, the others as dots."""
+    styles: dict[str, tuple[str, str]] = {"corner": ("#000000", "star")}  # group: (color, marker)
     styling: dict[Hashable, tuple[str, str, str]] = {}
-    for pid, group in zip(ids, groups):
-        if group == "corner":
-            styling[pid] = ("#000000", "star", "corner")
-            continue
-        if group not in palette_of:
-            palette_of[group] = _PALETTE[len(palette_of) % len(_PALETTE)]
-        styling[pid] = (palette_of[group], "dot", group)
+    for pid in ids:
+        head, colon, _ = str(pid).partition(":")
+        group = head if colon else "corner" if head in CORNER_KINDS else ""
+        fresh = _PALETTE[(len(styles) - 1) % len(_PALETTE)]  # a new group's; "corner" takes none
+        color, shape = styles.setdefault(group, (fresh, "dot"))
+        styling[pid] = (color, shape, group)
     return styling
 
 
@@ -212,34 +205,25 @@ def _marker_element(shape: str, x: float, y: float, size: float, color: str):
             r = size if i % 2 == 0 else size * 0.45
             ang = math.pi / 2 + i * math.pi / 5
             pts.append(f"{x + r * math.cos(ang):.3f},{y - r * math.sin(ang):.3f}")
-        el = ElementTree.Element("polygon", points=" ".join(pts), fill=color)
-    else:  # dot / circle
-        el = ElementTree.Element(
-            "circle", cx=f"{x:.3f}", cy=f"{y:.3f}", r=f"{size:.3f}", fill=color
-        )
-    return el
+        return ElementTree.Element("polygon", points=" ".join(pts), fill=color)
+    # dot / circle
+    return ElementTree.Element(
+        "circle", cx=f"{x:.3f}", cy=f"{y:.3f}", r=f"{size:.3f}", fill=color
+    )
 
 
 def render_svg(layout: MapLayout, path: str | os.PathLike[str], size: int = 640) -> None:
     """Draw the layout: emphasized labeled corners, path groups as small
-    dots joined by a polyline, a legend for the named groups."""
-    pts = layout.points
+    dots joined by a polyline, a legend for the named groups.  One pass
+    over the points styles and places each point once; a point that the
+    styling does not name is drawn as ``_UNSTYLED``."""
     width = float(size)
     pad = width * 0.08
-    if pts:
-        xs = [x for _, x, _ in pts]
-        ys = [y for _, _, y in pts]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-        span = max(x1 - x0, y1 - y0) or 1.0
-    else:
-        x0 = y0 = 0.0
-        span = 1.0
+    xs = [x for _, x, _ in layout.points] or [0.0]
+    ys = [y for _, _, y in layout.points] or [0.0]
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0) or 1.0
     scale = (width - 2 * pad) / span
-
-    def to_screen(x: float, y: float) -> tuple[float, float]:
-        # flip y so larger values draw higher
-        return pad + (x - x0) * scale, width - pad - (y - y0) * scale
 
     svg = ElementTree.Element(
         "svg",
@@ -251,32 +235,14 @@ def render_svg(layout: MapLayout, path: str | os.PathLike[str], size: int = 640)
     ElementTree.SubElement(svg, "rect", x="0", y="0", width=str(size),
                            height=str(size), fill="white")
 
-    by_group: dict[str, list[tuple[Hashable, float, float]]] = {}
-    for pid, x, y in pts:
-        color, shape, group = layout.styling.get(pid, ("#444444", "dot", ""))
-        by_group.setdefault(group, []).append((pid, x, y))
-
-    # polylines first so markers draw on top
-    for group, members in by_group.items():
-        if group in ("", "corner") or len(members) < 2:
-            continue
-        color = layout.styling[members[0][0]][0]
-        coords = " ".join(
-            "{:.3f},{:.3f}".format(*to_screen(x, y)) for _, x, y in members
-        )
-        ElementTree.SubElement(
-            svg,
-            "polyline",
-            points=coords,
-            fill="none",
-            stroke=color,
-            attrib={"stroke-width": "1.5", "stroke-opacity": "0.8"},
-        )
-    for pid, x, y in pts:
-        color, shape, group = layout.styling.get(pid, ("#444444", "dot", ""))
-        sx, sy = to_screen(x, y)
-        marker_size = 9.0 if group == "corner" else 3.0
-        svg.append(_marker_element(shape, sx, sy, marker_size, color))
+    groups: dict[str, tuple[str, list[str]]] = {}  # named group: (color, polyline points)
+    for pid, x, y in layout.points:
+        color, shape, group = layout.styling.get(pid, _UNSTYLED)
+        # flip y so larger values draw higher
+        sx, sy = pad + (x - x0) * scale, width - pad - (y - y0) * scale
+        if group not in ("", "corner"):
+            groups.setdefault(group, (color, []))[1].append(f"{sx:.3f},{sy:.3f}")
+        svg.append(_marker_element(shape, sx, sy, 9.0 if group == "corner" else 3.0, color))
         if group == "corner":
             label = ElementTree.SubElement(
                 svg,
@@ -287,11 +253,23 @@ def render_svg(layout: MapLayout, path: str | os.PathLike[str], size: int = 640)
             )
             label.text = str(pid)
 
+    # polylines go right after the background, so markers draw on top
+    svg[1:1] = [
+        ElementTree.Element(
+            "polyline",
+            points=" ".join(coords),
+            fill="none",
+            stroke=color,
+            attrib={"stroke-width": "1.5", "stroke-opacity": "0.8"},
+        )
+        for color, coords in groups.values()
+        if len(coords) > 1
+    ]
+
     legend_y = pad * 0.5
-    for group in sorted(g for g in by_group if g not in ("", "corner")):
-        color = layout.styling[by_group[group][0][0]][0]
+    for group in sorted(groups):
         ElementTree.SubElement(
-            svg, "circle", cx=f"{pad:.3f}", cy=f"{legend_y:.3f}", r="4", fill=color
+            svg, "circle", cx=f"{pad:.3f}", cy=f"{legend_y:.3f}", r="4", fill=groups[group][0]
         )
         text = ElementTree.SubElement(
             svg,
@@ -303,9 +281,8 @@ def render_svg(layout: MapLayout, path: str | os.PathLike[str], size: int = 640)
         text.text = group
         legend_y += 16
 
-    tree = ElementTree.ElementTree(svg)
-    ElementTree.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=False)
+    ElementTree.indent(svg)
+    ElementTree.ElementTree(svg).write(path, encoding="unicode", xml_declaration=False)
 
 
 def write_coordinates(layout: MapLayout, path: str | os.PathLike[str]) -> None:
@@ -314,6 +291,6 @@ def write_coordinates(layout: MapLayout, path: str | os.PathLike[str]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "y", "group"])
         for pid, x, y in layout.points:
-            group = layout.styling.get(pid, ("", "", ""))[2]
+            group = layout.styling.get(pid, _UNSTYLED)[2]
             writer.writerow([str(pid), repr(x), repr(y), group])
 

@@ -45,7 +45,7 @@ class PartialProfile:
     source: str = ""
 
     def __post_init__(self) -> None:
-        cands = tuple(int(c) for c in self.candidates)
+        cands = _integers(self.candidates, "candidate ids")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(
             self,
@@ -82,21 +82,28 @@ class PartialProfile:
         return sum(self.multiplicities)
 
 
+def _number(text: str, lineno: int, what: str) -> int:
+    """``int(text)``, which strips surrounding whitespace itself; a fault
+    names the line and shows ``text`` as it was given."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {what} {text!r}") from None
+
+
 def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
     head, sep, rest = line.partition(",")
     if not sep:
         raise ValueError(f"line {lineno}: expected 'count, ranking'")
-    try:
-        count = int(head.strip())
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad count {head!r}") from None
+    count = _number(head, lineno, "count")
     if count < 1:
         raise ValueError(f"line {lineno}: count must be positive")
 
     def ids(text: str) -> list[int]:
         if "}" in text:
             raise ValueError(f"line {lineno}: unbalanced braces")
-        return [int(tok) for tok in map(str.strip, text.split(",")) if tok]
+        tokens = map(str.strip, text.split(","))
+        return [_number(tok, lineno, "candidate id") for tok in tokens if tok]
 
     # text before the first "{", then per "{": its group up to "}" and the
     # text after that; so "1{2}" reads as 1 then {2}, like "{1,2}3"
@@ -137,10 +144,7 @@ def _read(
                 raise ValueError(f"truncated file, expected {what}") from None
 
         lineno, first = next_row("candidate count")
-        try:
-            m = int(first)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad candidate count {first!r}") from None
+        m = _number(first, lineno, "candidate count")
         if m < 1:
             raise ValueError(f"line {lineno}: candidate count must be positive")
 
@@ -151,10 +155,7 @@ def _read(
             head, sep, name = ln.partition(",")
             if not sep:
                 raise ValueError(f"line {lineno}: expected 'id, name'")
-            try:
-                cid = int(head.strip())
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad candidate id {head!r}") from None
+            cid = _number(head, lineno, "candidate id")
             if cid in names:
                 raise ValueError(f"line {lineno}: duplicate candidate id {cid}")
             ids.append(cid)

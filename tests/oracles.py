@@ -57,6 +57,9 @@ its ballots a second time to name an unknown or repeated candidate, and
 0/1 support copy of the working counts in every round.
 ``window_mahonian_row`` is the Mahonian row built in full, one running sum
 over a window of m entries per row, with no use of the rows' symmetry.
+``two_pass_default_styling`` grouped every label before it styled any,
+and ``two_pass_render_svg`` drew the map in two passes over the points,
+looking each point's style up twice and placing each grouped point twice.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Hashable, Iterator, Sequence
+from xml.etree import ElementTree
 
 import numpy as np
 
@@ -82,7 +86,8 @@ from prefmap.core import (
     frequency_matrix,
 )
 from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
-from prefmap.embed import MapLayout
+from prefmap.compass import CORNER_KINDS
+from prefmap.embed import _PALETTE, MapLayout
 from prefmap.ingest import (
     PartialProfile,
     PartialVote,
@@ -417,10 +422,16 @@ def charwise_parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
     in_braces = False
     group_buf: list[int] = []
 
+    def number(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad candidate id {tok!r}") from None
+
     def flush_single() -> None:
         tok = token.strip()
         if tok:
-            groups.append((int(tok),))
+            groups.append((number(tok),))
 
     for ch in rest:
         if ch == "{":
@@ -432,7 +443,7 @@ def charwise_parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
             if not in_braces:
                 raise ValueError(f"line {lineno}: unbalanced braces")
             if token.strip():
-                group_buf.append(int(token.strip()))
+                group_buf.append(number(token.strip()))
             token = ""
             in_braces = False
             if not group_buf:
@@ -441,7 +452,7 @@ def charwise_parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
         elif ch == ",":
             if in_braces:
                 if token.strip():
-                    group_buf.append(int(token.strip()))
+                    group_buf.append(number(token.strip()))
                 token = ""
             else:
                 flush_single()
@@ -1030,6 +1041,137 @@ def gradient_embed(
             scale *= 0.5
     pos = pos - pos.mean(axis=0)
     return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, iterations)
+
+
+def two_pass_default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, str]]:
+    """``default_styling`` in two passes, every label's group before any
+    style.  Bare anchor names become emphasized corners; ``A-B:k/K`` labels
+    group by their path; everything else lands in an unnamed group.
+    """
+    groups: list[str] = []
+    for pid in ids:
+        text = str(pid)
+        if text in CORNER_KINDS:
+            groups.append("corner")
+        elif ":" in text:
+            groups.append(text.split(":", 1)[0])
+        else:
+            groups.append("")
+    palette_of: dict[str, str] = {}
+    styling: dict[Hashable, tuple[str, str, str]] = {}
+    for pid, group in zip(ids, groups):
+        if group == "corner":
+            styling[pid] = ("#000000", "star", "corner")
+            continue
+        if group not in palette_of:
+            palette_of[group] = _PALETTE[len(palette_of) % len(_PALETTE)]
+        styling[pid] = (palette_of[group], "dot", group)
+    return styling
+
+
+def _svg_marker(shape: str, x: float, y: float, size: float, color: str):
+    if shape == "star":
+        pts = []
+        for i in range(10):
+            r = size if i % 2 == 0 else size * 0.45
+            ang = math.pi / 2 + i * math.pi / 5
+            pts.append(f"{x + r * math.cos(ang):.3f},{y - r * math.sin(ang):.3f}")
+        el = ElementTree.Element("polygon", points=" ".join(pts), fill=color)
+    else:  # dot / circle
+        el = ElementTree.Element(
+            "circle", cx=f"{x:.3f}", cy=f"{y:.3f}", r=f"{size:.3f}", fill=color
+        )
+    return el
+
+
+def two_pass_render_svg(layout: MapLayout, path: str | os.PathLike[str], size: int = 640) -> None:
+    """``render_svg`` that looks each point's style up twice, once to group
+    the points and once to draw them, and places each grouped point twice.
+    Draw the layout: emphasized labeled corners, path groups as small dots
+    joined by a polyline, a legend for the named groups."""
+    pts = layout.points
+    width = float(size)
+    pad = width * 0.08
+    if pts:
+        xs = [x for _, x, _ in pts]
+        ys = [y for _, _, y in pts]
+        x0, x1 = min(xs), max(xs)
+        y0, y1 = min(ys), max(ys)
+        span = max(x1 - x0, y1 - y0) or 1.0
+    else:
+        x0 = y0 = 0.0
+        span = 1.0
+    scale = (width - 2 * pad) / span
+
+    def to_screen(x: float, y: float) -> tuple[float, float]:
+        # flip y so larger values draw higher
+        return pad + (x - x0) * scale, width - pad - (y - y0) * scale
+
+    svg = ElementTree.Element(
+        "svg",
+        xmlns="http://www.w3.org/2000/svg",
+        width=str(size),
+        height=str(size),
+        viewBox=f"0 0 {size} {size}",
+    )
+    ElementTree.SubElement(svg, "rect", x="0", y="0", width=str(size),
+                           height=str(size), fill="white")
+
+    by_group: dict[str, list[tuple[Hashable, float, float]]] = {}
+    for pid, x, y in pts:
+        color, shape, group = layout.styling.get(pid, ("#444444", "dot", ""))
+        by_group.setdefault(group, []).append((pid, x, y))
+
+    # polylines first so markers draw on top
+    for group, members in by_group.items():
+        if group in ("", "corner") or len(members) < 2:
+            continue
+        color = layout.styling[members[0][0]][0]
+        coords = " ".join(
+            "{:.3f},{:.3f}".format(*to_screen(x, y)) for _, x, y in members
+        )
+        ElementTree.SubElement(
+            svg,
+            "polyline",
+            points=coords,
+            fill="none",
+            stroke=color,
+            attrib={"stroke-width": "1.5", "stroke-opacity": "0.8"},
+        )
+    for pid, x, y in pts:
+        color, shape, group = layout.styling.get(pid, ("#444444", "dot", ""))
+        sx, sy = to_screen(x, y)
+        marker_size = 9.0 if group == "corner" else 3.0
+        svg.append(_svg_marker(shape, sx, sy, marker_size, color))
+        if group == "corner":
+            label = ElementTree.SubElement(
+                svg,
+                "text",
+                x=f"{sx + 11:.3f}",
+                y=f"{sy - 9:.3f}",
+                attrib={"font-size": "16", "font-family": "sans-serif"},
+            )
+            label.text = str(pid)
+
+    legend_y = pad * 0.5
+    for group in sorted(g for g in by_group if g not in ("", "corner")):
+        color = layout.styling[by_group[group][0][0]][0]
+        ElementTree.SubElement(
+            svg, "circle", cx=f"{pad:.3f}", cy=f"{legend_y:.3f}", r="4", fill=color
+        )
+        text = ElementTree.SubElement(
+            svg,
+            "text",
+            x=f"{pad + 10:.3f}",
+            y=f"{legend_y + 4:.3f}",
+            attrib={"font-size": "12", "font-family": "sans-serif"},
+        )
+        text.text = group
+        legend_y += 16
+
+    tree = ElementTree.ElementTree(svg)
+    ElementTree.indent(tree)
+    tree.write(path, encoding="unicode", xml_declaration=False)
 
 
 def bitloop_start(cost: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:

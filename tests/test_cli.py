@@ -551,12 +551,26 @@ def test_fit_mallows_names_a_dataset_that_mixes_candidate_counts(capsys, tmp_pat
     assert (code, err) == (1, "prefmap: error: samples_per_value must be positive\n")
 
 
+def test_fit_mallows_names_a_one_candidate_dataset(capsys, tmp_path):
+    from prefmap.core import Election
+
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    ingest.serialize_election(Election(candidates=(0,), votes=((0,),)), dataset / "a.soc")
+    code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                         "--grid-step", "0.5", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert err == f"prefmap: error: {dataset}: normalization needs at least two candidates\n"
+
+
 def test_fit_mallows_value_errors():
     from prefmap.core import Election
 
     one = Election(candidates=(0,), votes=((0,),))
     with pytest.raises(ValueError, match="normalization needs at least two candidates"):
         fit_mallows([one], [0.5], 1, 0)
+    with pytest.raises(ValueError, match="normalization needs at least two candidates"):
+        fit_mallows([one], [], 1, 0)  # m is checked before the grid
     two = Election(candidates=(0, 1), votes=((0, 1),))
     with pytest.raises(ValueError, match="n must be positive"):
         fit_mallows([two], [0.5], 1, 0, votes_per_sample=0)

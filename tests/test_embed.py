@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from fractions import Fraction
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import gradient_embed
 from prefmap.compass import CORNER_KINDS, compass_matrix, full_compass
 from prefmap.embed import (
@@ -227,6 +232,59 @@ def test_svg_contains_labeled_corners_and_paths(tmp_path):
     assert len(polylines) == 2  # one per path group
     polygons = root.findall(f"{ns}polygon")
     assert len(polygons) == 4  # star markers for the corners
+
+
+# anchor names, path labels, plain names (colons and integers among them)
+# and a group literally named "corner"
+_LABELS = st.one_of(
+    st.sampled_from(CORNER_KINDS + ("corner:x", "other")),
+    st.builds("{}-{}:{}/5".format, st.sampled_from(CORNER_KINDS),
+              st.sampled_from(CORNER_KINDS), st.integers(1, 4)),
+    st.text(alphabet="ab:", max_size=3),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def _styled_layouts(draw):
+    """0 to 12 points on at most four spots, so that some coincide, styled
+    by ``default_styling`` with some ids left out of the styling."""
+    ids = draw(st.lists(_LABELS, max_size=12))
+    coordinate = st.floats(-1e3, 1e3, allow_nan=False)
+    spots = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4))
+    points = [(pid, *draw(st.sampled_from(spots))) for pid in ids]
+    styling = default_styling(ids)
+    assert list(styling.items()) == list(oracles.two_pass_default_styling(ids).items())
+    unstyled = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    kept = {pid: style for pid, style in styling.items() if pid not in unstyled}
+    return MapLayout(tuple(points), kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_styled_layouts(), st.sampled_from([640, 97]))
+def test_render_svg_matches_two_pass_oracle(layout, size):
+    drawn, expected = io.StringIO(), io.StringIO()
+    render_svg(layout, drawn, size)
+    oracles.two_pass_render_svg(layout, expected, size)
+    assert drawn.getvalue() == expected.getvalue()
+
+
+# SHA-256 of the SVG of the grouped m = 6 compass map below, as the
+# two-pass writer drew it: six polylines, four stars, a six-entry legend
+_GROUPED_MAP_SHA256 = "6df6008292fac528394dc361a0765dd329d9fce38dc0d4b50b49bf675f0b93b0"
+
+
+def test_grouped_map_svg_is_pinned(tmp_path):
+    labeled = full_compass(6, 5)
+    ids = [label for label, _ in labeled]
+    d = distance_matrix([matrix for _, matrix in labeled])
+    layout = embed_distances(d, seed=0, ids=ids, styling=default_styling(ids))
+    path = tmp_path / "map.svg"
+    render_svg(layout, path)
+    svg = path.read_text()
+    assert svg.count("<polyline") == 6 and svg.count("<polygon") == 4
+    assert svg.count('font-size="12"') == 6
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GROUPED_MAP_SHA256
 
 
 def test_coordinates_round_trip(tmp_path):

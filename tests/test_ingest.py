@@ -475,6 +475,7 @@ def test_parse_vote_line_matches_charwise_oracle(text):
     [
         ("3 1 2", "line 7: expected 'count, ranking'"),
         ("x, 1,2", "line 7: bad count 'x'"),
+        ("x , 1,2", "line 7: bad count 'x '"),
         ("0, 1,2", "line 7: count must be positive"),
         ("3, {1,{2}}", "line 7: nested braces"),
         ("3, 1,{2,3", "line 7: unbalanced braces"),
@@ -483,10 +484,10 @@ def test_parse_vote_line_matches_charwise_oracle(text):
         ("3, 1,{},2", "line 7: empty tie group"),
         ("3, { , },2", "line 7: empty tie group"),
         ("3, , ,", "line 7: empty ranking"),
-        ("3, 1,x", "invalid literal for int() with base 10: 'x'"),
-        ("3, {1, x }", "invalid literal for int() with base 10: 'x'"),
-        ("3, {1,2}x", "invalid literal for int() with base 10: 'x'"),
-        ("3, 1 2", "invalid literal for int() with base 10: '1 2'"),
+        ("3, 1,x", "line 7: bad candidate id 'x'"),
+        ("3, {1, x }", "line 7: bad candidate id 'x'"),
+        ("3, {1,2}x", "line 7: bad candidate id 'x'"),
+        ("3, 1 2", "line 7: bad candidate id '1 2'"),
     ],
 )
 def test_parse_vote_line_messages(line, message):
@@ -494,6 +495,16 @@ def test_parse_vote_line_messages(line, message):
         with pytest.raises(ValueError) as err:
             parse(line, 7)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("suffix", [".soc", ".toc"])
+def test_a_bad_ballot_id_names_its_file_and_line(tmp_path, suffix):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text("4\n1, a\n2, b\n3, c\n4, d\n1, 1, 1\n1, 1,x,3\n")
+    for read in (parse_preflib, load_election):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: line 7: bad candidate id 'x'"
 
 
 def _ballot_file(m: int, ballots: list[str]) -> str:
@@ -713,6 +724,13 @@ def test_partial_profile_rejects_non_integer_multiplicities(mults, bad):
     # the profile fails as it is built, before complete_votes can use it
     with pytest.raises(ValueError, match=re.escape(f"multiplicities must be integers, got {bad}")):
         complete_votes(PartialProfile((1, 2), (((1,), (2,)),), mults, {}), seed=1)
+
+
+@pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), ("a", "'a'"), (None, "None")])
+def test_partial_profile_rejects_non_integer_candidate_ids(bad, shown):
+    # int() made 1.5 the candidate 1 and leaked its own message for 'a'
+    with pytest.raises(ValueError, match=re.escape(f"candidate ids must be integers, got {shown}")):
+        PartialProfile((2, bad), (((2,),),), (1,), {})
 
 
 def test_partial_profile_takes_numpy_multiplicities():
