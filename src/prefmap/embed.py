@@ -83,8 +83,9 @@ def _targets(
 
 
 def _pairwise(pos: np.ndarray) -> np.ndarray:
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    dx = pos[:, 0, None] - pos[:, 0]
+    dy = pos[:, 1, None] - pos[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _stress(dist: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:

@@ -57,6 +57,8 @@ its ballots a second time to name an unknown or repeated candidate, and
 0/1 support copy of the working counts in every round.
 ``window_mahonian_row`` is the Mahonian row built in full, one running sum
 over a window of m entries per row, with no use of the rows' symmetry.
+``stacked_pairwise`` measured the map's point distances through one
+(k, k, 2) difference array summed over its last axis.
 ``two_pass_default_styling`` grouped every label before it styled any,
 and ``two_pass_render_svg`` drew the map in two passes over the points,
 looking each point's style up twice and placing each grouped point twice.
@@ -996,6 +998,13 @@ def chi_square_critical_1pct(df: int) -> float:
     from scipy.stats import chi2
 
     return float(chi2.ppf(0.99, df))
+
+
+def stacked_pairwise(pos: np.ndarray) -> np.ndarray:
+    """Distances between the rows of a (k, 2) array through one (k, k, 2)
+    difference array, squared and summed over its last axis."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def _weighted_stress(pos: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:

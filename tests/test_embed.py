@@ -17,6 +17,7 @@ from oracles import gradient_embed
 from prefmap.compass import CORNER_KINDS, compass_matrix, full_compass
 from prefmap.embed import (
     MapLayout,
+    _pairwise,
     default_styling,
     embed_distances,
     layout_stress,
@@ -159,6 +160,22 @@ def test_layout_records_steps_and_stress():
     for run in (capped, layout):
         assert abs(layout_stress(run, d) - run.stress) <= 1e-12
     assert layout.stress < capped.stress
+
+
+@st.composite
+def _planar_points(draw):
+    """1 to 30 points at one coordinate scale, with some of them coincident."""
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e150]))
+    coordinate = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
+    spots = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    picks = draw(st.lists(st.integers(0, len(spots) - 1), min_size=1, max_size=30))
+    return np.array([spots[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planar_points())
+def test_pairwise_is_bitwise_the_stacked_oracle(pos):
+    assert np.array_equal(_pairwise(pos), oracles.stacked_pairwise(pos))
 
 
 def test_coincident_points_embed_without_float_errors():
