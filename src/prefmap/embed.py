@@ -186,13 +186,18 @@ def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, s
     """Color/marker/group assignment keyed off the compass label scheme.
 
     One statement decides each label's group: the text before the first
-    ``:``, else ``corner`` for a bare anchor name, else the unnamed group.
-    The group ``corner`` is drawn as black stars, the others as dots."""
+    ``:``, else ``corner`` for a bare anchor name, else ``A-B`` for a file
+    stem ``A-B_...`` of a path point (as ``compass`` names its files) when A
+    and B are both anchor names, else the unnamed group.  The group
+    ``corner`` is drawn as black stars, the others as dots."""
     styles: dict[str, tuple[str, str]] = {"corner": ("#000000", "star")}  # group: (color, marker)
     styling: dict[Hashable, tuple[str, str, str]] = {}
     for pid in ids:
         head, colon, _ = str(pid).partition(":")
-        group = head if colon else "corner" if head in CORNER_KINDS else ""
+        stem, underscore, _ = head.partition("_")
+        a, _, b = stem.partition("-")
+        group = (head if colon else "corner" if head in CORNER_KINDS
+                 else stem if underscore and a in CORNER_KINDS and b in CORNER_KINDS else "")
         fresh = _PALETTE[(len(styles) - 1) % len(_PALETTE)]  # a new group's; "corner" takes none
         color, shape = styles.setdefault(group, (fresh, "dot"))
         styling[pid] = (color, shape, group)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -770,7 +771,7 @@ _MAP_CHAIN_SHA256 = {
     "compass/UN-ST_2_3.csv": "51478f64cd01331b79270f0044a90319de1c0be9e705fa45e851c2430e66277f",
     "compass/UN.csv": "af63fc6a72a51fcdeb27c71c95a737da529586865475215ba21483ebbdd3f3d8",
     "compass/manifest.csv": "81c327f93b664a982e23dcb018da48ed852c7cd01c8abd6ceb34565337473280",
-    "coords.csv": "a3fcebd1eb305c2a162d0ede4a3e923631c47148842f74d3dde00057b6f8eef0",
+    "coords.csv": "4e31980ce1cb845c697e875ccb8415ae847ec74027b7c929ddf94c263af7cfd9",
     "d.csv": "309e9430b392c5f386d91630dbc92135d4326abf8200871b94071b7572214a1a",
     "d_exact.csv": "d2a3c72765cb4aec74ef6150b6f20d3ef1a597d7fd2c58b8ed66d9d2f8c02424",
     "e0_conitzer.soc": "81ce1db604532ea12c0f9a3608ec00767e12817fa764718be5abf7b188065b0b",
@@ -790,6 +791,28 @@ _MAP_CHAIN_SHA256 = {
 
 def test_map_chain_outputs_are_pinned(capsys, tmp_path):
     assert _map_chain(capsys, tmp_path) == _MAP_CHAIN_SHA256
+
+
+def test_compass_map_chain_draws_the_compass(capsys, tmp_path):
+    # compass -> distance-matrix -> embed: the map joins the points of each
+    # of the six paths, with a legend entry per path, and every path point
+    # carries its pair in the coordinates
+    compass = tmp_path / "compass"
+    assert run(capsys, "compass", "--m", "4", "--scale", "3", "--out", str(compass))[0] == 0
+    inputs = sorted(str(p) for p in compass.glob("*.csv") if p.name != "manifest.csv")
+    assert run(capsys, "distance-matrix", "--inputs", *inputs,
+               "--out", str(tmp_path / "d.csv"))[0] == 0
+    assert run(capsys, "embed", "--distances", str(tmp_path / "d.csv"),
+               "--svg", str(tmp_path / "map.svg"), "--coords", str(tmp_path / "coords.csv"))[0] == 0
+    svg = (tmp_path / "map.svg").read_text()
+    assert svg.count("<polyline") == 6
+    assert svg.count('font-size="12"') == 6  # the legend
+    with open(compass / "manifest.csv", encoding="utf-8", newline="") as fh:
+        pairs = {row["file"][:-4]: row["pair"] for row in csv.DictReader(fh)}
+    with open(tmp_path / "coords.csv", encoding="utf-8", newline="") as fh:
+        groups = {row["id"]: row["group"] for row in csv.DictReader(fh)}
+    assert groups == {stem: "corner" if stem == pair else pair for stem, pair in pairs.items()}
+    assert sum(group not in ("", "corner") for group in groups.values()) == 16
 
 
 def test_quiet_suppresses_progress(capsys, tmp_path):

@@ -228,6 +228,13 @@ def test_default_styling_groups():
     assert styling["ID-UN:1/51"][0] == styling["ID-UN:2/51"][0]
     assert styling["AN-ST:1/42"][2] == "AN-ST"
     assert styling["other"][2] == ""
+    # the file stems that `compass` writes name the same groups
+    stems = ["ID", "ID-UN_1_51", "ID-UN_2_51", "UN-AN_1_3", "ID-UN", "ID-XX_1", "ID-UN-ST_1",
+             "e0_conitzer", "ID_1"]
+    styling = default_styling(stems)
+    assert [styling[pid][2] for pid in stems] == [
+        "corner", "ID-UN", "ID-UN", "UN-AN", "", "", "", "", ""]
+    assert styling["ID-UN_1_51"][0] == styling["ID-UN_2_51"][0] != styling["UN-AN_1_3"][0]
 
 
 def test_svg_contains_labeled_corners_and_paths(tmp_path):
