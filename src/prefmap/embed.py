@@ -5,10 +5,12 @@ scored by the weighted stress sum over pairs of w_ij * (|p_i - p_j| - t_ij)^2
 with w_ij = t_ij^2, so large distances dominate the layout.  The layout
 starts from classical (Torgerson) scaling of the targets, turned by an angle
 drawn from the seed, and improves by SMACOF: the Guttman transform
-X <- V^+ B(X) X of de Leeuw (1977), which never increases the stress.  It
-stops when a step lowers the stress by a relative 1e-9 or less, when a step
-would raise it (float noise), or at the iteration cap.  The run is
-deterministic for a fixed seed, and seeds differ only by a rotation.
+X <- V^+ B(X) X of de Leeuw (1977), which never increases the stress; V^+
+acts on B(X) X as the inverse of V plus the projector onto its null space.
+It stops when a step lowers the stress by a relative 1e-9 or less, when a
+step would raise it (float noise), or at the iteration cap.  The run is
+deterministic for a fixed seed, and seeds differ only by a rotation.  No
+step calls BLAS or LAPACK, so the BLAS thread count changes no bit.
 """
 
 from __future__ import annotations
@@ -83,8 +85,7 @@ def _targets(
 
 
 def _pairwise(pos: np.ndarray) -> np.ndarray:
-    dx = pos[:, 0, None] - pos[:, 0]
-    dy = pos[:, 1, None] - pos[:, 1]
+    dx, dy = pos[:, :, None] - pos[:, None, :]
     return np.sqrt(dx * dx + dy * dy)
 
 
@@ -93,14 +94,59 @@ def _stress(dist: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:
     return float((weight * err * err).sum() / 2.0)
 
 
+def _orthonormal(rows: np.ndarray) -> np.ndarray:
+    """The two rows made orthonormal by Gram-Schmidt."""
+    (a, b), (_, c) = np.einsum("ik,jk->ij", rows, rows).tolist()
+    head, tail = math.sqrt(a), math.sqrt(c - b * b / a)
+    return np.einsum("ij,jk->ik", [[1 / head, 0.0], [-b / (a * tail), 1 / tail]], rows)
+
+
 def _classical_scaling(target: np.ndarray) -> np.ndarray:
-    """Top two principal coordinates of the double-centered squared
-    targets; a non-positive eigenvalue gives a zero coordinate."""
-    k = len(target)
-    center = np.eye(k) - 1.0 / k
-    gram = -0.5 * center @ (target * target) @ center
-    values, vectors = np.linalg.eigh(gram)  # ascending eigenvalues
-    return vectors[:, :-3:-1] * np.sqrt(np.maximum(values[:-3:-1], 0.0))
+    """Top two principal coordinates of the gram G of the double-centered
+    squared targets, as a (2, k) array; a non-positive eigenvalue gives a 0
+    coordinate.  Subspace iteration on S^8, S = G + s (I - 11^T / 2k) with s
+    the Gershgorin bound on G's spectral radius, runs from a fixed start until
+    a step moves the basis by at most 1e-14, or for 1,000 steps.  S has G's
+    eigenvectors, with eigenvalues >= 0 in G's order, but for the constant one
+    (for 0), which drops to s / 2 so as not to tie with a second eigenvalue
+    near 0; a closed-form 2 x 2 Rayleigh-Ritz step on G gives the eigenpairs."""
+    sq = target * target
+    gram = 0.5 * (sq.mean(axis=0) + sq.mean(axis=1)[:, None] - sq.mean() - sq)
+    shift = np.abs(gram).sum(axis=1).max()
+    power = gram + shift * (np.eye(len(gram)) - 0.5 / len(gram))
+    for _ in range(3):
+        power = np.einsum("ij,jk->ik", power, power)
+    start = random.Random(0)  # not numpy.random, whose import takes longer than a small map
+    basis = _orthonormal(np.array([[start.random() - 0.5 for _ in gram] for _ in range(2)]))
+    for _ in range(1000):
+        basis, last = _orthonormal(np.einsum("ij,kj->ki", power, basis)), basis
+        if np.abs(basis - last).max() <= 1e-14:
+            break
+    (a, b), (_, c) = np.einsum("ik,jk->ij", np.einsum("ij,kj->ki", gram, basis), basis).tolist()
+    mid, half, angle = (a + c) / 2.0, math.hypot((a - c) / 2.0, b), math.atan2(2.0 * b, a - c) / 2
+    scale = np.sqrt(np.maximum([mid + half, mid - half], 0.0))
+    ritz = [[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]
+    return np.einsum("i,ij,jk->ik", scale, ritz, basis)
+
+
+def _laplacian_inverse(weight: np.ndarray) -> np.ndarray:
+    """(V + P)^-1 for the weighted Laplacian V = diag(w 1) - w and P the sum
+    of 1_c 1_c^T / |c| over the components c of the weight graph, the
+    projector onto V's null space: on B(X) X, centred within each component,
+    it acts as V^+.  V + P is positive definite, so Gauss-Jordan needs no pivot."""
+    # each label falls to the smallest index in its component
+    linked, label = weight > 0.0, np.arange(len(weight))
+    while not np.array_equal(fresh := np.where(linked, label, label[:, None]).min(axis=1), label):
+        label = fresh
+    projector = (label[:, None] == label) / np.bincount(label)[label]
+    inverse = np.diag(weight.sum(axis=1)) - weight + projector
+    for p in range(len(weight)):
+        col, pivot = inverse[:, p].copy(), inverse[p, p]
+        col[p] = 0.0
+        inverse[:, p], inverse[p, p] = 0.0, 1.0
+        inverse[p] /= pivot
+        inverse -= col[:, None] * inverse[p]
+    return inverse
 
 
 def embed_distances(
@@ -114,7 +160,7 @@ def embed_distances(
 
     ``iterations`` caps the Guttman steps.  The returned layout is centered
     at the origin.  Identical inputs with the same seed give
-    bitwise-identical coordinates on one numpy/BLAS build and thread count.
+    bitwise-identical coordinates, whatever the BLAS thread count.
     """
     k = len(distances)
     for row in distances:
@@ -145,10 +191,9 @@ def embed_distances(
         return MapLayout(pts, styling or {}, seed)
 
     angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
-    turn = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
-    pos = _classical_scaling(target) @ turn
-    # V^+ of the weighted Laplacian V = diag(w 1) - w, fixed for the run
-    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight, hermitian=True)
+    turn = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    pos = np.einsum("ij,jk->ik", turn, _classical_scaling(target))  # (2, k)
+    inverse = _laplacian_inverse(weight)  # fixed for the run
     pull = weight * target
     dist = _pairwise(pos)
     current = _stress(dist, target, weight)
@@ -157,7 +202,7 @@ def embed_distances(
         # B(X): -w t / |p_i - p_j| off the diagonal, 0 for coincident points
         b = -np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
-        candidate = laplacian_pinv @ (b @ pos)
+        candidate = np.einsum("ij,kj->ki", inverse, np.einsum("ij,kj->ki", b, pos))
         cand_dist = _pairwise(candidate)
         cand_stress = _stress(cand_dist, target, weight)
         if cand_stress > current:
@@ -167,8 +212,8 @@ def embed_distances(
         current = cand_stress
         if converged:
             break
-    pos = pos - pos.mean(axis=0)
-    pts = tuple((pid, float(x), float(y)) for pid, (x, y) in zip(ids, pos))
+    pos = pos - pos.mean(axis=1, keepdims=True)
+    pts = tuple((pid, float(x), float(y)) for pid, x, y in zip(ids, *pos))
     return MapLayout(pts, styling or {}, seed, steps, current)
 
 
@@ -178,7 +223,7 @@ def layout_stress(
     """Stress of an existing layout against a distance matrix (same
     normalization as embed_distances)."""
     target, weight = _targets(distances)
-    pos = np.array([[x, y] for _, x, y in layout.points]).reshape(-1, 2)
+    pos = np.array([[x for _, x, _ in layout.points], [y for _, _, y in layout.points]])
     return _stress(_pairwise(pos), target, weight)
 
 
@@ -187,9 +232,8 @@ def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, s
 
     One statement decides each label's group: the text before the first
     ``:``, else ``corner`` for a bare anchor name, else ``A-B`` for a file
-    stem ``A-B_...`` of a path point (as ``compass`` names its files) when A
-    and B are both anchor names, else the unnamed group.  The group
-    ``corner`` is drawn as black stars, the others as dots."""
+    stem ``A-B_...`` of anchor names A and B (as ``compass`` writes), else
+    the unnamed group.  ``corner`` is drawn as black stars, others as dots."""
     styles: dict[str, tuple[str, str]] = {"corner": ("#000000", "star")}  # group: (color, marker)
     styling: dict[Hashable, tuple[str, str, str]] = {}
     for pid in ids:

@@ -58,7 +58,9 @@ its ballots a second time to name an unknown or repeated candidate, and
 ``window_mahonian_row`` is the Mahonian row built in full, one running sum
 over a window of m entries per row, with no use of the rows' symmetry.
 ``stacked_pairwise`` measured the map's point distances through one
-(k, k, 2) difference array summed over its last axis.
+(k, k, 2) difference array summed over its last axis, and
+``pinv_embed_distances`` drew the map through LAPACK and BLAS: its start
+from ``eigh_classical_scaling``, its Guttman steps through ``pinv`` and ``@``.
 ``two_pass_default_styling`` grouped every label before it styled any,
 and ``two_pass_render_svg`` drew the map in two passes over the points,
 looking each point's style up twice and placing each grouped point twice.
@@ -89,7 +91,7 @@ from prefmap.core import (
 )
 from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
 from prefmap.compass import CORNER_KINDS
-from prefmap.embed import _PALETTE, MapLayout
+from prefmap.embed import _PALETTE, _RELATIVE_TOL, MapLayout, _stress, _targets
 from prefmap.ingest import (
     PartialProfile,
     PartialVote,
@@ -1005,6 +1007,52 @@ def stacked_pairwise(pos: np.ndarray) -> np.ndarray:
     difference array, squared and summed over its last axis."""
     diff = pos[:, None, :] - pos[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
+
+
+def eigh_classical_scaling(target: np.ndarray) -> np.ndarray:
+    """Top two principal coordinates of the double-centered squared
+    targets, as a (k, 2) array, from LAPACK's ``eigh``; a non-positive
+    eigenvalue gives a zero coordinate."""
+    k = len(target)
+    center = np.eye(k) - 1.0 / k
+    gram = -0.5 * center @ (target * target) @ center
+    values, vectors = np.linalg.eigh(gram)  # ascending eigenvalues
+    return vectors[:, :-3:-1] * np.sqrt(np.maximum(values[:-3:-1], 0.0))
+
+
+def pinv_embed_distances(distances: Sequence[Sequence], seed: int,
+                         iterations: int = 1000) -> MapLayout:
+    """``embed_distances`` through LAPACK and BLAS, without its checks: the
+    ``eigh`` start, and Guttman steps X <- V^+ B(X) X with V^+ from
+    ``pinv(hermitian=True)`` and the products by ``@``.  Its bits can change
+    with the BLAS thread count."""
+    target, weight = _targets(distances)
+    ids = range(len(target))
+    if not weight.any():
+        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {}, seed)
+    angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
+    turn = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    pos = eigh_classical_scaling(target) @ turn
+    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight, hermitian=True)
+    pull = weight * target
+    dist = stacked_pairwise(pos)
+    current = _stress(dist, target, weight)
+    steps = 0
+    while steps < iterations:
+        b = -np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        candidate = laplacian_pinv @ (b @ pos)
+        cand_dist = stacked_pairwise(candidate)
+        cand_stress = _stress(cand_dist, target, weight)
+        if cand_stress > current:
+            break
+        pos, dist, steps = candidate, cand_dist, steps + 1
+        converged = current - cand_stress <= _RELATIVE_TOL * current
+        current = cand_stress
+        if converged:
+            break
+    pos = pos - pos.mean(axis=0)
+    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, steps, current)
 
 
 def _weighted_stress(pos: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:

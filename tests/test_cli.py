@@ -14,6 +14,7 @@ import tempfile
 from unittest import mock
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -771,7 +772,7 @@ _MAP_CHAIN_SHA256 = {
     "compass/UN-ST_2_3.csv": "51478f64cd01331b79270f0044a90319de1c0be9e705fa45e851c2430e66277f",
     "compass/UN.csv": "af63fc6a72a51fcdeb27c71c95a737da529586865475215ba21483ebbdd3f3d8",
     "compass/manifest.csv": "81c327f93b664a982e23dcb018da48ed852c7cd01c8abd6ceb34565337473280",
-    "coords.csv": "4e31980ce1cb845c697e875ccb8415ae847ec74027b7c929ddf94c263af7cfd9",
+    "coords.csv": "5fb1b9d9318f91afdeea1014748f9a5271e2870994467bd45a1704ceb2b2f317",
     "d.csv": "309e9430b392c5f386d91630dbc92135d4326abf8200871b94071b7572214a1a",
     "d_exact.csv": "d2a3c72765cb4aec74ef6150b6f20d3ef1a597d7fd2c58b8ed66d9d2f8c02424",
     "e0_conitzer.soc": "81ce1db604532ea12c0f9a3608ec00767e12817fa764718be5abf7b188065b0b",
@@ -988,16 +989,40 @@ def test_public_api_names_resolve():
         assert hasattr(prefmap, name), name
 
 
-def test_python_m_runs_the_cli(tmp_path):
+def _child_env(**settings) -> dict[str, str]:
+    """This environment plus ``settings``, with this package first on the path."""
     import prefmap
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(prefmap.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **settings}
+
+
+def test_python_m_runs_the_cli(tmp_path):
     out = tmp_path / "x"
     done = subprocess.run(
         [sys.executable, "-m", "prefmap.cli", "compass", "--m", "4", "--scale", "0",
          "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=60,
+        env=_child_env(), capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert (out / "manifest.csv").is_file()
+
+
+def test_map_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 150 random points in 5-D, a size at which BLAS would split a product
+    # between two threads and round it differently
+    points = np.random.default_rng(0).random((150, 5))
+    d = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+    (tmp_path / "d.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in d.tolist()))
+    coords = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"coords{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "prefmap.cli", "embed", "--distances", str(tmp_path / "d.csv"),
+             "--coords", str(out), "--quiet"],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        coords.append(out.read_bytes())
+    assert coords[0] == coords[1]

@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,10 @@ from oracles import gradient_embed
 from prefmap.compass import CORNER_KINDS, compass_matrix, full_compass
 from prefmap.embed import (
     MapLayout,
+    _classical_scaling,
+    _laplacian_inverse,
     _pairwise,
+    _targets,
     default_styling,
     embed_distances,
     layout_stress,
@@ -175,7 +178,117 @@ def _planar_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(_planar_points())
 def test_pairwise_is_bitwise_the_stacked_oracle(pos):
-    assert np.array_equal(_pairwise(pos), oracles.stacked_pairwise(pos))
+    assert np.array_equal(_pairwise(pos.T), oracles.stacked_pairwise(pos))
+
+
+@st.composite
+def _weight_graphs(draw):
+    """Symmetric weights on 2 to 12 points; a zero is a missing edge, so the
+    graph may fall apart into components."""
+    k = draw(st.integers(2, 12))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    weight = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            weight[i, j] = weight[j, i] = draw(entry)
+    return weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_graphs(), st.integers(0, 2**32 - 1))
+def test_laplacian_inverse_acts_as_pinv(weight, seed):
+    # V Z is centred within each component, as B(X) X is
+    laplacian = np.diag(weight.sum(axis=1)) - weight
+    centred = laplacian @ np.random.default_rng(seed).standard_normal((len(weight), 2))
+    expected = np.linalg.pinv(laplacian, hermitian=True) @ centred
+    got = _laplacian_inverse(weight) @ centred
+    assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def _distances(points) -> np.ndarray:
+    p = np.asarray(points, dtype=float)
+    return np.sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))
+
+
+@st.composite
+def _distance_matrices(draw):
+    """Distances between 2 to 15 points in 1 to 6 dimensions, or, as the
+    embedding accepts them, symmetric matrices that are no metric."""
+    k = draw(st.integers(2, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = _distances(rng.standard_normal((k, draw(st.integers(1, 6)))))
+    else:
+        d = rng.random((k, k))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distance_matrices())
+# a rectangle close to a square: l1 and l2 nearly tie, and only the 2 x 2
+# Rayleigh-Ritz step turns the iterated pair onto the eigenvectors
+@example(_distances([[0, 0], [1, 0], [0, 1.001], [1, 1.001], [0.5, 0.5]]))
+def test_scaling_ritz_values_match_eigh(d):
+    target, _ = _targets(d)
+    coordinates = _classical_scaling(target)
+    assert coordinates.shape == (2, len(d))
+    # each row is a Ritz vector scaled by the root of its clipped Ritz value
+    ritz = (coordinates * coordinates).sum(axis=1)
+    center = np.eye(len(d)) - 1.0 / len(d)
+    gram = -0.5 * center @ (target * target) @ center
+    values, vectors = np.linalg.eigh(gram)
+    values, vectors = values[::-1], vectors[:, ::-1]  # descending
+    # Each of at most 1,000 steps shrinks the start's part along an
+    # eigenvector of l_j, j >= 3, by ((l_j + s) / (l2 + s))^8 or less, with s
+    # the shift.  Where l_j nearly ties with l2 that part stays, and it pulls
+    # the second Ritz value towards l_j by (l2 - l_j) times its square, which
+    # a start tangent below 1e3 keeps under 1e6 ((l_j + s) / (l2 + s))^16000.
+    rest = values[2:]
+    shift = np.abs(gram).sum(axis=1).max()
+    left = np.minimum(1.0, 1e6 * ((rest + shift) / (values[1] + shift)) ** 16000)
+    allowed = 1e-9 * values[0] + ((values[1] - rest) * left).sum()
+    assert np.abs(ritz - np.maximum(values[:2], 0.0)).max() <= allowed
+    # The rows are the Ritz vectors: their outer products rebuild the part of
+    # G on its top two eigenvalues, clipped at 0, up to the angle that a
+    # near-tie leaves.
+    top = (vectors[:, :2] * np.maximum(values[:2], 0.0)) @ vectors[:, :2].T
+    allowed = 1e-9 * values[0] + values[1] * np.sqrt(left.sum())
+    assert np.abs(coordinates.T @ coordinates - top).max() <= allowed
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+@pytest.mark.parametrize("scale", [1, 5])
+def test_final_stress_matches_pinv_oracle(m, scale):
+    # the start may come out turned where the top two eigenvalues tie, so
+    # only the stress is compared
+    d = distance_matrix([x for _, x in full_compass(m, scale)])
+    for seed in range(2):
+        new = embed_distances(d, seed=seed).stress
+        old = oracles.pinv_embed_distances(d, seed=seed).stress
+        assert abs(new - old) <= 1e-9 * old
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [1, 0], [2, 0.01]], [[0, 0], [3, 0], [0, 4]],
+                                    np.random.default_rng(3).standard_normal((12, 2))])
+def test_planar_points_start_exact(points):
+    # The start reproduces planar points, so the steps stop at once, as from
+    # eigh's start; a start off by 1e-8 would take a hundred steps or more
+    layout = embed_distances(_distances(points).tolist(), seed=0)
+    assert layout.iterations <= 5 and layout.stress <= 1e-28
+
+
+def test_disconnected_weight_graph_embeds_each_component():
+    # two pairs at distance 1; across the pairs every distance is 0, so no
+    # weight links them
+    d = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    with np.errstate(all="raise"):
+        layout = embed_distances(d, seed=0)
+    assert layout.stress <= 1e-24
+    assert abs(point_distance(layout, 0, 1) - 1.0) <= 1e-9
+    assert abs(point_distance(layout, 2, 3) - 1.0) <= 1e-9
+    assert oracles.pinv_embed_distances(d, seed=0).stress <= 1e-24
 
 
 def test_coincident_points_embed_without_float_errors():
