@@ -260,6 +260,10 @@ def _read_distance_csv(path: str) -> tuple[list[str], list[list[float]]]:
 def _cmd_embed(args: argparse.Namespace) -> int:
     if not args.svg and not args.coords:
         raise UsageError("embed: nothing to do, pass --svg and/or --coords")
+    if args.iters < 1:
+        raise UsageError(
+            f"embed: --iters (config key iters) must be a positive integer, got {args.iters!r}"
+        )
     with _in_file(args.distances):
         labels, rows = _read_distance_csv(args.distances)
         styling = embed.default_styling(labels)

@@ -134,8 +134,6 @@ def expected_swaps(m: int, phi: float) -> float:
         raise ValueError("m must be positive")
     if not 0 <= phi <= 1:
         raise ValueError("phi must lie in [0, 1]")
-    if m == 1 or phi == 0:
-        return 0.0
     if phi == 1:
         return m * (m - 1) / 4
     row = _float_inversion_row(m)
@@ -405,6 +403,15 @@ def _dataset_m(dataset: Sequence[Election]) -> int:
     return sizes[0]
 
 
+def _mean_distance(run: Sequence[tuple[int, int]], m: int) -> float:
+    """The mean of a run of positionwise distances ``(total, scale)``, each
+    total / scale, over (m*m - 1) / 3: one exact sum over the run's common
+    scale and one correctly rounded integer division."""
+    scale = math.lcm(*(s for _, s in run))
+    total = sum(t * (scale // s) for t, s in run)
+    return 3 * total / (scale * len(run) * (m * m - 1))
+
+
 def fit_mallows(
     dataset: Sequence[Election],
     grid: Sequence[float],
@@ -416,9 +423,10 @@ def fit_mallows(
 
     For every grid value, sample ``samples_per_value`` normalized-Mallows
     elections with the dataset's m, then score the value by the mean
-    normalized positionwise distance to the dataset.  Returns the best
-    grid value (ties to the smaller), its mean, and the standard
-    deviation over per-dataset-election mean distances at that value.
+    normalized positionwise distance to the dataset.  The scores form one
+    curve in grid order, and the result is its minimum (ties to the smaller
+    value): that value, its mean, and the standard deviation over
+    per-dataset-election mean distances at it.
     Grid points use independent derived seeds, so they can be evaluated
     in any order (or concurrently) with identical results.  A grid value
     above 1/2 is refused: its samples relabel those at 1 - g, which the
@@ -439,8 +447,7 @@ def fit_mallows(
         raise ValueError("samples_per_value must be positive")
     data = [frequency_matrix(e) for e in dataset]
 
-    best: tuple[float, float] | None = None  # (mean, relphi)
-    best_per_election: list[float] = []
+    curve = []  # (mean, relphi, per-election means) for each grid value
     group = -(-_block_pairs(m) // (len(data) * samples_per_value))
     for at in range(0, len(grid), group):
         values = grid[at : at + group]
@@ -449,24 +456,15 @@ def fit_mallows(
             seeds = [derive_seed(seed, gi + 1, s + 1) for s in range(samples_per_value)]
             samples += _mallows_norm_frequencies(m, votes_per_sample, relphi, seeds)
         pairs = [(i, j) for i in range(len(data)) for j in range(len(samples))]
-        totals = _values(data, samples, pairs)
+        totals = _values(data, samples, pairs)  # election i's pairs start at i * len(samples)
         for k, relphi in enumerate(values):
-            per_election = []
-            for i in range(len(data)):
-                at = i * len(samples) + k * samples_per_value
-                own = totals[at : at + samples_per_value]
-                # the mean distance over (m*m - 1) / 3, as one exact sum over the
-                # common scale and one correctly rounded integer division
-                scale = math.lcm(*(s for _, s in own))
-                total = sum(t * (scale // s) for t, s in own)
-                per_election.append(3 * total / (scale * samples_per_value * (m * m - 1)))
-            mean = sum(per_election) / len(per_election)
-            if best is None or (mean, relphi) < best:
-                best = (mean, relphi)
-                best_per_election = per_election
-    assert best is not None
-    mean, relphi = best
-    var = sum((v - mean) ** 2 for v in best_per_election) / len(best_per_election)
+            per_election = [
+                _mean_distance(totals[run : run + samples_per_value], m)
+                for run in range(k * samples_per_value, len(totals), len(samples))
+            ]
+            curve.append((sum(per_election) / len(per_election), relphi, per_election))
+    mean, relphi, per_election = min(curve, key=lambda point: point[:2])
+    var = sum((v - mean) ** 2 for v in per_election) / len(per_election)
     return FitResult(relphi=relphi, mean_distance=mean, std_distance=math.sqrt(var))
 
 

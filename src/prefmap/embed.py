@@ -172,6 +172,12 @@ def embed_distances(
     for i in range(k):
         row = distances[i]
         for j in range(i + 1, k):
+            try:
+                finite = math.isfinite(row[j])
+            except OverflowError:
+                raise ValueError("distances must be small enough for a float") from None
+            if not finite:
+                raise ValueError("distances must be finite")
             if row[j] != distances[j][i]:
                 raise ValueError("distance matrix must be symmetric")
             if row[j] < 0:

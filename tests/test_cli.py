@@ -437,6 +437,23 @@ def test_embed_without_outputs_fails(capsys, tmp_path):
     assert "--svg" in err
 
 
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_embed_names_a_bad_iters_flag_not_the_input(capsys, tmp_path, iters):
+    dist = tmp_path / "d.csv"
+    dist.write_text("0,1\n1,0\n")
+    code, _, err = run(capsys, "embed", "--distances", str(dist), "--iters", iters,
+                       "--coords", str(tmp_path / "coords.csv"))
+    assert code == 1
+    assert err == f"embed: --iters (config key iters) must be a positive integer, got {iters}\n"
+    config = tmp_path / "embed.cfg"
+    config.write_text(f"iters={iters}\n")
+    code, _, err = run(capsys, "embed", "--distances", str(dist), "--config", str(config),
+                       "--coords", str(tmp_path / "coords.csv"))
+    assert code == 1
+    assert err == f"embed: --iters (config key iters) must be a positive integer, got {iters}\n"
+    assert not (tmp_path / "coords.csv").exists()
+
+
 def test_embed_checks_outputs_before_reading(capsys, tmp_path):
     missing = tmp_path / "missing.csv"
     code, _, err = run(capsys, "embed", "--distances", str(missing))
@@ -598,6 +615,22 @@ def test_fit_mallows_matches_pairwise_oracle():
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
     expected = oracles.pairwise_fit_mallows(tiny, grid, 4, 15, votes_per_sample=6)
     assert fit_mallows(tiny, grid, 4, 15, votes_per_sample=6) == expected
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.3, 0.25, 0.0], [0.25, 0.3, 0.0, 0.5]])
+def test_fit_mallows_takes_the_curve_minimum_in_any_grid_order(grid):
+    # the sorted grid of the oracle test, reversed and shuffled; seeds follow
+    # grid positions, so the oracle runs on the same order.  A block of 24
+    # pairs takes two values per group, and the best value, 0.3, falls in the
+    # first group of two
+    from prefmap import metric
+
+    dataset = _fit_dataset()
+    expected = oracles.pairwise_fit_mallows(dataset, grid, 3, 0, votes_per_sample=30)
+    assert grid.index(expected.relphi) < 2
+    assert fit_mallows(dataset, grid, 3, 0, votes_per_sample=30) == expected
+    with mock.patch.object(metric, "_BLOCK", 25 * 24):
+        assert fit_mallows(dataset, grid, 3, 0, votes_per_sample=30) == expected
 
 
 @pytest.mark.parametrize("g, mirror", [(0.55, "0.45"), (0.8, "0.2"), (1.0, "0")])

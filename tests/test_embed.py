@@ -333,6 +333,17 @@ def test_embed_validation_is_exact():
         embed_distances([[0, 1], [1, tiny]], seed=0)
 
 
+@pytest.mark.parametrize("value, message", [
+    (math.inf, "distances must be finite"),
+    (math.nan, "distances must be finite"),
+    (10**400, "distances must be small enough for a float"),
+    (Fraction(10**400, 3), "distances must be small enough for a float"),
+], ids=["inf", "nan", "huge-int", "huge-fraction"])
+def test_embed_validation_names_a_distance_no_float_holds(value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        embed_distances([[0, 1, 2], [1, 0, value], [2, value, 0]], seed=0)
+
+
 def test_default_styling_groups():
     ids = ["ID", "UN", "ST", "AN", "ID-UN:1/51", "ID-UN:2/51", "AN-ST:1/42", "other"]
     styling = default_styling(ids)
