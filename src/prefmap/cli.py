@@ -54,6 +54,12 @@ def _say(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _bad_flag(args: argparse.Namespace, key: str, want: str) -> UsageError:
+    """A bad flag value, given or from a config file: named by flag, never by input."""
+    flag, value = "--" + key.replace("_", "-"), getattr(args, key)
+    return UsageError(f"{args.command}: {flag} (config key {key}) must be {want}, got {value!r}")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     gamma = args.culture == "urn-gamma"
     spec = cultures.CultureSpec(
@@ -105,6 +111,11 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
     for label, path in zip(labels, args.inputs):
         if label in first:
             raise ValueError(f"inputs {first[label]} and {path} share the label {label!r}")
+        if label != label.strip() or any(c in label for c in ",\r\n"):
+            raise ValueError(
+                f"input {path} has the label {label!r}, which a distance table cannot hold: "
+                "a comma, a line break or surrounding whitespace"
+            )
         first[label] = path
     items = [_load_item(p) for p in args.inputs]
     table = distance_matrix(items)
@@ -261,9 +272,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if not args.svg and not args.coords:
         raise UsageError("embed: nothing to do, pass --svg and/or --coords")
     if args.iters < 1:
-        raise UsageError(
-            f"embed: --iters (config key iters) must be a positive integer, got {args.iters!r}"
-        )
+        raise _bad_flag(args, "iters", "a positive integer")
     with _in_file(args.distances):
         labels, rows = _read_distance_csv(args.distances)
         styling = embed.default_styling(labels)
@@ -282,16 +291,14 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 def _cmd_fit_mallows(args: argparse.Namespace) -> int:
     step = args.grid_step
     if not (math.isfinite(step) and 0 < step <= 0.5):
-        raise UsageError(
-            f"fit-mallows: --grid-step (config key grid_step) must be a "
-            f"finite number in (0, 0.5], got {step!r}"
-        )
+        raise _bad_flag(args, "grid_step", "a finite number in (0, 0.5]")
+    if args.samples < 1:
+        raise _bad_flag(args, "samples", "a positive integer")
     dataset = [ingest.load_election(p) for p in _listing(args.dataset, (".soc",))]
-    with _in_file(args.dataset):
-        cultures._dataset_m(dataset)  # a dataset-level fault names the directory
-    count = int(round(0.5 / step)) + 1
-    grid = [min(k * step, 0.5) for k in range(count)]
-    result = cultures.fit_mallows(dataset, grid, args.samples, args.seed)
+    # the multiples of the step below 1/2, one just short of it by rounding aside, then 1/2
+    grid = [k * step for k in range(math.ceil(0.5 / step - 1e-9))] + [0.5]
+    with _in_file(args.dataset):  # the flags are checked: what is left is the dataset's fault
+        result = cultures.fit_mallows(dataset, grid, args.samples, args.seed)
     print(
         f"relphi={result.relphi:.4f} mean={result.mean_distance:.6f} "
         f"std={result.std_distance:.6f}"

@@ -391,18 +391,6 @@ class FitResult:
     std_distance: float
 
 
-def _dataset_m(dataset: Sequence[Election]) -> int:
-    """The one candidate count, at least two, of a nonempty dataset."""
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    sizes = sorted({e.m for e in dataset})
-    if len(sizes) != 1:
-        raise ValueError(f"dataset mixes candidate counts: {sizes}")
-    if sizes[0] < 2:
-        raise ValueError("normalization needs at least two candidates")
-    return sizes[0]
-
-
 def _mean_distance(run: Sequence[tuple[int, int]], m: int) -> float:
     """The mean of a run of positionwise distances ``(total, scale)``, each
     total / scale, over (m*m - 1) / 3: one exact sum over the run's common
@@ -435,7 +423,14 @@ def fit_mallows(
     as one block on its own: memory holds one value's samples_per_value *
     votes_per_sample * m votes and one block of matrices, not the grid.
     """
-    m = _dataset_m(dataset)
+    if not dataset:
+        raise ValueError("dataset must be nonempty")
+    sizes = sorted({e.m for e in dataset})
+    if len(sizes) != 1:
+        raise ValueError(f"dataset mixes candidate counts: {sizes}")
+    m = sizes[0]
+    if m < 2:
+        raise ValueError("normalization needs at least two candidates")
     if not grid:
         raise ValueError("grid must be nonempty")
     for g in grid:

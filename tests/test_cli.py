@@ -166,17 +166,31 @@ def test_distance_matrix_rejects_mixed_sizes(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_distance_matrix_rejects_repeated_labels(capsys, tmp_path):
-    # labels are file stems; the check runs before any input is read, so
-    # the missing b/ID.csv is not what fails
+_UNWRITABLE = ("input {path} has the label {label!r}, which a distance table cannot hold: "
+               "a comma, a line break or surrounding whitespace")
+
+
+@pytest.mark.parametrize("label, fault", [
+    ("ID", "inputs {first} and {path} share the label {label!r}"),
+    ("a,b", _UNWRITABLE),
+    ("a\nb", _UNWRITABLE),
+    ("a\rb", _UNWRITABLE),
+    (" ID", _UNWRITABLE),
+    ("ID ", _UNWRITABLE),
+    ("ID\t", _UNWRITABLE),
+], ids=["repeated", "comma", "lf", "cr", "leading-space", "trailing-space", "trailing-tab"])
+def test_distance_matrix_refuses_labels(capsys, tmp_path, label, fault):
+    # labels are file stems, written unquoted into the table that embed reads
+    # back; the check runs before any input is read, so the missing
+    # b/LABEL.csv is not what fails
     (tmp_path / "a").mkdir()
     first = write_corner(tmp_path, "ID", name="a/ID.csv")
-    repeated = str(tmp_path / "b" / "ID.csv")
+    path = str(tmp_path / "b" / f"{label}.csv")
     out = tmp_path / "d.csv"
-    code, _, err = run(capsys, "distance-matrix", "--inputs", first, repeated,
+    code, _, err = run(capsys, "distance-matrix", "--inputs", first, path,
                        write_corner(tmp_path, "UN", name="a/UN.csv"), "--out", str(out))
     assert code == 1
-    assert err == f"prefmap: error: inputs {first} and {repeated} share the label 'ID'\n"
+    assert err == f"prefmap: error: {fault.format(first=first, path=path, label=label)}\n"
     assert not out.exists()
 
 
@@ -522,7 +536,7 @@ def test_fit_mallows_option_precedence(capsys, tmp_path, argv, config, plain):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["--samples", "0"], "samples_per_value must be positive"),
+    (["--samples", "0"], "--samples"),
     (["--grid-step", "nan"], "--grid-step"),
 ])
 def test_fit_mallows_coarse_checks_explicit_values(capsys, tmp_path, argv, flag):
@@ -567,7 +581,31 @@ def test_fit_mallows_names_a_dataset_that_mixes_candidate_counts(capsys, tmp_pat
     assert err == f"prefmap: error: {dataset}: dataset mixes candidate counts: [2, 3]\n"
     dataset.joinpath("b.soc").unlink()  # a flag fault is not the dataset's
     code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset), "--samples", "0")
-    assert (code, err) == (1, "prefmap: error: samples_per_value must be positive\n")
+    assert (code, err) == (
+        1, "fit-mallows: --samples (config key samples) must be a positive integer, got 0\n"
+    )
+
+
+def test_fit_mallows_checks_samples_before_the_dataset(capsys, tmp_path):
+    # --samples is checked before any file is read, so a dataset that mixes
+    # candidate counts is not what fails, given or from a config file
+    from prefmap.core import Election
+
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    for name, m in (("a.soc", 3), ("b.soc", 2)):
+        election = Election(candidates=tuple(range(m)), votes=(tuple(range(m)),))
+        ingest.serialize_election(election, dataset / name)
+    config = tmp_path / "fit.cfg"
+    config.write_text("samples=0\n")
+    for flags in (["--samples", "0"], ["--config", str(config)]):
+        code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                             "--grid-step", "0.5", *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            "fit-mallows: --samples (config key samples) must be a positive integer, got 0\n"
+        )
+        assert f"{dataset}:" not in err
 
 
 def test_fit_mallows_names_a_one_candidate_dataset(capsys, tmp_path):
@@ -580,6 +618,49 @@ def test_fit_mallows_names_a_one_candidate_dataset(capsys, tmp_path):
                          "--grid-step", "0.5", "--samples", "1")
     assert (code, out) == (1, "")
     assert err == f"prefmap: error: {dataset}: normalization needs at least two candidates\n"
+
+
+def test_fit_mallows_grid_ends_at_one_half(capsys, tmp_path, monkeypatch):
+    # the grid is every multiple of the step below 1/2, then 1/2 once; at
+    # steps that divide 1/2 it is the grid of round(0.5 / step) + 1 values
+    # clipped at 1/2, bit for bit
+    from prefmap import cultures
+
+    grids = []
+
+    def spy(dataset, grid, samples, seed):
+        grids.append(grid)
+        return cultures.FitResult(relphi=0.0, mean_distance=0.0, std_distance=0.0)
+
+    monkeypatch.setattr(cultures, "fit_mallows", spy)
+    dataset = mallows_dataset(tmp_path)
+    expected = {
+        "0.2": [0.0, 0.2, 0.4, 0.5],
+        "0.15": [0.0, 0.15, 0.3, 0.44999999999999996, 0.5],
+        "0.3": [0.0, 0.3, 0.5],
+    }
+    for step in (0.5, 0.25, 0.125, 0.1, 0.05, 0.01, 0.001, 1 / 3, 0.5 / 7):
+        expected[repr(step)] = [min(k * step, 0.5) for k in range(round(0.5 / step) + 1)]
+    for step, grid in expected.items():
+        code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                             "--grid-step", step, "--samples", "1")
+        assert (code, err) == (0, "")
+        assert [g.hex() for g in grids.pop()] == [g.hex() for g in grid], step
+
+
+def test_fit_mallows_fits_ic_data_at_one_half(capsys, tmp_path):
+    # IC elections are the most dispersed: the fit takes the grid's last
+    # value, 1/2, which a step of 0.2 does not reach by multiples
+    dataset = tmp_path / "ic"
+    dataset.mkdir()
+    for seed in (1, 2, 3):
+        code, _, _ = run(capsys, "generate", "--culture", "ic", "--m", "10", "--n", "100",
+                         "--seed", str(seed), "--out", str(dataset / f"e{seed}.soc"))
+        assert code == 0
+    code, out, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
+                         "--grid-step", "0.2", "--samples", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("relphi=0.5000 ")
 
 
 def test_fit_mallows_value_errors():
