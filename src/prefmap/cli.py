@@ -133,6 +133,8 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 1:
+        raise _bad_flag(args, "n", "a positive integer")
     matrix = matrixio.read_matrix_csv(args.matrix)
     if isinstance(matrix, PositionMatrix):
         if args.n is not None and args.n != matrix.n:

@@ -28,17 +28,6 @@ import numpy as np
 from .core import Election, FrequencyMatrix, _frequency, frequency_matrix
 from .metric import _block_pairs, _values
 
-CULTURE_TAGS = (
-    "IC",
-    "URN",
-    "MALLOWS",
-    "MALLOWS_NORM",
-    "CONITZER",
-    "WALSH",
-    "HYPERCUBE",
-)
-
-
 @dataclass(frozen=True)
 class CultureSpec:
     """Declarative description of one sampling run."""
@@ -54,37 +43,10 @@ class CultureSpec:
     dimension: int | None = None  # hypercube
 
     def __post_init__(self) -> None:
-        if self.tag not in CULTURE_TAGS:
+        if self.tag not in _SAMPLERS:
             raise ValueError(f"unknown culture tag {self.tag!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-
-
-def sample(spec: CultureSpec) -> Election:
-    """Dispatch a CultureSpec to the matching sampler."""
-    if spec.tag == "IC":
-        return sample_ic(spec.m, spec.n, spec.seed)
-    if spec.tag == "URN":
-        if spec.gamma_alpha:
-            return sample_urn_gamma(spec.m, spec.n, spec.seed)
-        if spec.alpha is None:
-            raise ValueError("urn culture needs alpha (or the gamma flag)")
-        return sample_urn(spec.m, spec.n, spec.alpha, spec.seed)
-    if spec.tag == "MALLOWS":
-        if spec.phi is None:
-            raise ValueError("mallows culture needs phi")
-        return sample_mallows(spec.m, spec.n, spec.phi, spec.seed)
-    if spec.tag == "MALLOWS_NORM":
-        if spec.relphi is None:
-            raise ValueError("normalized mallows culture needs relphi")
-        return sample_mallows_norm(spec.m, spec.n, spec.relphi, spec.seed)
-    if spec.tag == "CONITZER":
-        return sample_conitzer(spec.m, spec.n, spec.seed)
-    if spec.tag == "WALSH":
-        return sample_walsh(spec.m, spec.n, spec.seed)
-    if spec.dimension is None:
-        raise ValueError("hypercube culture needs a dimension")
-    return sample_hypercube(spec.m, spec.n, spec.dimension, spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +519,32 @@ def sample_hypercube(m: int, n: int, dimension: int, seed: int) -> Election:
             "seed": seed,
         },
     )
+
+
+# tag: (sampler, the CultureSpec field it takes beside m, n and seed, the
+# fault when that field is None); its keys are the tags CultureSpec accepts
+_SAMPLERS = {
+    "IC": (sample_ic, None, None),
+    "URN": (sample_urn, "alpha", "urn culture needs alpha (or the gamma flag)"),
+    "MALLOWS": (sample_mallows, "phi", "mallows culture needs phi"),
+    "MALLOWS_NORM": (sample_mallows_norm, "relphi", "normalized mallows culture needs relphi"),
+    "CONITZER": (sample_conitzer, None, None),
+    "WALSH": (sample_walsh, None, None),
+    "HYPERCUBE": (sample_hypercube, "dimension", "hypercube culture needs a dimension"),
+}
+
+
+def sample(spec: CultureSpec) -> Election:
+    """Dispatch a CultureSpec to its sampler in ``_SAMPLERS``.  URN with
+    ``gamma_alpha`` draws its own alpha; every other tag ignores the flag."""
+    if spec.tag == "URN" and spec.gamma_alpha:
+        return sample_urn_gamma(spec.m, spec.n, spec.seed)
+    sampler, field, fault = _SAMPLERS[spec.tag]
+    if field is None:
+        return sampler(spec.m, spec.n, spec.seed)
+    if (value := getattr(spec, field)) is None:
+        raise ValueError(fault)
+    return sampler(spec.m, spec.n, value, spec.seed)
 
 
 def _check_mn(m: int, n: int) -> None:

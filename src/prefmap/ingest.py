@@ -5,7 +5,9 @@ The on-disk format is the classic PrefLib layout: a candidate count, one
 line, then one ``count, ranking`` line per distinct ballot.  A ranking is
 comma-separated candidate ids, best first; ids in braces form one tie
 group, and partial ballots just stop early.  Text right before a ``{`` is
-an item of its own, so ``1{2}`` reads as 1 then the group {2}.
+an item of its own, so ``1{2}`` reads as 1 then the group {2}.  One
+parser reads every ballot line, for strict and partial files alike: a
+plain line of integers is split once, any other goes through the braces.
 Incomplete profiles pass through coverage pruning, random tie-breaking,
 and statistical vote completion before they become strict-complete
 elections.
@@ -16,8 +18,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +34,6 @@ PREFLIB_SUFFIXES = (".soc", ".soi", ".toc")
 # candidate ids ranked together, groups ordered best to worst.
 TieGroup = tuple[int, ...]
 PartialVote = tuple[TieGroup, ...]
-Ballot = TypeVar("Ballot")
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,18 @@ def _number(text: str, lineno: int, what: str) -> int:
         raise ValueError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
+def _parse_vote_line(line: str, lineno: int) -> tuple[int, list[int], PartialVote | None]:
+    """The one ballot-line parser: a line's count, its candidate ids in
+    order, and its tie groups if one of them joins two ids, else None.  A
+    plain line of integers is split once; any other line, and any fault,
+    goes through the brace grammar."""
     head, sep, rest = line.partition(",")
+    try:
+        count, ranking = int(head), [*map(int, rest.split(","))]
+    except ValueError:
+        count = 0
+    if count > 0:
+        return count, ranking, None
     if not sep:
         raise ValueError(f"line {lineno}: expected 'count, ranking'")
     count = _number(head, lineno, "count")
@@ -121,16 +133,18 @@ def _parse_vote_line(line: str, lineno: int) -> tuple[int, PartialVote]:
         groups += [(c,) for c in ids(after)]
     if not groups:
         raise ValueError(f"line {lineno}: empty ranking")
-    return count, tuple(groups)
+    ties = tuple(groups) if any(len(g) > 1 for g in groups) else None
+    return count, [c for g in groups for c in g], ties
 
 
 def _read(
-    path: str | os.PathLike[str], parse_line: Callable[[str, int], tuple[int, Ballot]]
-) -> tuple[list[int], dict[int, str], list[Ballot], list[int]]:
+    path: str | os.PathLike[str],
+) -> tuple[list[int], dict[int, str], list[tuple[int, list[int], PartialVote | None]], list[int]]:
     """The candidate ids, their names, the ballots and their counts of a
-    PrefLib-style file.  Checks the header, every ballot line through
-    ``parse_line`` (which returns the count and the ballot of a line), and
-    then the header's totals, in that order; every fault names the file."""
+    PrefLib-style file.  A ballot is what ``_parse_vote_line``, the one
+    parser of ballot lines, returns: its count, ranking and tie groups.
+    Checks the header, every ballot line, and then the header's totals, in
+    that order; every fault names the file."""
     with _in_file(path), open(path, "r", encoding="utf-8") as fh:
         rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
         if not rows:
@@ -170,13 +184,8 @@ def _read(
         except ValueError:
             raise ValueError(f"line {lineno}: bad counts line {counts_line!r}") from None
 
-        ballots: list[Ballot] = []
-        mults: list[int] = []
-        for lineno, ln in it:
-            count, ballot = parse_line(ln, lineno)
-            ballots.append(ballot)
-            mults.append(count)
-
+        ballots = [_parse_vote_line(ln, lineno) for lineno, ln in it]
+        mults = [count for count, _, _ in ballots]
         if len(ballots) != distinct:
             raise ValueError(f"header promises {distinct} distinct ballots, found {len(ballots)}")
         if sum(mults) != sum_counts:
@@ -188,11 +197,11 @@ def _read(
 
 def parse_preflib(path: str | os.PathLike[str]) -> PartialProfile:
     """Parse a PrefLib-style file (strict, tied, or partial ballots)."""
-    ids, names, votes, mults = _read(path, _parse_vote_line)
+    ids, names, ballots, mults = _read(path)
     with _in_file(path):
         return PartialProfile(
             candidates=tuple(ids),
-            votes=tuple(votes),
+            votes=tuple(ties or tuple(zip(ranking)) for _, ranking, ties in ballots),
             multiplicities=tuple(mults),
             names=names,
             source=str(path),
@@ -205,11 +214,13 @@ def serialize_election(
     comments: Sequence[str] = (),
 ) -> None:
     """Write a strict-complete election; candidate ids are 1..m by index.
-    Distinct votes go by falling count, equal counts in ascending order."""
+    Distinct votes go by falling count, equal counts in ascending order.
+    Each comment is one ``# `` line, or one per line of it where a CR, LF
+    or CRLF breaks it, so that the readers skip all of it."""
     # the counter lists the votes in ascending order, and the sort is stable
     ordered = sorted(election.vote_counter().items(), key=lambda kv: -kv[1])
     labels = [str(c + 1) for c in range(election.m)]
-    lines = [f"# {c}\n" for c in comments]
+    lines = [f"# {part}\n" for c in comments for part in re.split(r"\r\n?|\n", c)]
     lines.append(f"{election.m}\n")
     lines += [f"{label}, {cand}\n" for label, cand in zip(labels, election.candidates)]
     lines.append(f"{election.n}, {election.n}, {len(ordered)}\n")
@@ -218,36 +229,23 @@ def serialize_election(
         fh.write("".join(lines))
 
 
-def _strict_line(line: str, lineno: int) -> tuple[int, tuple[list[int], bool]]:
-    """One ballot line of a strict file: its count, its candidate ids in
-    order and whether a tie group joined two of them.  A plain line of
-    integers is split once; any other line, and any fault, goes through
-    ``_parse_vote_line``, so the grammar and the messages are the same."""
-    head, _, rest = line.partition(",")
-    try:
-        count, ranking = int(head), [*map(int, rest.split(","))]
-    except ValueError:
-        count = 0
-    if count > 0:
-        return count, (ranking, False)
-    count, groups = _parse_vote_line(line, lineno)
-    return count, ([c for g in groups for c in g], any(len(g) > 1 for g in groups))
-
-
 def load_election(path: str | os.PathLike[str]) -> Election:
     """Parse a strict-complete file straight into an Election.
 
-    Faults are reported in the order of ``parse_preflib``: the header,
-    each ballot line, the header's totals, then the first vote that names
-    an unknown candidate or repeats one; only then the first odd ballot,
-    one with a tie or one that stops short.  A file without odd ballots
-    goes through ``Election``'s one array check, and ``PartialProfile``'s
-    walk runs only when there are odd ballots or when that check fails.
+    Ballot lines go through ``_parse_vote_line``, the one parser that
+    ``parse_preflib`` uses too; a ballot is tied when that parser returns
+    its tie groups, not None.  Faults are reported in the order of
+    ``parse_preflib``: the header, each ballot line, the header's totals,
+    then the first vote that names an unknown candidate or repeats one;
+    only then the first odd ballot, one with a tie or one that stops
+    short.  A file without odd ballots goes through ``Election``'s one
+    array check, and ``PartialProfile``'s walk runs only when there are odd
+    ballots or when that check fails.
     """
-    ids, _, ballots, mults = _read(path, _strict_line)
-    rankings = [ranking for ranking, _ in ballots]
+    ids, _, ballots, mults = _read(path)
+    rankings = [ranking for _, ranking, _ in ballots]
     # a vote longer than m repeats an id, which the walk below names
-    odd = [tied for ranking, tied in ballots if tied or len(ranking) != len(ids)]
+    odd = [ties for _, ranking, ties in ballots if ties is not None or len(ranking) != len(ids)]
     with _in_file(path):
         if not odd:
             try:
@@ -258,7 +256,7 @@ def load_election(path: str | os.PathLike[str]) -> Election:
         # id, and a vote that passes it is strict and complete if not odd
         PartialProfile(ids, [[(c,) for c in ranking] for ranking in rankings], mults, {})
         if odd:
-            what = "ties not allowed" if odd[0] else "incomplete vote"
+            what = "ties not allowed" if odd[0] is not None else "incomplete vote"
             fault = ValueError(f"{what} in a strict election")
         raise fault
 

@@ -97,7 +97,6 @@ from prefmap.ingest import (
     PartialVote,
     _index_rows,
     _read,
-    _strict_line,
     parse_preflib,
 )
 from prefmap.matrixio import _RATIONAL, _ratio
@@ -1499,7 +1498,8 @@ def fastpath_split(token: str) -> tuple[int, int]:
 def walk_load_election(path: str | os.PathLike[str]) -> Election:
     """``ingest.load_election`` walking the ballots cell by cell, after a
     failed array check, for an unknown or repeated candidate."""
-    ids, _, ballots, mults = _read(path, _strict_line)
+    ids, _, read, mults = _read(path)
+    ballots = [(ranking, ties is not None) for _, ranking, ties in read]
     rankings = [ranking for ranking, _ in ballots]
     known = set(ids)
     try:

@@ -240,6 +240,27 @@ def test_recover_from_frequency_needs_n(capsys, tmp_path):
     assert ingest.load_election(out).n == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["position", "frequency", "missing"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_recover_checks_n_before_the_matrix(capsys, tmp_path, n, kind, given):
+    # --n is a flag: it is checked before the matrix is read, which is
+    # therefore never named, even when it does not exist
+    path = tmp_path / "m.csv"
+    if kind == "position":
+        path.write_text("2,1,0\n1,1,1\n0,1,2\n")
+    elif kind == "frequency":
+        write_matrix_csv(compass_matrix("AN", 2), path)
+    config = tmp_path / "n.cfg"
+    config.write_text(f"n={n}\n")
+    flags = ["--n", n] if given == "flag" else ["--config", str(config)]
+    out = tmp_path / "rec.soc"
+    code, _, err = run(capsys, "recover", "--matrix", str(path), *flags, "--out", str(out))
+    assert code == 1
+    assert err == f"recover: --n (config key n) must be a positive integer, got {n}\n"
+    assert not out.exists()
+
+
 def test_recover_permutation_matrix_is_one_vote(capsys, tmp_path):
     from prefmap.core import position_matrix
 
@@ -378,6 +399,22 @@ def test_ingest_end_to_end(capsys, tmp_path):
     for fname in manifest["files"]:
         election = ingest.load_election(out / fname)
         assert election.m == 10 and election.n == 100
+
+
+def test_ingest_output_with_a_line_break_in_a_source_name_fits(capsys, tmp_path):
+    # every sample names its source in a comment; a line break in that name
+    # must not end the comment, or fit-mallows cannot read the sample
+    indir = make_profiles_dir(tmp_path, count=2)
+    os.rename(indir / "p1.soc", indir / "p\n1.soc")
+    out = tmp_path / "clean"
+    code, _, err = run(capsys, "ingest", "--in", str(indir), "--out", str(out), "--seed", "1")
+    assert code == 0, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any("\n" in rec["source"] for rec in manifest["samples"])
+    code, stdout, err = run(capsys, "fit-mallows", "--dataset", str(out),
+                            "--grid-step", "0.5", "--samples", "1")
+    assert code == 0, err
+    assert stdout.startswith("relphi=")
 
 
 def test_ingest_unknown_preset_fails(capsys, tmp_path):

@@ -217,14 +217,41 @@ def test_samplers_are_deterministic():
 
 
 def test_dispatch_matches_direct_calls():
-    spec = CultureSpec(tag="MALLOWS", m=5, n=10, seed=3, phi=0.4)
-    assert sample(spec).votes == sample_mallows(5, 10, 0.4, 3).votes
-    spec = CultureSpec(tag="URN", m=5, n=10, seed=3, gamma_alpha=True)
-    assert sample(spec).votes == sample_urn_gamma(5, 10, 3).votes
-    with pytest.raises(ValueError):
-        sample(CultureSpec(tag="MALLOWS", m=5, n=10, seed=3))
-    with pytest.raises(ValueError):
+    direct = {
+        "IC": lambda: sample_ic(5, 10, 3),
+        "URN": lambda: sample_urn(5, 10, 1.5, 3),
+        "MALLOWS": lambda: sample_mallows(5, 10, 0.4, 3),
+        "MALLOWS_NORM": lambda: sample_mallows_norm(5, 10, 0.3, 3),
+        "CONITZER": lambda: sample_conitzer(5, 10, 3),
+        "WALSH": lambda: sample_walsh(5, 10, 3),
+        "HYPERCUBE": lambda: sample_hypercube(5, 10, 2, 3),
+    }
+    fields = {"alpha": 1.5, "phi": 0.4, "relphi": 0.3, "dimension": 2}
+    for tag, make in direct.items():
+        expected = make()
+        # the gamma flag matters to URN alone
+        for gamma in (False,) if tag == "URN" else (False, True):
+            got = sample(CultureSpec(tag=tag, m=5, n=10, seed=3, gamma_alpha=gamma, **fields))
+            assert (got.votes, got.meta) == (expected.votes, expected.meta)
+    expected = sample_urn_gamma(5, 10, 3)
+    for alpha in (None, 1.5):
+        got = sample(CultureSpec(tag="URN", m=5, n=10, seed=3, alpha=alpha, gamma_alpha=True))
+        assert (got.votes, got.meta) == (expected.votes, expected.meta)
+
+    missing = {
+        "URN": "urn culture needs alpha (or the gamma flag)",
+        "MALLOWS": "mallows culture needs phi",
+        "MALLOWS_NORM": "normalized mallows culture needs relphi",
+        "HYPERCUBE": "hypercube culture needs a dimension",
+    }
+    for tag, message in missing.items():
+        for gamma in (False,) if tag == "URN" else (False, True):
+            with pytest.raises(ValueError) as err:
+                sample(CultureSpec(tag=tag, m=5, n=10, seed=3, gamma_alpha=gamma))
+            assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
         CultureSpec(tag="NOPE", m=5, n=10, seed=3)
+    assert str(err.value) == "unknown culture tag 'NOPE'"
 
 
 def test_samplers_validate_against_bad_parameters():

@@ -180,6 +180,20 @@ def test_election_serialization_round_trip(tmp_path):
     assert back.vote_counter() == Counter({(0, 1, 2): 2, (2, 1, 0): 1})
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_a_comment_with_a_line_break_reads_back(tmp_path, brk):
+    # each line of a comment is a comment line of its own: "1.soc" would
+    # otherwise read as the candidate count
+    e = Election(candidates=("x", "y", "z"), votes=((0, 1, 2), (2, 1, 0), (0, 1, 2)))
+    plain, broken = tmp_path / "plain.soc", tmp_path / "broken.soc"
+    serialize_election(e, plain)
+    serialize_election(e, broken, comments=[f"source=p{brk}1.soc", f"{brk}3{brk}", "plain"])
+    head = "# source=p\n# 1.soc\n# \n# 3\n# \n# plain\n"
+    assert broken.read_bytes() == head.encode() + plain.read_bytes()
+    assert load_election(broken).vote_counter() == e.vote_counter()
+    assert parse_preflib(broken).votes == parse_preflib(plain).votes
+
+
 def test_load_election_rejects_ties_and_gaps(tmp_path):
     path = tmp_path / "e.toc"
     path.write_text(PARTIAL_FILE)
@@ -411,6 +425,13 @@ def _glued(line: str) -> bool:
     return _GLUE.search(line.partition(",")[2]) is not None
 
 
+def _grouped(line: str, lineno: int) -> tuple[int, PartialVote]:
+    """``_parse_vote_line`` as (count, groups): its tie groups, else one
+    group per id, the vote ``parse_preflib`` builds."""
+    count, ranking, ties = _parse_vote_line(line, lineno)
+    return count, ties or tuple(zip(ranking))
+
+
 def _outcome(parse, line: str):
     try:
         return parse(line, 7)
@@ -451,7 +472,7 @@ def _decoded(data: bytes) -> str:
 @given(_ballot_lines())
 def test_parse_vote_line_reads_grammar_lines(case):
     line, expected = case
-    assert _parse_vote_line(line, 7) == expected
+    assert _grouped(line, 7) == expected
     assert oracles.charwise_parse_vote_line(line, 7) == expected
 
 
@@ -467,7 +488,7 @@ def test_parse_vote_line_matches_charwise_oracle(text):
     for line in map(str.strip, text.splitlines()):
         if not _glued(line):
             expected = _outcome(oracles.charwise_parse_vote_line, line)
-            assert _outcome(_parse_vote_line, line) == expected
+            assert _outcome(_grouped, line) == expected
 
 
 @pytest.mark.parametrize(
@@ -491,7 +512,7 @@ def test_parse_vote_line_matches_charwise_oracle(text):
     ],
 )
 def test_parse_vote_line_messages(line, message):
-    for parse in (_parse_vote_line, oracles.charwise_parse_vote_line):
+    for parse in (_grouped, oracles.charwise_parse_vote_line):
         with pytest.raises(ValueError) as err:
             parse(line, 7)
         assert str(err.value) == message
@@ -515,9 +536,9 @@ def _ballot_file(m: int, ballots: list[str]) -> str:
 
 def test_text_before_a_brace_is_its_own_item(tmp_path, capsys):
     # the per-character reading glued "1{2}" into the one candidate 12
-    assert _parse_vote_line("3, 1{2},3", 7) == (3, ((1,), (2,), (3,)))
+    assert _grouped("3, 1{2},3", 7) == (3, ((1,), (2,), (3,)))
     with pytest.raises(ValueError, match="'\\+'"):
-        _parse_vote_line("1,+{4,1}", 7)
+        _grouped("1,+{4,1}", 7)
     ranking = ",".join(map(str, range(1, 13)))
     path = tmp_path / "twelve.toc"
     path.write_text(_ballot_file(12, ["3, 1{2},3", f"2, {ranking}"]))
