@@ -5,10 +5,11 @@ insertion, run on arrays of votes), single-peaked models (uniform-peak
 interval growth and the balanced bottom-up walk), and points-in-a-hypercube.
 The normalized Mallows variant replaces the raw dispersion phi by the
 expected number of swaps relative to its maximum, which makes elections
-with different m comparable.  That calibration runs through the swap counts
-T[m][i] = number of permutations of m elements with i inversions, and
-``fit_mallows`` picks the normalized dispersion that best matches a
-dataset of elections under the positionwise distance.
+with different m comparable.  That calibration runs through the insertion
+law the Mallows sampler draws from: item j moves up k <= j places with
+weight phi**k, so the expected swaps are a sum of m truncated geometric
+means, for any m.  ``fit_mallows`` picks the normalized dispersion that
+best matches a dataset of elections under the positionwise distance.
 
 Every sampler takes an integer seed and is fully deterministic given it.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,62 +50,34 @@ class CultureSpec:
 
 
 # ---------------------------------------------------------------------------
-# swap counts and dispersion calibration
-
-
-def mahonian_row(m: int) -> tuple[int, ...]:
-    """Inversion counts of m elements: entry i is the number of permutations
-    with exactly i inversions (m = 0 is the empty permutation).
-
-    Row k is row k-1 times 1 + x + ... + x^(k-1): entry i is P[i] - P[i-k]
-    over the prefix sums P of row k-1.  Rows are palindromes and entry i
-    reads row k-1 only up to i, so each row is built to its middle from the
-    previous half mirrored, and the last row is mirrored once."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    half, top = [1], 0  # entries 0..top//2 of the row with last index top
-    for k in range(2, m + 1):
-        prev = half + half[: top + 1 - len(half)][::-1]
-        top += k - 1
-        sums = list(itertools.accumulate(prev[: top // 2 + 1]))
-        half = sums[:k] + list(map(operator.sub, sums[k:], sums))
-    return tuple(half + half[: top + 1 - len(half)][::-1])
-
-
-@lru_cache(maxsize=256)
-def _float_inversion_row(m: int) -> np.ndarray:
-    """mahonian_row(m) as a read-only float array, divided by one power of
-    two so that each count and the sums in expected_swaps stay finite; that
-    only shifts exponents, and expected_swaps uses only ratios.  Up to
-    m = 165 the power is 1."""
-    row = mahonian_row(m)
-    scale = 1 << max(0, (math.factorial(m) * len(row)).bit_length() - 1000)
-    out = np.array([v / scale for v in row])
-    out.flags.writeable = False
-    return out
+# dispersion calibration through the insertion law
 
 
 def expected_swaps(m: int, phi: float) -> float:
     """Expected number of inversions of a Mallows draw with dispersion phi
     relative to its central order.
 
-    The weights phi**i are running products and both sums running sums in
-    index order (``accumulate``, never the pairwise ``np.sum``), so every
-    step rounds as a loop over the counts would."""
+    Repeated insertion moves item j up k <= j places with weight phi**k, and
+    the inversions are the sum of the moves, so this is the sum over j of
+    the means S1[j] / S0[j] of those truncated geometric laws, where S0[j]
+    and S1[j] sum phi**k and k*phi**k over k <= j.  The weights phi**k are
+    running products, and S0, S1 and the sum of the means are running sums
+    in index order (``accumulate``, never the pairwise ``np.sum``), so every
+    step rounds as a loop over the items would.  The terms are nonnegative,
+    each mean is at most m and S0[j] >= 1, so no sum overflows.  A weight
+    phi**k that underflows (k >= 2, below 2**-1022) is, even times k, less
+    than half the last bit of S1[j] >= phi, so it never reaches the result.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     if not 0 <= phi <= 1:
         raise ValueError("phi must lie in [0, 1]")
-    if phi == 1:
-        return m * (m - 1) / 4
-    row = _float_inversion_row(m)
-    weights = np.full(len(row), float(phi))
+    weights = np.full(m, float(phi))
     weights[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as with floats
-        terms = row * np.multiply.accumulate(weights)
-        total = np.add.accumulate(terms)[-1]
-        mean_num = np.add.accumulate(np.arange(len(row)) * terms)[-1]
-    return float(mean_num) / float(total)
+    powers = np.multiply.accumulate(weights)
+    s0 = np.add.accumulate(powers)
+    s1 = np.add.accumulate(np.arange(m) * powers)
+    return float(np.add.accumulate(s1 / s0)[-1])
 
 
 def relative_expected_swaps(m: int, phi: float) -> float:

@@ -216,7 +216,12 @@ def serialize_election(
     """Write a strict-complete election; candidate ids are 1..m by index.
     Distinct votes go by falling count, equal counts in ascending order.
     Each comment is one ``# `` line, or one per line of it where a CR, LF
-    or CRLF breaks it, so that the readers skip all of it."""
+    or CRLF breaks it, so that the readers skip all of it.  A candidate
+    name holding a CR or LF is refused before the file is opened: the
+    readers would split its line."""
+    for cand in map(str, election.candidates):
+        if "\r" in cand or "\n" in cand:
+            raise ValueError(f"candidate name {cand!r} holds a line break")
     # the counter lists the votes in ascending order, and the sort is stable
     ordered = sorted(election.vote_counter().items(), key=lambda kv: -kv[1])
     labels = [str(c + 1) for c in range(election.m)]

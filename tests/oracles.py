@@ -22,9 +22,9 @@ position matrix, ``charwise_parse_vote_line``, the ballot parser that
 read one character at a time, ``scan_prune_to_coverage``, the
 coverage prune that scanned candidates and votes separately,
 ``mahonian_table``, the inversion counts built as a table of every row up
-to m, and ``unscaled_float_inversion_row``, the Mahonian row converted to
-floats as it is, which overflows from m = 172 on, and
-``recursive_perfect_matching``, the Kuhn search of the decomposition with
+to m, ``mahonian_row``, the row of one m built to its middle and mirrored,
+which the swap expectation summed until it ran through the insertion law,
+and ``recursive_perfect_matching``, the Kuhn search of the decomposition with
 one recursive call per row on its path, which exceeds Python's default
 recursion limit once a path runs through about 1,000 rows, and
 ``chain_round_position_matrix``, the rounding flow on the general
@@ -35,8 +35,10 @@ integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
 ``loop_mallows_votes`` is the Mallows sampler that inserted one candidate
 of one vote at a time into a list, which ``loop_mallows_norm_votes`` and
-``pairwise_fit_mallows`` sample through, and ``loop_expected_swaps`` is
-the swap expectation summed one count at a time.  ``bitloop_start`` is
+``pairwise_fit_mallows`` sample through, ``loop_expected_swaps`` is
+the swap expectation summed one inserted item at a time, and
+``exact_expected_swaps`` the same sum with each item's mean taken on exact
+integers and rounded once.  ``bitloop_start`` is
 the greedy start of the assignment solve that packed each row's tight
 columns into the bits of a Python integer and placed one row of one pair
 at a time, and ``python_augment`` the shortest augmenting path search that
@@ -71,6 +73,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import os
 import random
 import re
@@ -89,7 +92,7 @@ from prefmap.core import (
     frequency_from_position,
     frequency_matrix,
 )
-from prefmap.cultures import FitResult, _float_inversion_row, relphi_to_phi
+from prefmap.cultures import FitResult, relphi_to_phi
 from prefmap.compass import CORNER_KINDS
 from prefmap.embed import _PALETTE, _RELATIVE_TOL, MapLayout, _stress, _targets
 from prefmap.ingest import (
@@ -635,18 +638,52 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
 
 
 def loop_expected_swaps(m: int, phi: float) -> float:
-    """``expected_swaps`` for 0 < phi < 1 and m >= 2, one count at a time
-    over the library's float row."""
-    row = _float_inversion_row(m).tolist()
+    """``expected_swaps`` one inserted item at a time: item k moves up i <= k
+    places with weight phi**i, and the means of those moves add up."""
     weight = 1.0
-    total = 0.0
-    mean_num = 0.0
-    for i, count in enumerate(row):
-        term = count * weight
-        total += term
-        mean_num += i * term
+    s0 = s1 = total = 0.0
+    for k in range(m):
+        s0 += weight
+        s1 += k * weight
+        total += s1 / s0
         weight *= phi
-    return mean_num / total
+    return total
+
+
+def exact_expected_swaps(m: int, phi: float) -> float:
+    """``expected_swaps`` on exact integers: phi = p / q, and item j's mean is
+    sum(k * w[k]) / sum(w[k]) over k <= j with w[k] = p**k * q**(m-1-k),
+    rounded once by an integer division; the m means add up by ``fsum``."""
+    p, q = Fraction(phi).as_integer_ratio()
+    weight = q ** (m - 1)
+    s0 = s1 = 0
+    means = []
+    for k in range(m):
+        s0 += weight
+        s1 += k * weight
+        means.append(s1 / s0)
+        if k < m - 1:
+            weight = weight // q * p
+    return math.fsum(means)
+
+
+def mahonian_row(m: int) -> tuple[int, ...]:
+    """Inversion counts of m elements: entry i is the number of permutations
+    with exactly i inversions (m = 0 is the empty permutation).
+
+    Row k is row k-1 times 1 + x + ... + x^(k-1): entry i is P[i] - P[i-k]
+    over the prefix sums P of row k-1.  Rows are palindromes and entry i
+    reads row k-1 only up to i, so each row is built to its middle from the
+    previous half mirrored, and the last row is mirrored once."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    half, top = [1], 0  # entries 0..top//2 of the row with last index top
+    for k in range(2, m + 1):
+        prev = half + half[: top + 1 - len(half)][::-1]
+        top += k - 1
+        sums = list(itertools.accumulate(prev[: top // 2 + 1]))
+        half = sums[:k] + list(map(operator.sub, sums[k:], sums))
+    return tuple(half + half[: top + 1 - len(half)][::-1])
 
 
 def mahonian_table(m_max: int) -> tuple[tuple[int, ...], ...]:
@@ -686,10 +723,6 @@ def window_mahonian_row(m: int) -> tuple[int, ...]:
             out.append(acc)
         row = out
     return tuple(row)
-
-
-def unscaled_float_inversion_row(m: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in mahonian_table(m)[m])
 
 
 def exact_relative_expected_swaps(m: int, phi: float) -> float:

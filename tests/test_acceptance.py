@@ -15,6 +15,7 @@ from oracles import (
     brute_force_min_deviation,
     chi_square_critical_1pct,
     election_is_single_peaked,
+    mahonian_row,
     reversed_identity,
     swap_distance,
 )
@@ -33,7 +34,6 @@ from prefmap.cultures import (
     CultureSpec,
     expected_swaps,
     fit_mallows,
-    mahonian_row,
     relphi_to_phi,
     sample,
 )

@@ -338,14 +338,9 @@ def test_mallows_table_rejects_bad_m_list(capsys, m_list):
 
 
 def generate_mallows_norm(capsys, tmp_path, relphi, m):
-    from prefmap.cultures import _float_inversion_row
-
     out = tmp_path / "e.soc"
-    try:
-        code, _, err = run(capsys, "generate", "--culture", "mallows-norm", "--relphi", relphi,
-                           "--m", str(m), "--n", "3", "--out", str(out))
-    finally:
-        _float_inversion_row.cache_clear()
+    code, _, err = run(capsys, "generate", "--culture", "mallows-norm", "--relphi", relphi,
+                       "--m", str(m), "--n", "3", "--out", str(out))
     assert code == 0, err
     election = ingest.load_election(out)
     assert election.m == m and election.n == 3
@@ -359,6 +354,21 @@ def test_calibration_at_m_172(capsys, tmp_path):
 def test_calibration_at_m_171_near_phi_one(capsys, tmp_path):
     # no count of m = 171 overflows a float, but the sums near phi = 1 did
     generate_mallows_norm(capsys, tmp_path, "0.49", 171)
+
+
+def test_calibration_at_m_300(capsys, tmp_path):
+    # Mahonian counts scaled into float range misread every phi > 1/2 here
+    generate_mallows_norm(capsys, tmp_path, "0.3", 300)
+
+
+def test_mallows_table_past_m_200(capsys):
+    code, out, err = run(capsys, "mallows-table", "--m-list", "250,300")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "rel-phi\tm=250\tm=300" and len(lines) == 12
+    for col in (1, 2):
+        phis = [float(ln.split("\t")[col]) for ln in lines[1:]]
+        assert phis == sorted(phis) and phis[0] == 0 and phis[-1] == 1
 
 
 def test_mallows_table_known_value(capsys):

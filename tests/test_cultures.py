@@ -11,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import election_is_single_peaked, is_single_peaked, rank_by_distance, swap_distance
+from oracles import (
+    election_is_single_peaked,
+    is_single_peaked,
+    mahonian_row,
+    rank_by_distance,
+    swap_distance,
+)
 from prefmap import cultures
 from prefmap.cultures import (
     CultureSpec,
     derive_seed,
     expected_swaps,
-    mahonian_row,
     relative_expected_swaps,
     relphi_to_phi,
     sample,
@@ -98,7 +103,7 @@ def test_expected_swaps_matches_brute_force():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.one_of(st.integers(2, 40), st.sampled_from([100, 130, 171, 172])),
+    st.one_of(st.integers(2, 40), st.sampled_from([100, 130, 171, 172, 1000])),
     st.one_of(
         st.floats(0, 1, exclude_min=True, exclude_max=True),
         st.sampled_from([5e-324, 1e-9, 0.5, 0.999, 0.9999, 1 - 2**-53]),
@@ -109,7 +114,7 @@ def test_expected_swaps_matches_loop_oracle(m, phi):
 
 
 def test_relative_swaps_strictly_increasing_in_phi():
-    for m in range(3, 13):
+    for m in [*range(3, 13), 200, 300, 1000]:
         prev = -1.0
         for k in range(101):
             phi = k / 100
@@ -127,54 +132,39 @@ def test_relphi_to_phi_known_values():
 
 
 def test_relphi_to_phi_inverts_calibration():
-    for m in (3, 5, 10, 25):
+    for m in (3, 5, 10, 25, 200, 300, 1000):
         for rel in (0.05, 0.2, 0.35, 0.45):
             phi = relphi_to_phi(m, rel)
             assert abs(relative_expected_swaps(m, phi) - rel) <= 1e-10
 
 
-def test_float_inversion_row_matches_unscaled_oracle(monkeypatch):
-    # Up to m = 165 the rows are equal, which makes expected_swaps,
-    # relphi_to_phi and every sample bit-identical for any phi.  From 166 on
-    # the row is the unscaled one times an exact power of two, which keeps
-    # expected_swaps bit-identical wherever the unscaled sums are finite.
-    # One table holds every row up to 171; a table per m would take about 17 s.
-    table = oracles.mahonian_table(171)
-    monkeypatch.setattr(cultures, "mahonian_row", lambda m: table[m])
-    monkeypatch.setattr(oracles, "mahonian_table", lambda m_max: table)
-    unscaled = {m: oracles.unscaled_float_inversion_row(m) for m in range(2, 172)}
-    phis = [k / 20 for k in range(1, 20)] + [0.99, 0.999, 0.9999]
-    cultures._float_inversion_row.cache_clear()
-    try:
-        for m in range(2, 166):
-            assert tuple(cultures._float_inversion_row(m)) == unscaled[m]
-        for m in range(166, 172):
-            row = cultures._float_inversion_row(m)
-            scale = 1 / row[0]  # the count 1, divided by 2**shift
-            assert scale > 1 and math.frexp(scale)[0] == 0.5
-            assert tuple(v * scale for v in row) == unscaled[m]
-            for phi in phis:
-                scaled = expected_swaps(m, phi)
-                with monkeypatch.context() as patch:
-                    patch.setattr(cultures, "_float_inversion_row", unscaled.__getitem__)
-                    oracle = expected_swaps(m, phi)
-                assert math.isfinite(scaled)
-                if math.isfinite(oracle):
-                    assert scaled == oracle
-    finally:
-        cultures._float_inversion_row.cache_clear()
+def test_expected_swaps_matches_exact_oracle_past_m_200():
+    # a row of Mahonian counts scaled into float range read m(m-1)/4 here
+    for m in (200, 210, 300, 1000):
+        for phi in (0.51, 0.6, 0.75, 0.9, 0.99):
+            exact = oracles.exact_expected_swaps(m, phi)
+            assert abs(expected_swaps(m, phi) - exact) <= 1e-12 * exact
+
+
+def test_relphi_to_phi_matches_exact_bisection_at_m_202():
+    m, relphi = 202, 0.01
+    lo, hi = 0.0, 1.0
+    while hi - lo >= 1e-15:
+        mid = (lo + hi) / 2
+        if oracles.exact_expected_swaps(m, mid) / (m * (m - 1) / 2) < relphi:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(relphi_to_phi(m, relphi) - (lo + hi) / 2) <= 1e-12
 
 
 def test_relative_swaps_past_float_range(monkeypatch):
     # the counts of m = 172 overflow a float; phi near 1 also overflowed the sums
     table = oracles.mahonian_table(172)
     monkeypatch.setattr(oracles, "mahonian_table", lambda m_max: table)
-    try:
-        for phi in (relphi_to_phi(172, 0.2), 0.5, 511 / 512):
-            exact = oracles.exact_relative_expected_swaps(172, phi)
-            assert abs(relative_expected_swaps(172, phi) - exact) <= 1e-12
-    finally:
-        cultures._float_inversion_row.cache_clear()
+    for phi in (relphi_to_phi(172, 0.2), 0.5, 511 / 512):
+        exact = oracles.exact_relative_expected_swaps(172, phi)
+        assert abs(relative_expected_swaps(172, phi) - exact) <= 1e-12
 
 
 def test_relphi_to_phi_rejects_out_of_range():

@@ -194,6 +194,16 @@ def test_a_comment_with_a_line_break_reads_back(tmp_path, brk):
     assert parse_preflib(broken).votes == parse_preflib(plain).votes
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_a_candidate_name_with_a_line_break_is_refused(tmp_path, brk):
+    # the readers would split the name's line and refuse the file
+    e = Election(candidates=(f"a{brk}b", "c"), votes=((0, 1), (1, 0)))
+    path = tmp_path / "e.soc"
+    with pytest.raises(ValueError, match=re.escape(repr(f"a{brk}b"))):
+        serialize_election(e, path)
+    assert not path.exists()
+
+
 def test_load_election_rejects_ties_and_gaps(tmp_path):
     path = tmp_path / "e.toc"
     path.write_text(PARTIAL_FILE)
@@ -374,6 +384,11 @@ def test_serialize_election_matches_loop_oracle(case, comments):
     election = Election(candidates=candidates, votes=votes)
     with tempfile.TemporaryDirectory() as tmp:
         ours, theirs = os.path.join(tmp, "a.soc"), os.path.join(tmp, "b.soc")
+        if any("\r" in name or "\n" in name for name in candidates):
+            with pytest.raises(ValueError, match="holds a line break"):
+                serialize_election(election, ours, comments=comments)
+            assert not os.path.exists(ours)
+            return
         serialize_election(election, ours, comments=comments)
         oracles.loop_serialize_election(election, theirs, comments=comments)
         with open(ours, "rb") as a, open(theirs, "rb") as b:
