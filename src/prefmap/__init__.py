@@ -22,7 +22,6 @@ from .recovery import (
     round_position_matrix,
 )
 from .compass import (
-    closed_form_distance,
     compass_matrix,
     convex_combination,
     full_compass,
@@ -57,7 +56,6 @@ __all__ = [
     "election_from_frequency_matrix",
     "election_from_position_matrix",
     "round_position_matrix",
-    "closed_form_distance",
     "compass_matrix",
     "convex_combination",
     "full_compass",

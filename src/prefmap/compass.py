@@ -39,15 +39,16 @@ CORNER_PAIRS = (
     ("AN", "ST"),
 )
 
-# When 4 divides m, the distance of each anchor pair is a*m*m + b for its
-# (a, b).  Normalizing divides by (m*m - 1)/3, so the large-m limit is 3a.
-_CLOSED_FORMS: dict[frozenset[str], tuple[Fraction, Fraction]] = {
-    frozenset(("ID", "UN")): (Fraction(1, 3), Fraction(-1, 3)),
-    frozenset(("ID", "AN")): (Fraction(1, 4), Fraction(0)),
-    frozenset(("UN", "ST")): (Fraction(1, 4), Fraction(0)),
-    frozenset(("ID", "ST")): (Fraction(1, 6), Fraction(-2, 3)),
-    frozenset(("UN", "AN")): (Fraction(1, 6), Fraction(-2, 3)),
-    frozenset(("AN", "ST")): (Fraction(13, 48), Fraction(-1, 3)),
+# The large-m limit of the normalized distance of each anchor pair.  When 4
+# divides m, the paper's closed form of the pair's distance is a*m*m + b for
+# rationals a and b; normalizing divides by (m*m - 1)/3, so the limit is 3a.
+_LIMITS: dict[frozenset[str], Fraction] = {
+    frozenset(("ID", "UN")): Fraction(1),
+    frozenset(("ID", "AN")): Fraction(3, 4),
+    frozenset(("UN", "ST")): Fraction(3, 4),
+    frozenset(("ID", "ST")): Fraction(1, 2),
+    frozenset(("UN", "AN")): Fraction(1, 2),
+    frozenset(("AN", "ST")): Fraction(13, 16),
 }
 
 
@@ -66,19 +67,6 @@ def compass_matrix(kind: str, m: int) -> FrequencyMatrix:
     return _frequency(counts, sum(counts[0]))
 
 
-def closed_form_distance(a: str, b: str, m: int) -> Fraction:
-    """Exact positionwise distance between two anchors when 4 divides m."""
-    for kind in (a, b):
-        if kind not in CORNER_KINDS:
-            raise ValueError(f"no closed form for kind {kind!r}")
-    if m < 4 or m % 4:
-        raise ValueError("closed forms hold when m is a positive multiple of 4")
-    if a == b:
-        return Fraction(0)
-    slope, offset = _CLOSED_FORMS[frozenset((a, b))]
-    return slope * m * m + offset
-
-
 def normalized_limit(a: str, b: str) -> Fraction:
     """Large-m limit of the normalized distance between two anchors."""
     for kind in (a, b):
@@ -86,7 +74,7 @@ def normalized_limit(a: str, b: str) -> Fraction:
             raise ValueError(f"no normalized limit for kind {kind!r}")
     if a == b:
         return Fraction(0)
-    return 3 * _CLOSED_FORMS[frozenset((a, b))][0]
+    return _LIMITS[frozenset((a, b))]
 
 
 def convex_combination(
@@ -107,13 +95,6 @@ def convex_combination(
         [wx * a + wy * b for a, b in zip(rx, ry)] for rx, ry in zip(x.counts, y.counts)
     ]
     return _frequency(counts, q * scale)
-
-
-def default_point_count(a: str, b: str, scale: int = 50) -> int:
-    """Number of interior points for an anchor pair: ceil(scale * limit)."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    return math.ceil(scale * normalized_limit(a, b))
 
 
 def path_points(
@@ -140,17 +121,20 @@ def full_compass(
     """The four anchors plus interior points along all six anchor paths.
 
     Labels are the anchor kinds for corners and ``A-B:k/K`` for the point
-    at alpha = k/K on the segment from B to A.  With the default scale of
+    at alpha = k/K on the segment from B to A.  The path A-B holds
+    ceil(scale * normalized_limit(A, B)) points.  With the default scale of
     50 and m = 4 this yields 221 labeled matrices.
     """
     if m < 2 or m % 2:
         raise ValueError("the full compass needs an even m >= 2")
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
     corners = {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
     out: list[tuple[str, FrequencyMatrix]] = [
         (kind, corners[kind]) for kind in CORNER_KINDS
     ]
     for a, b in CORNER_PAIRS:
-        count = default_point_count(a, b, scale)
+        count = math.ceil(scale * normalized_limit(a, b))
         for alpha, point in path_points(corners[a], corners[b], count):
             out.append((f"{a}-{b}:{alpha.numerator}/{alpha.denominator}", point))
     return out

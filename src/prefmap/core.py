@@ -33,23 +33,37 @@ IntRows = tuple[tuple[int, ...], ...]
 
 def _vote_array(votes: Sequence[Sequence[int]] | np.ndarray, m: int) -> np.ndarray:
     """The votes as a read-only (rows, m) int64 array, each row checked to
-    be a permutation of 0..m-1 in one sort.  Raises for the first vote that
-    is not, ragged ones included."""
-    if isinstance(votes, np.ndarray) and votes.ndim == 2:
-        lens = np.full(len(votes), votes.shape[1])
-        flat = votes.astype(np.int64).ravel()
+    be a permutation of 0..m-1 in one sort.  An integer array is taken as
+    it is; other votes pass through int64 only if each has m entries and
+    each entry equals its integer, so 0.5 or '0' is refused, not truncated
+    or parsed.  Raises for the first vote that is not a permutation, named
+    by its entries as given."""
+    if isinstance(votes, np.ndarray) and votes.ndim == 2 and votes.dtype.kind in "biu":
+        rows = votes.astype(np.int64)
+        fits = votes.shape[1] == m
     else:
-        lens = np.fromiter(map(len, votes), np.int64, len(votes))
-        flat = np.fromiter(chain.from_iterable(votes), np.int64, int(lens.sum()))
-    fits = lens == m
-    rows = flat.reshape(-1, m) if fits.all() else flat[np.repeat(fits, lens)].reshape(-1, m)
-    ok = fits.copy()
-    ok[fits] = (np.sort(rows, axis=1) == np.arange(m)).all(axis=1)
-    if not ok.all():
-        vote = tuple(np.split(flat, np.cumsum(lens))[ok.argmin()].tolist())
-        raise ValueError(f"vote {vote!r} is not a permutation of 0..{m - 1}")
-    rows.flags.writeable = False
-    return rows
+        votes = votes.tolist() if isinstance(votes, np.ndarray) else votes
+        entries = [*chain.from_iterable(votes)]
+        rows = np.zeros(0, np.int64)  # stays empty if an entry has no int64 value
+        with suppress(TypeError, ValueError, OverflowError):
+            rows = np.fromiter(entries, np.int64, len(entries))
+        fits = rows.tolist() == entries and set(map(len, votes)) == {m}
+    if fits:
+        rows = rows.reshape(-1, m)
+        if (np.sort(rows, axis=1) == np.arange(m)).all():
+            rows.flags.writeable = False
+            return rows
+    given = votes.tolist() if isinstance(votes, np.ndarray) else votes
+    vote = next(tuple(vote) for vote in given if not _sorts_to_ranks(vote, m))
+    raise ValueError(f"vote {vote!r} is not a permutation of 0..{m - 1}")
+
+
+def _sorts_to_ranks(vote: Sequence[int], m: int) -> bool:
+    """Whether the entries, as given, sort to 0..m-1."""
+    try:
+        return sorted(vote) == list(range(m))
+    except TypeError:  # entries that do not compare, such as '0' and 1
+        return False
 
 
 @dataclass(frozen=True, init=False, eq=False)

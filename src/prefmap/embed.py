@@ -54,12 +54,13 @@ class MapLayout:
     """Planar embedding: one (id, x, y) triple per input row.
 
     ``iterations`` counts the Guttman steps the embedding took and
-    ``stress`` is the weighted stress it ended at (see ``layout_stress``).
+    ``stress`` is the weighted stress it ended at: the sum over pairs of
+    w_ij * (|p_i - p_j| - t_ij)^2, with t_ij the distance over the largest
+    distance and w_ij = t_ij^2.
     """
 
     points: tuple[tuple[Hashable, float, float], ...]
     styling: Styling = field(default_factory=dict)
-    seed: int = 0
     iterations: int = 0
     stress: float = 0.0
 
@@ -194,7 +195,7 @@ def embed_distances(
     target, weight = _targets(distances)
     if not weight.any():
         pts = tuple((pid, 0.0, 0.0) for pid in ids)
-        return MapLayout(pts, styling or {}, seed)
+        return MapLayout(pts, styling or {})
 
     angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
     turn = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
@@ -220,17 +221,7 @@ def embed_distances(
             break
     pos = pos - pos.mean(axis=1, keepdims=True)
     pts = tuple((pid, float(x), float(y)) for pid, x, y in zip(ids, *pos))
-    return MapLayout(pts, styling or {}, seed, steps, current)
-
-
-def layout_stress(
-    layout: MapLayout, distances: Sequence[Sequence[float | Fraction | int]]
-) -> float:
-    """Stress of an existing layout against a distance matrix (same
-    normalization as embed_distances)."""
-    target, weight = _targets(distances)
-    pos = np.array([[x for _, x, _ in layout.points], [y for _, _, y in layout.points]])
-    return _stress(_pairwise(pos), target, weight)
+    return MapLayout(pts, styling or {}, steps, current)
 
 
 def default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, str]]:

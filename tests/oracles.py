@@ -66,6 +66,10 @@ from ``eigh_classical_scaling``, its Guttman steps through ``pinv`` and ``@``.
 ``two_pass_default_styling`` grouped every label before it styled any,
 and ``two_pass_render_svg`` drew the map in two passes over the points,
 looking each point's style up twice and placing each grouped point twice.
+Two were public functions that only the tests called: ``closed_form_distance``
+holds the paper's closed forms of the anchor distances, of which the compass
+keeps only the large-m limits, and ``layout_stress`` scores a finished
+layout from its points, which ``MapLayout.stress`` must match.
 """
 
 from __future__ import annotations
@@ -956,6 +960,31 @@ def chain_round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     return PositionMatrix(entries)
 
 
+# The paper's closed forms: when 4 divides m, the positionwise distance of
+# each anchor pair is a*m*m + b for its (a, b).
+CLOSED_FORMS: dict[frozenset[str], tuple[Fraction, Fraction]] = {
+    frozenset(("ID", "UN")): (Fraction(1, 3), Fraction(-1, 3)),
+    frozenset(("ID", "AN")): (Fraction(1, 4), Fraction(0)),
+    frozenset(("UN", "ST")): (Fraction(1, 4), Fraction(0)),
+    frozenset(("ID", "ST")): (Fraction(1, 6), Fraction(-2, 3)),
+    frozenset(("UN", "AN")): (Fraction(1, 6), Fraction(-2, 3)),
+    frozenset(("AN", "ST")): (Fraction(13, 48), Fraction(-1, 3)),
+}
+
+
+def closed_form_distance(a: str, b: str, m: int) -> Fraction:
+    """Exact positionwise distance between two anchors when 4 divides m."""
+    for kind in (a, b):
+        if kind not in CORNER_KINDS:
+            raise ValueError(f"no closed form for kind {kind!r}")
+    if m < 4 or m % 4:
+        raise ValueError("closed forms hold when m is a positive multiple of 4")
+    if a == b:
+        return Fraction(0)
+    slope, offset = CLOSED_FORMS[frozenset((a, b))]
+    return slope * m * m + offset
+
+
 def reversed_identity(m: int) -> FrequencyMatrix:
     """The frequency matrix of one vote that reverses the identity."""
     rows = [[int(i == m - 1 - j) for j in range(m)] for i in range(m)]
@@ -1061,7 +1090,7 @@ def pinv_embed_distances(distances: Sequence[Sequence], seed: int,
     target, weight = _targets(distances)
     ids = range(len(target))
     if not weight.any():
-        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {}, seed)
+        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {})
     angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
     turn = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
     pos = eigh_classical_scaling(target) @ turn
@@ -1084,7 +1113,15 @@ def pinv_embed_distances(distances: Sequence[Sequence], seed: int,
         if converged:
             break
     pos = pos - pos.mean(axis=0)
-    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, steps, current)
+    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, steps, current)
+
+
+def layout_stress(layout: MapLayout, distances: Sequence[Sequence]) -> float:
+    """The weighted stress of a layout against a distance matrix, normalized
+    as ``embed_distances`` normalizes it, from the layout's points alone."""
+    target, weight = _targets(distances)
+    pos = np.array([(x, y) for _, x, y in layout.points]).reshape(-1, 2)
+    return _stress(stacked_pairwise(pos), target, weight)
 
 
 def _weighted_stress(pos: np.ndarray, target: np.ndarray, weight: np.ndarray) -> float:
@@ -1108,7 +1145,7 @@ def gradient_embed(
     ids = tuple(range(k)) if ids is None else tuple(ids)
     d = np.array([[float(v) for v in row] for row in distances], dtype=float)
     if k == 0 or d.max() == 0.0:
-        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {}, seed, iterations)
+        return MapLayout(tuple((pid, 0.0, 0.0) for pid in ids), {}, iterations)
     target = d / d.max()
     weight = target * target
     rng = random.Random(seed)
@@ -1129,7 +1166,7 @@ def gradient_embed(
         else:
             scale *= 0.5
     pos = pos - pos.mean(axis=0)
-    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, seed, iterations)
+    return MapLayout(tuple((pid, x, y) for pid, (x, y) in zip(ids, pos)), {}, iterations)
 
 
 def two_pass_default_styling(ids: Sequence[Hashable]) -> dict[Hashable, tuple[str, str, str]]:

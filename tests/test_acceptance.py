@@ -14,6 +14,7 @@ from oracles import (
     brute_force_expected_swaps,
     brute_force_min_deviation,
     chi_square_critical_1pct,
+    closed_form_distance,
     election_is_single_peaked,
     mahonian_row,
     reversed_identity,
@@ -24,7 +25,6 @@ from prefmap.cli import main
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
-    closed_form_distance,
     compass_matrix,
     convex_combination,
     normalized_limit,

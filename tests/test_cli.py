@@ -330,6 +330,13 @@ def test_compass_odd_m_fails(capsys, tmp_path):
     assert err
 
 
+def test_compass_negative_scale_fails_before_writing(capsys, tmp_path):
+    code, out, err = run(capsys, "compass", "--m", "4", "--scale", "-1",
+                         "--out", str(tmp_path / "c"))
+    assert (code, out, err) == (1, "", "prefmap: error: scale must be nonnegative\n")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("m_list", ["5,x", "1", "5,1", ",", "2.5"])
 def test_mallows_table_rejects_bad_m_list(capsys, m_list):
     code, out, err = run(capsys, "mallows-table", "--m-list", m_list)
@@ -1133,10 +1140,26 @@ def test_readme_library_tour_runs():
     exec(compile(block, "README.md", "exec"), {})  # a removed name raises here
 
 
+# The audited public surface.  Each name but __version__ is called, or
+# returned, by a command, the README tour or the benchmark; CHANGES.md
+# records which.  A new public name needs such a user too.
+_PUBLIC_API = {
+    "Election", "FrequencyMatrix", "PositionMatrix", "frequency_from_position",
+    "frequency_matrix", "position_matrix", "DistanceRecord", "cross_distances",
+    "distance_matrix", "normalization_constant", "normalized", "positionwise",
+    "election_from_frequency_matrix", "election_from_position_matrix",
+    "round_position_matrix", "compass_matrix", "convex_combination", "full_compass",
+    "normalized_limit", "path_points", "CultureSpec", "FitResult", "fit_mallows",
+    "relphi_to_phi", "sample", "sample_mallows_norm", "MapLayout", "embed_distances",
+    "render_svg", "write_coordinates", "__version__",
+}
+
+
 def test_public_api_names_resolve():
     import prefmap
 
-    assert len(set(prefmap.__all__)) == len(prefmap.__all__)
+    assert len(set(prefmap.__all__)) == len(prefmap.__all__) == 31
+    assert set(prefmap.__all__) == _PUBLIC_API
     for name in prefmap.__all__:
         assert hasattr(prefmap, name), name
         # the command line is a client of the library, not a home for it

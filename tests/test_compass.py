@@ -11,10 +11,8 @@ from conftest import MULTIPLICITIES, outcome, stacked, weighted_permutations
 from prefmap.compass import (
     CORNER_KINDS,
     CORNER_PAIRS,
-    closed_form_distance,
     compass_matrix,
     convex_combination,
-    default_point_count,
     full_compass,
     normalized_limit,
     path_points,
@@ -76,20 +74,20 @@ def test_odd_m_rejected_for_st_an():
 
 
 def test_closed_form_values():
-    assert closed_form_distance("ID", "UN", 8) == 21
-    assert closed_form_distance("UN", "AN", 8) == 10
-    assert closed_form_distance("ID", "ID", 8) == 0
+    assert oracles.closed_form_distance("ID", "UN", 8) == 21
+    assert oracles.closed_form_distance("UN", "AN", 8) == 10
+    assert oracles.closed_form_distance("ID", "ID", 8) == 0
     with pytest.raises(ValueError):
-        closed_form_distance("ID", "UN", 6)
+        oracles.closed_form_distance("ID", "UN", 6)
     with pytest.raises(ValueError):
-        closed_form_distance("ID", "rID", 8)
+        oracles.closed_form_distance("ID", "rID", 8)
 
 
 def test_closed_forms_match_computed_distances():
     for m in (4, 8):
         mats = {kind: compass_matrix(kind, m) for kind in CORNER_KINDS}
         for a, b in CORNER_PAIRS:
-            expected = closed_form_distance(a, b, m)
+            expected = oracles.closed_form_distance(a, b, m)
             assert positionwise(mats[a], mats[b]).value == expected
 
 
@@ -102,6 +100,13 @@ def test_normalized_limits():
     assert normalized_limit("UN", "AN") == Fraction(1, 2)
     assert normalized_limit("ST", "ST") == 0
     assert normalization_constant(10) == 33
+
+
+def test_normalized_limits_are_three_times_the_closed_form_slopes():
+    # normalizing a*m*m + b divides it by (m*m - 1)/3, which tends to 3a
+    for a, b in CORNER_PAIRS:
+        slope, _ = oracles.CLOSED_FORMS[frozenset((a, b))]
+        assert normalized_limit(a, b) == normalized_limit(b, a) == 3 * slope
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,12 +195,25 @@ def test_additivity_fails_without_alignment():
     assert d > 0
 
 
+def _path_counts(scale):
+    """Points per anchor path of ``full_compass(4, scale)``, read from its labels."""
+    counts = {f"{a}-{b}": 0 for a, b in CORNER_PAIRS}
+    for label, _ in full_compass(4, scale=scale)[len(CORNER_KINDS):]:
+        counts[label.partition(":")[0]] += 1
+    return counts
+
+
 def test_default_point_counts():
-    assert default_point_count("ID", "UN") == 50
-    assert default_point_count("ID", "AN") == 38
-    assert default_point_count("AN", "ST") == 41
-    assert default_point_count("ID", "ST") == 25
-    assert default_point_count("ID", "UN", scale=0) == 0
+    # ceil(50 * limit) for the limits 1, 3/4, 1/2, 1/2, 3/4 and 13/16
+    assert _path_counts(50) == {
+        "ID-UN": 50, "ID-AN": 38, "ID-ST": 25, "UN-AN": 25, "UN-ST": 38, "AN-ST": 41
+    }
+    assert set(_path_counts(0).values()) == {0}
+
+
+def test_full_compass_rejects_a_negative_scale():
+    with pytest.raises(ValueError, match="^scale must be nonnegative$"):
+        full_compass(4, scale=-1)
 
 
 def test_full_compass_size_and_labels():

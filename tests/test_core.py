@@ -210,12 +210,13 @@ def test_election_takes_bool_and_numpy_multiplicities():
 # the vote array against the tuple-based election
 
 def _form(votes, form):
-    """``votes`` as a tuple of tuples, a list of lists or an int64 array."""
+    """``votes`` as a tuple of tuples, a list of lists or an array of the
+    dtype numpy gives them: int64 for ints, float64 or a string dtype."""
     if form == "tuples":
         return tuple(map(tuple, votes))
     if form == "lists":
         return [list(v) for v in votes]
-    return np.array(votes, dtype=np.int64)
+    return np.array(votes)
 
 
 @st.composite
@@ -254,18 +255,28 @@ def test_array_steps_match_loop_oracles(case, data):
     assert (r.candidates, r.votes, r.multiplicities) == oracles.loop_restrict(e, keep)
 
 
-# A vote of ints in -1..m, of length 0..m + 1, mostly a permutation
+# A vote of ints in -1..m, of length 0..m + 1, mostly a permutation, with
+# floats among its entries (0.5, or 1.0, which equals its integer), or a
+# permutation written as digit strings
 @st.composite
 def _rough_votes(draw):
     m = draw(st.integers(0, 4))
     candidates = draw(st.lists(st.sampled_from("abcde"), min_size=m, max_size=m))
+    entry = st.one_of(st.integers(-1, m), st.integers(-1, m).map(float),
+                      st.sampled_from([0.5, 1.7, -0.5]))
     vote = st.one_of(
         st.permutations(range(m)).map(list),
+        st.permutations(range(m)).map(lambda v: [float(k) for k in v]),
+        st.permutations(range(m)).map(lambda v: [str(k) for k in v]),
         st.lists(st.integers(-1, m), min_size=0, max_size=m + 1),
+        st.lists(entry, min_size=0, max_size=m + 1),
     )
     votes = draw(st.lists(vote, max_size=4))
     mults = draw(st.none() | st.lists(st.integers(-1, 3), max_size=5))
-    return candidates, votes, mults, draw(st.sampled_from(["tuples", "lists"]))
+    forms = ["tuples", "lists"]
+    if votes and all(len(v) == m for v in votes):  # an array takes them
+        forms.append("array")
+    return candidates, votes, mults, draw(st.sampled_from(forms))
 
 
 @settings(max_examples=500, deadline=None)
@@ -275,6 +286,12 @@ def _rough_votes(draw):
 @example((["a", "b"], [[1, 1], [0, 1, 0]], None, "tuples"))  # repeated, then ragged
 @example((["a", "b"], [[0, 1], [1, 0]], None, "array"))  # an array that passes
 @example((["a", "b"], [[0, 2], [1, 0]], None, "array"))  # an array that does not
+@example((["a", "b"], [[0.5, 1.7], [1.0, 0.0]], None, "tuples"))  # entries that are not ints
+@example((["a", "b"], [[1.0, 0.0]], None, "tuples"))  # floats that equal their ints
+@example((["a", "b"], [["0", "1"]], None, "lists"))  # digit strings
+@example((["a", "b"], [[1, 0], [0.5, 1.0]], None, "array"))  # a float array holding 0.5
+@example((["a", "b"], [[1, 0], [0, 1.0]], None, "array"))  # a float array that passes
+@example((["a", "b"], [["1", "0"]], None, "array"))  # a string array
 @example((["a", "b"], [], None, "tuples"))  # no votes
 @example((["a", "b"], [[0, 1]], [1, 2], "tuples"))  # multiplicities of the wrong length
 @example((["a", "b"], [[0, 1], [1, 0]], [2, 0], "tuples"))  # a multiplicity <= 0
@@ -282,12 +299,16 @@ def _rough_votes(draw):
 @example(([], [[0]], None, "tuples"))  # no candidates
 def test_election_rejects_with_the_tuple_oracles_message(case):
     candidates, votes, mults, form = case
-    expected = outcome(lambda: oracles.tuple_election(candidates, votes, mults))
-    got = outcome(lambda: Election(candidates, _form(votes, form), mults))
+    given = _form(votes, form)
+    # the oracle reads an array's entries as the array holds them
+    as_given = given.tolist() if form == "array" else votes
+    expected = outcome(lambda: oracles.tuple_election(candidates, as_given, mults))
+    got = outcome(lambda: Election(candidates, given, mults))
     if isinstance(expected, str):
         assert got == expected
     else:
         assert (got.candidates, got.votes, got.multiplicities) == expected
+        assert all(type(k) is int for vote in got.votes for k in vote)
 
 
 def test_vote_counter_lists_votes_in_ascending_order_past_256_candidates():

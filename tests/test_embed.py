@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import gradient_embed
+from oracles import gradient_embed, layout_stress
 from prefmap.compass import CORNER_KINDS, compass_matrix, full_compass
 from prefmap.embed import (
     MapLayout,
@@ -23,7 +23,6 @@ from prefmap.embed import (
     _targets,
     default_styling,
     embed_distances,
-    layout_stress,
     render_svg,
     write_coordinates,
 )
