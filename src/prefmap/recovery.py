@@ -16,6 +16,13 @@ that a network with a chain of m nodes per row (m*m + m + 2 nodes) would
 pick: a row remembers every entry that reaches its final distance, and a
 path leaving into column j came in through the entry at the largest
 position <= j, else the smallest (see ``_place_units``).
+
+Both loops run on integer bitmasks.  The decomposition keeps each row's
+support, the columns where it is still positive, as one integer.  The flow
+keeps, per row, its empty columns, per column, the rows that hold a unit
+there, and the arcs of reduced cost 0, its zero layer.  Almost every path
+after the first lies in that layer, so a search over it alone, in the heap's
+order, replaces Dijkstra whenever no residual arc leaves the layer.
 """
 
 from __future__ import annotations
@@ -25,42 +32,39 @@ import heapq
 from .core import Election, FrequencyMatrix, PositionMatrix, _integers
 
 
-def _perfect_matching(counts: list[list[int]]) -> list[int]:
-    """Perfect matching of rows to columns on the positive entries of ``counts``.
+def _perfect_matching(support: list[int]) -> list[int]:
+    """Perfect matching of rows to columns, where bit j of ``support[r]``
+    marks a positive entry (r, j).
 
-    Kuhn's augmenting paths, scanning columns in ascending order so the
-    result is deterministic.  The depth-first search keeps its path on an
-    explicit stack, since a path can pass through every row.  Raises if
-    no perfect matching exists, which for a positive-line-sum position
-    matrix cannot happen.
+    Kuhn's augmenting paths, each row trying its columns in ascending
+    order, so the result is deterministic.  Every column a row has tried is
+    marked seen, so the next one it tries is the lowest support column not
+    yet seen.  The depth-first search keeps its path on an explicit stack,
+    since a path can pass through every row.  Raises if no perfect matching
+    exists, which for a positive-line-sum position matrix cannot happen.
     """
-    m = len(counts)
+    m = len(support)
     match_col = [-1] * m  # column -> row
     for i in range(m):
-        seen = [False] * m
+        seen = 0
         rows = [i]  # the search path; cols[k] leads from rows[k] to rows[k + 1]
         cols: list[int] = []
-        scan = [0]  # next column each row on the path tries
         while rows:
-            r = rows[-1]
-            j = scan[-1]
-            while j < m and (counts[r][j] <= 0 or seen[j]):
-                j += 1
-            if j == m:  # dead end: back to the row before, past its column
+            free = support[rows[-1]] & ~seen
+            if not free:  # dead end: back to the row before, past its column
                 rows.pop()
-                scan.pop()
                 if cols:
                     cols.pop()
                 continue
-            seen[j] = True
-            scan[-1] = j + 1
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
             cols.append(j)
             if match_col[j] < 0:
                 for row, col in zip(rows, cols):
                     match_col[col] = row
                 break
             rows.append(match_col[j])
-            scan.append(0)
         else:
             raise RuntimeError("support admits no perfect matching")
     row_to_col = [-1] * m
@@ -77,6 +81,7 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
     """
     m = pos.m
     work = [list(row) for row in pos.entries]
+    support = [sum(1 << j for j, c in enumerate(row) if c) for row in work]
     votes: list[list[int]] = []
     mults: list[int] = []
     remaining = pos.n
@@ -84,13 +89,15 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
     for _ in range(max_rounds):
         if remaining == 0:
             break
-        matching = _perfect_matching(work)
+        matching = _perfect_matching(support)
         weight = min(work[i][matching[i]] for i in range(m))
         # vote[i] = candidate at rank i, straight off the matching
         votes.append(matching)
         mults.append(weight)
-        for i in range(m):
-            work[i][matching[i]] -= weight
+        for i, j in enumerate(matching):
+            work[i][j] -= weight
+            if not work[i][j]:
+                support[i] ^= 1 << j
         remaining -= weight
     if remaining != 0:
         raise RuntimeError("decomposition failed to exhaust the matrix")
@@ -99,6 +106,14 @@ def election_from_position_matrix(pos: PositionMatrix) -> Election:
         votes=votes,
         multiplicities=mults,
     )
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _place_units(
@@ -127,88 +142,211 @@ def _place_units(
     before columns before the sink, as the chain ids do, and every
     Dijkstra runs to exhaustion, since the potentials of all reached
     nodes steer later ties.
+
+    Each path first searches the zero layer, the nodes that arcs of
+    reduced cost 0 reach from the source (``_zero_layer_search``).  When
+    no residual arc leaves that layer and it holds the sink, Dijkstra
+    would reach exactly the layer, at distance 0, so that search gives the
+    same path and the potentials stay.  Otherwise ``_heap_search`` runs
+    and moves the potentials.  Rounding's costs are all positive, so its
+    first path always takes the heap; later ones almost never do.
     """
     m = len(cost)
     sink = 2 * m + 1
-    inf = float("inf")
     src_left = list(row_need)
     sink_left = list(col_need)
-    placed = [[0] * m for _ in range(m)]
-    holders: list[set[int]] = [set() for _ in range(m)]  # column j: rows i with placed[i][j]
+    empty = [(1 << m) - 1] * m  # row i: the columns j with (i, j) empty
+    holders = [0] * m  # column j: the rows i with a unit at (i, j)
+    fed = sum(1 << i for i, k in enumerate(row_need) if k)  # rows the source feeds
+    feeding = sum(1 << j for j, k in enumerate(col_need) if k)  # columns that feed the sink
+    returned = 0  # columns the sink can give a unit back to
     potential = [0] * (sink + 1)
+    zero = _zero_arcs(cost, potential)
     for _ in range(sum(row_need)):
-        dist: list[float | int] = [inf] * (sink + 1)
-        dist[0] = 0
-        prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
-        entries: list[list[int]] = [[] for _ in range(m)]  # -1 for the source, c for column c
-        popped = [False] * (sink + 1)
-        heap: list[tuple[int, int]] = [(0, 0)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            popped[u] = True
-            base = d + potential[u]
-            if u == 0:
-                for i in range(m):
-                    if src_left[i] > 0:
-                        dist[i + 1] = base - potential[i + 1]
-                        entries[i] = [-1]
-                        heapq.heappush(heap, (dist[i + 1], i + 1))
-            elif u <= m:
-                row_cost, row_placed = cost[u - 1], placed[u - 1]
-                for j in range(m):
-                    if not row_placed[j]:
-                        v = m + 1 + j
-                        nd = base + row_cost[j] - potential[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            prev[v] = u
-                            heapq.heappush(heap, (nd, v))
-            elif u < sink:
-                j = u - m - 1
-                for i in holders[j]:  # order is free: each row once, entries read by max/min
-                    nd = base - cost[i][j] - potential[i + 1]
-                    if nd < dist[i + 1]:
-                        dist[i + 1] = nd
-                        entries[i] = [j]
-                        heapq.heappush(heap, (nd, i + 1))
-                    elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
-                        entries[i].append(j)
-                if sink_left[j] > 0:
-                    nd = base - potential[sink]
-                    if nd < dist[sink]:
-                        dist[sink] = nd
-                        prev[sink] = u
-                        heapq.heappush(heap, (nd, sink))
-            else:
-                for j in range(m):
-                    if sink_left[j] < col_need[j]:
-                        v = m + 1 + j
-                        nd = base - potential[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            prev[v] = sink
-                            heapq.heappush(heap, (nd, v))
-        if dist[sink] == inf:
-            raise RuntimeError("rounding flow did not saturate")
-        for v in range(sink + 1):
-            if dist[v] < inf:
-                potential[v] += dist[v]
+        found = _zero_layer_search(zero, empty, holders, fed, feeding, returned)
+        if found is None:
+            found = _heap_search(cost, potential, empty, holders, fed, feeding, returned)
+            zero = _zero_arcs(cost, potential)
+        prev, entries = found
         v = prev[sink]
-        sink_left[v - m - 1] -= 1
+        j = v - m - 1
+        sink_left[j] -= 1
+        returned |= 1 << j
+        if not sink_left[j]:
+            feeding ^= 1 << j
         while True:
             i, j = prev[v] - 1, v - m - 1
-            placed[i][j] = 1
-            holders[j].add(i)
+            empty[i] ^= 1 << j
+            holders[j] |= 1 << i
             e = max((e for e in entries[i] if e <= j), default=min(entries[i]))
             if e < 0:
                 src_left[i] -= 1
+                if not src_left[i]:
+                    fed ^= 1 << i
                 break
-            placed[i][e] = 0
-            holders[e].remove(i)
+            empty[i] |= 1 << e
+            holders[e] ^= 1 << i
             v = m + 1 + e
-    return placed
+    return [[h >> i & 1 for h in holders] for i in range(m)]
+
+
+def _zero_arcs(cost: list[list[int]], potential: list[int]) -> tuple[list[int], list[int], int]:
+    """The arcs of reduced cost 0 under ``potential``, as bitmasks: per row
+    i, the columns j with cost[i][j] + potential(i) == potential(j), which
+    makes both the arc i -> j and its reverse cost 0; per column, the same
+    cells by row; and the columns at the sink's potential."""
+    m = len(cost)
+    col_potential = potential[m + 1 : 2 * m + 1]
+    tight_row = [0] * m
+    tight_col = [0] * m
+    for i, row in enumerate(cost):
+        p = potential[i + 1]
+        for j, q in enumerate(col_potential):
+            if row[j] + p == q:
+                tight_row[i] |= 1 << j
+                tight_col[j] |= 1 << i
+    at_sink = sum(1 << j for j, q in enumerate(col_potential) if q == potential[-1])
+    return tight_row, tight_col, at_sink
+
+
+def _zero_layer_search(
+    zero: tuple[list[int], list[int], int],
+    empty: list[int],
+    holders: list[int],
+    fed: int,
+    feeding: int,
+    returned: int,
+) -> tuple[list[int], list[list[int]]] | None:
+    """``prev`` and ``entries`` as ``_heap_search`` would find them, from a
+    search of the zero layer alone; None when a residual arc leaves the
+    layer or the layer misses the sink.
+
+    Nodes at distance 0 pop in the heap's (0, id) order: the source, then
+    the lowest row waiting, else the lowest column, else the sink.  Rows
+    come before columns, so every row pops before the next column does and
+    has exactly one entry: the source, or the column that first reached
+    it.  A node's ``prev`` is likewise the first node that reached it.
+    """
+    tight_row, tight_col, at_sink = zero
+    m = len(empty)
+    sink = 2 * m + 1
+    prev = [0] * (sink + 1)
+    entries = [[-1]] * m
+    rows = seen_rows = fed  # reached; rows and cols hold those not yet popped
+    cols = seen_cols = 0
+    heads_rows = heads_cols = 0  # where the arcs out of popped nodes lead
+    sink_seen = sink_popped = False
+    while True:
+        if rows:
+            i = (rows & -rows).bit_length() - 1
+            rows &= rows - 1
+            heads_cols |= empty[i]
+            new = empty[i] & tight_row[i] & ~seen_cols
+            seen_cols |= new
+            cols |= new
+            for j in _bits(new):
+                prev[m + 1 + j] = i + 1
+        elif cols:
+            j = (cols & -cols).bit_length() - 1
+            cols &= cols - 1
+            heads_rows |= holders[j]
+            new = holders[j] & tight_col[j] & ~seen_rows
+            seen_rows |= new
+            rows |= new
+            for i in _bits(new):
+                entries[i] = [j]
+            if not sink_seen and (feeding & at_sink) >> j & 1:
+                sink_seen = True
+                prev[sink] = m + 1 + j
+        elif sink_seen and not sink_popped:
+            sink_popped = True
+            heads_cols |= returned
+            new = returned & at_sink & ~seen_cols
+            seen_cols |= new
+            cols |= new
+            for j in _bits(new):
+                prev[m + 1 + j] = sink
+        else:
+            break
+    if not sink_seen or heads_rows & ~seen_rows or heads_cols & ~seen_cols:
+        return None
+    return prev, entries
+
+
+def _heap_search(
+    cost: list[list[int]],
+    potential: list[int],
+    empty: list[int],
+    holders: list[int],
+    fed: int,
+    feeding: int,
+    returned: int,
+) -> tuple[list[int], list[list[int]]]:
+    """``prev`` and ``entries`` of one Dijkstra over the whole residual
+    network, run to exhaustion; adds every reached node's distance to its
+    potential."""
+    m = len(cost)
+    sink = 2 * m + 1
+    inf = float("inf")
+    dist: list[float | int] = [inf] * (sink + 1)
+    dist[0] = 0
+    prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
+    entries: list[list[int]] = [[] for _ in range(m)]  # -1 for the source, c for column c
+    popped = [False] * (sink + 1)
+    heap: list[tuple[int, int]] = [(0, 0)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        popped[u] = True
+        base = d + potential[u]
+        if u == 0:
+            for i in range(m):
+                if fed >> i & 1:
+                    dist[i + 1] = base - potential[i + 1]
+                    entries[i] = [-1]
+                    heapq.heappush(heap, (dist[i + 1], i + 1))
+        elif u <= m:
+            row_cost, row_empty = cost[u - 1], empty[u - 1]
+            for j in range(m):
+                if row_empty >> j & 1:
+                    v = m + 1 + j
+                    nd = base + row_cost[j] - potential[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = u
+                        heapq.heappush(heap, (nd, v))
+        elif u < sink:
+            j = u - m - 1
+            for i in _bits(holders[j]):  # order is free: each row once, entries read by max/min
+                nd = base - cost[i][j] - potential[i + 1]
+                if nd < dist[i + 1]:
+                    dist[i + 1] = nd
+                    entries[i] = [j]
+                    heapq.heappush(heap, (nd, i + 1))
+                elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
+                    entries[i].append(j)
+            if feeding >> j & 1:
+                nd = base - potential[sink]
+                if nd < dist[sink]:
+                    dist[sink] = nd
+                    prev[sink] = u
+                    heapq.heappush(heap, (nd, sink))
+        else:
+            for j in range(m):
+                if returned >> j & 1:
+                    v = m + 1 + j
+                    nd = base - potential[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = sink
+                        heapq.heappush(heap, (nd, v))
+    if dist[sink] == inf:
+        raise RuntimeError("rounding flow did not saturate")
+    for v in range(sink + 1):
+        if dist[v] < inf:
+            potential[v] += dist[v]
+    return prev, entries
 
 
 def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:

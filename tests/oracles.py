@@ -26,10 +26,15 @@ to m, ``mahonian_row``, the row of one m built to its middle and mirrored,
 which the swap expectation summed until it ran through the insertion law,
 and ``recursive_perfect_matching``, the Kuhn search of the decomposition with
 one recursive call per row on its path, which exceeds Python's default
-recursion limit once a path runs through about 1,000 rows, and
+recursion limit once a path runs through about 1,000 rows,
+``scan_perfect_matching``, the same search on an explicit stack that
+scanned each row's list of counts for its next positive, unseen column,
 ``chain_round_position_matrix``, the rounding flow on the general
 ``_MinCostFlow`` with a chain of m nodes per row, m*m + m + 2 nodes in
-all, whose tie choices the 2m + 2 node flow of the library reproduces.
+all, whose tie choices the 2m + 2 node flow of the library reproduces,
+and ``heap_place_units``, that 2m + 2 node flow with one heap Dijkstra
+per unit, before a search of the arcs of reduced cost 0 took over every
+path that stays among them.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
 integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
@@ -108,7 +113,6 @@ from prefmap.ingest import (
 )
 from prefmap.matrixio import _RATIONAL, _ratio
 from prefmap.metric import DistanceRecord, normalization_constant
-from prefmap.recovery import _perfect_matching
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -830,6 +834,50 @@ def recursive_perfect_matching(support: list[list[int]]) -> list[int]:
     return row_to_col
 
 
+def scan_perfect_matching(counts: list[list[int]]) -> list[int]:
+    """Perfect matching of rows to columns on the positive entries of ``counts``.
+
+    Kuhn's augmenting paths, scanning columns in ascending order so the
+    result is deterministic.  The depth-first search keeps its path on an
+    explicit stack, since a path can pass through every row.  Raises if
+    no perfect matching exists, which for a positive-line-sum position
+    matrix cannot happen.
+    """
+    m = len(counts)
+    match_col = [-1] * m  # column -> row
+    for i in range(m):
+        seen = [False] * m
+        rows = [i]  # the search path; cols[k] leads from rows[k] to rows[k + 1]
+        cols: list[int] = []
+        scan = [0]  # next column each row on the path tries
+        while rows:
+            r = rows[-1]
+            j = scan[-1]
+            while j < m and (counts[r][j] <= 0 or seen[j]):
+                j += 1
+            if j == m:  # dead end: back to the row before, past its column
+                rows.pop()
+                scan.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[j] = True
+            scan[-1] = j + 1
+            cols.append(j)
+            if match_col[j] < 0:
+                for row, col in zip(rows, cols):
+                    match_col[col] = row
+                break
+            rows.append(match_col[j])
+            scan.append(0)
+        else:
+            raise RuntimeError("support admits no perfect matching")
+    row_to_col = [-1] * m
+    for j, i in enumerate(match_col):
+        row_to_col[i] = j
+    return row_to_col
+
+
 class _MinCostFlow:
     """Successive shortest paths with Dijkstra and potentials.
 
@@ -958,6 +1006,116 @@ def chain_round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
         for i in range(m)
     )
     return PositionMatrix(entries)
+
+
+def heap_place_units(
+    cost: list[list[int]], row_need: list[int], col_need: list[int]
+) -> list[list[int]]:
+    """0/1 matrix with row_need[i] units in row i and col_need[j] in column
+    j, of least total cost: successive shortest paths, Dijkstra with
+    potentials, one unit per path.
+
+    The network has one node per row and one per column: source 0, rows
+    1..m, columns m+1..2m, sink 2m+1.  The source feeds row i up to
+    row_need[i], row i reaches column j at cost[i][j] while (i, j) is
+    empty, column j gives its units back to their rows at -cost[i][j], and
+    column j feeds the sink up to col_need[j].  Costs must be nonnegative.
+
+    The choices are those of a network in which row i is a chain of m
+    nodes, entered at position 0 from the source or at position c from
+    column c through a placed unit (i, c), and left at position j into
+    column j.  A chain row is one node for distances, since all its
+    positions are reachable at cost 0, but its heap sweeps the positions
+    in a fixed order: down from the smallest entry, then up.  So a row
+    records every entry that reaches its final distance before it is
+    popped (at position 0 the source comes first), and a path that leaves
+    into column j came in through the largest entry position <= j, or,
+    if there is none, the smallest.  Heap ties on (dist, id) put rows
+    before columns before the sink, as the chain ids do, and every
+    Dijkstra runs to exhaustion, since the potentials of all reached
+    nodes steer later ties.
+    """
+    m = len(cost)
+    sink = 2 * m + 1
+    inf = float("inf")
+    src_left = list(row_need)
+    sink_left = list(col_need)
+    placed = [[0] * m for _ in range(m)]
+    holders: list[set[int]] = [set() for _ in range(m)]  # column j: rows i with placed[i][j]
+    potential = [0] * (sink + 1)
+    for _ in range(sum(row_need)):
+        dist: list[float | int] = [inf] * (sink + 1)
+        dist[0] = 0
+        prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
+        entries: list[list[int]] = [[] for _ in range(m)]  # -1 for the source, c for column c
+        popped = [False] * (sink + 1)
+        heap: list[tuple[int, int]] = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            popped[u] = True
+            base = d + potential[u]
+            if u == 0:
+                for i in range(m):
+                    if src_left[i] > 0:
+                        dist[i + 1] = base - potential[i + 1]
+                        entries[i] = [-1]
+                        heapq.heappush(heap, (dist[i + 1], i + 1))
+            elif u <= m:
+                row_cost, row_placed = cost[u - 1], placed[u - 1]
+                for j in range(m):
+                    if not row_placed[j]:
+                        v = m + 1 + j
+                        nd = base + row_cost[j] - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = u
+                            heapq.heappush(heap, (nd, v))
+            elif u < sink:
+                j = u - m - 1
+                for i in holders[j]:  # order is free: each row once, entries read by max/min
+                    nd = base - cost[i][j] - potential[i + 1]
+                    if nd < dist[i + 1]:
+                        dist[i + 1] = nd
+                        entries[i] = [j]
+                        heapq.heappush(heap, (nd, i + 1))
+                    elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
+                        entries[i].append(j)
+                if sink_left[j] > 0:
+                    nd = base - potential[sink]
+                    if nd < dist[sink]:
+                        dist[sink] = nd
+                        prev[sink] = u
+                        heapq.heappush(heap, (nd, sink))
+            else:
+                for j in range(m):
+                    if sink_left[j] < col_need[j]:
+                        v = m + 1 + j
+                        nd = base - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = sink
+                            heapq.heappush(heap, (nd, v))
+        if dist[sink] == inf:
+            raise RuntimeError("rounding flow did not saturate")
+        for v in range(sink + 1):
+            if dist[v] < inf:
+                potential[v] += dist[v]
+        v = prev[sink]
+        sink_left[v - m - 1] -= 1
+        while True:
+            i, j = prev[v] - 1, v - m - 1
+            placed[i][j] = 1
+            holders[j].add(i)
+            e = max((e for e in entries[i] if e <= j), default=min(entries[i]))
+            if e < 0:
+                src_left[i] -= 1
+                break
+            placed[i][e] = 0
+            holders[e].remove(i)
+            v = m + 1 + e
+    return placed
 
 
 # The paper's closed forms: when 4 divides m, the positionwise distance of
@@ -1607,7 +1765,7 @@ def support_election_from_position_matrix(pos: PositionMatrix) -> Election:
         if remaining == 0:
             break
         support = [[1 if x > 0 else 0 for x in row] for row in work]
-        matching = _perfect_matching(support)
+        matching = scan_perfect_matching(support)
         weight = min(work[i][matching[i]] for i in range(m))
         votes.append(matching)
         mults.append(weight)

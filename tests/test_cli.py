@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -299,6 +300,29 @@ def test_recover_long_augmenting_path(capsys, tmp_path):
     assert sorted(election.votes) == [
         tuple(range(m)), tuple((i + 1) % m for i in range(m))
     ]
+
+
+# SHA-256 of `recover --n 100` of each path point of `compass --m 20
+# --scale 1`, the recover inputs of the large_m benchmark, pinned: the
+# rounding and the decomposition must keep every choice, ties included
+_M20_RECOVERED_SHA256 = {
+    "AN-ST_1_2": "da81206caedf24ff7dada6a6f4f3edc920fe25c87862605b3a330223ccc6b164",
+    "ID-AN_1_2": "b9f66a9c20086a26336602342ef6f615b4ee0f2e808e468693c3599dbe0ba7a6",
+    "ID-ST_1_2": "0b55518fcf800f2cc145db068f267122e03d924eaa065a321ac1b3b355b3d9da",
+    "ID-UN_1_2": "e34f0e4a93f3b6b4f077152e2638bc93ebffeebbb3517d0cb204a0c724ccf90c",
+    "UN-AN_1_2": "2e7110aee5653de5a2e004ff679147e78c66bc69a4e7dcb384ea025b77fad692",
+    "UN-ST_1_2": "50b11dec91d118bfd941b67960d5e71c0260057be5109e5eea670944251c0245",
+}
+
+
+def test_recover_of_m20_path_points_is_pinned(capsys, tmp_path):
+    assert run(capsys, "compass", "--m", "20", "--scale", "1", "--out", str(tmp_path))[0] == 0
+    digests = {}
+    for path in sorted(tmp_path.glob("*-*.csv")):
+        out = tmp_path / f"{path.stem}.soc"
+        assert run(capsys, "recover", "--matrix", str(path), "--n", "100", "--out", str(out))[0] == 0
+        digests[path.stem] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == _M20_RECOVERED_SHA256
 
 
 def test_recover_rejects_exponent_notation(capsys, tmp_path):
@@ -1138,6 +1162,14 @@ def test_one_command_parser_matches_full_parser(capsys, command):
 def test_readme_library_tour_runs():
     block = readme_block("Library tour", "python")
     exec(compile(block, "README.md", "exec"), {})  # a removed name raises here
+    # every name the tour imports is also used by it
+    nodes = list(ast.walk(ast.parse(block)))
+    imported = {
+        a.asname or a.name.split(".")[0]
+        for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names
+    }
+    loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert imported - loaded == set()
 
 
 # The audited public surface.  Each name but __version__ is called, or

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import MULTIPLICITIES, make_random_election, stacked, weighted_permutations
+from prefmap import recovery
 from prefmap.compass import compass_matrix, convex_combination, full_compass
 from prefmap.core import (
     Election,
@@ -22,6 +24,7 @@ from prefmap.core import (
 )
 from prefmap.recovery import (
     _perfect_matching,
+    _place_units,
     election_from_frequency_matrix,
     election_from_position_matrix,
     round_position_matrix,
@@ -96,13 +99,14 @@ def _supports(draw, counts=False):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_supports(), _supports(counts=True)))
 def test_perfect_matching_matches_recursive_oracle(support):
+    masks = [sum(1 << j for j, c in enumerate(row) if c > 0) for row in support]
     try:
         expected = oracles.recursive_perfect_matching(support)
     except RuntimeError:
         with pytest.raises(RuntimeError):
-            _perfect_matching(support)
+            _perfect_matching(masks)
     else:
-        assert _perfect_matching(support) == expected
+        assert _perfect_matching(masks) == expected
 
 
 def _frequency_matrices(max_m: int):
@@ -181,6 +185,63 @@ def test_rounding_matches_chain_oracle_on_mixtures(m, seed, n1, n2, alpha, n):
 def test_rounding_matches_chain_oracle_at_m_30():
     x = convex_combination(compass_matrix("UN", 30), compass_matrix("AN", 30), Fraction(1, 3))
     assert round_position_matrix(x, 100) == oracles.chain_round_position_matrix(x, 100)
+
+
+def _flow_inputs(x: FrequencyMatrix, n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The costs and line needs that ``round_position_matrix`` hands to
+    ``_place_units`` for n voters."""
+    d = x.denominator
+    frac = [[n * c % d for c in row] for row in x.counts]
+    cost = [[2 * d - 2 * f for f in row] for row in frac]
+    return cost, [sum(row) // d for row in frac], [sum(col) // d for col in zip(*frac)]
+
+
+@st.composite
+def _mixtures(draw, max_m: int):
+    """Convex combinations of two weighted sums of permutations at one m."""
+    m = draw(st.integers(1, max_m))
+    weighted = st.tuples(st.integers(1, 30), st.permutations(range(m)))
+    parts = st.lists(weighted, min_size=1, max_size=8)
+    x, y = (frequency_from_position(PositionMatrix(stacked(draw(parts)))) for _ in range(2))
+    return convex_combination(x, y, draw(st.fractions(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixtures(14), st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 300)))
+def test_place_units_matches_heap_oracle(x, n):
+    flow = _flow_inputs(x, n)
+    assert _place_units(*flow) == oracles.heap_place_units(*flow)
+
+
+@st.composite
+def _flows(draw):
+    """Costs from 0 to 10 and the line sums of a 0/1 matrix: with zero
+    costs, a zero layer can hold the sink while an arc leaves it."""
+    m = draw(st.integers(1, 6))
+
+    def square(cell):
+        return st.lists(st.lists(cell, min_size=m, max_size=m), min_size=m, max_size=m)
+
+    units = draw(square(st.integers(0, 1)))
+    cost = draw(square(st.integers(0, 10)))
+    return cost, [sum(row) for row in units], [sum(col) for col in zip(*units)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flows())
+@example(([[1, 1, 1, 7], [1, 1, 1, 3], [1, 0, 1, 0], [0, 3, 2, 1]], [2, 1, 3, 2], [2, 3, 2, 1]))
+def test_place_units_matches_heap_oracle_on_any_costs(flow):
+    assert _place_units(*flow) == oracles.heap_place_units(*flow)
+
+
+def test_place_units_matches_heap_oracle_at_m_50():
+    x = convex_combination(compass_matrix("UN", 50), compass_matrix("AN", 50), Fraction(1, 3))
+    flow = _flow_inputs(x, 100)
+    with mock.patch.object(recovery, "_heap_search", wraps=recovery._heap_search) as heap:
+        placed = _place_units(*flow)
+    # the first unit takes the heap, and the zero layer takes most others
+    assert 1 <= heap.call_count < sum(flow[1]) // 2
+    assert placed == oracles.heap_place_units(*flow)
 
 
 def test_decomposition_respects_tighter_observed_bound_mostly():
