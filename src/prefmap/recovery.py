@@ -20,9 +20,10 @@ position <= j, else the smallest (see ``_place_units``).
 Both loops run on integer bitmasks.  The decomposition keeps each row's
 support, the columns where it is still positive, as one integer.  The flow
 keeps, per row, its empty columns, per column, the rows that hold a unit
-there, and the arcs of reduced cost 0, its zero layer.  Almost every path
-after the first lies in that layer, so a search over it alone, in the heap's
-order, replaces Dijkstra whenever no residual arc leaves the layer.
+there, and the arcs of reduced cost 0.  Each path takes one Dijkstra whose
+first phase pops the zero layer, the nodes those arcs reach, on bitmasks in
+the heap's order.  Almost every path after the first ends there; the heap
+phase runs only when the layer misses the sink or an arc leaves it.
 """
 
 from __future__ import annotations
@@ -143,13 +144,14 @@ def _place_units(
     Dijkstra runs to exhaustion, since the potentials of all reached
     nodes steer later ties.
 
-    Each path first searches the zero layer, the nodes that arcs of
-    reduced cost 0 reach from the source (``_zero_layer_search``).  When
-    no residual arc leaves that layer and it holds the sink, Dijkstra
-    would reach exactly the layer, at distance 0, so that search gives the
-    same path and the potentials stay.  Otherwise ``_heap_search`` runs
-    and moves the potentials.  Rounding's costs are all positive, so its
-    first path always takes the heap; later ones almost never do.
+    Each path takes one Dijkstra (``_search``).  Its first phase pops the
+    zero layer, the nodes that arcs of reduced cost 0 reach from the
+    source.  When that layer holds the sink and no residual arc leaves it,
+    Dijkstra reaches exactly the layer, at distance 0, so the search ends
+    there and the potentials stay.  Otherwise, when the layer misses the
+    sink or an arc leaves it, a heap phase goes on from the layer and moves
+    the potentials.  Rounding's costs are all positive, so its first path
+    always takes the heap phase; later ones almost never do.
     """
     m = len(cost)
     sink = 2 * m + 1
@@ -163,11 +165,7 @@ def _place_units(
     potential = [0] * (sink + 1)
     zero = _zero_arcs(cost, potential)
     for _ in range(sum(row_need)):
-        found = _zero_layer_search(zero, empty, holders, fed, feeding, returned)
-        if found is None:
-            found = _heap_search(cost, potential, empty, holders, fed, feeding, returned)
-            zero = _zero_arcs(cost, potential)
-        prev, entries = found
+        prev, entries, zero = _search(cost, potential, zero, empty, holders, fed, feeding, returned)
         v = prev[sink]
         j = v - m - 1
         sink_left[j] -= 1
@@ -209,29 +207,41 @@ def _zero_arcs(cost: list[list[int]], potential: list[int]) -> tuple[list[int], 
     return tight_row, tight_col, at_sink
 
 
-def _zero_layer_search(
+def _search(
+    cost: list[list[int]],
+    potential: list[int],
     zero: tuple[list[int], list[int], int],
     empty: list[int],
     holders: list[int],
     fed: int,
     feeding: int,
     returned: int,
-) -> tuple[list[int], list[list[int]]] | None:
-    """``prev`` and ``entries`` as ``_heap_search`` would find them, from a
-    search of the zero layer alone; None when a residual arc leaves the
-    layer or the layer misses the sink.
+) -> tuple[list[int], list[list[int]], tuple[list[int], list[int], int]]:
+    """``prev``, ``entries`` and the zero arcs after one Dijkstra over the
+    residual network, run to exhaustion.
 
-    Nodes at distance 0 pop in the heap's (0, id) order: the source, then
-    the lowest row waiting, else the lowest column, else the sink.  Rows
-    come before columns, so every row pops before the next column does and
-    has exactly one entry: the source, or the column that first reached
-    it.  A node's ``prev`` is likewise the first node that reached it.
+    Its first phase pops the zero layer, the nodes at distance 0, on
+    bitmasks in the heap's (0, id) order: the lowest row waiting, else the
+    lowest column, else the sink.  It starts from the fed rows, each with
+    entry -1: they sit at potential 0, so the source reaches them at
+    distance 0 and is no node of the search.  Rows come before columns, so
+    every row pops before the next column does and has exactly one entry:
+    the source, or the column that first reached it.  A node's ``prev`` is
+    likewise the first node that reached it.  When the layer holds the sink
+    and no residual arc leaves it, Dijkstra reaches exactly the layer, so
+    the search ends there and the potentials and zero arcs stay.
+
+    Otherwise, when the layer misses the sink or an arc leaves it, the heap
+    phase relaxes the arcs of the layer's nodes in the order they popped,
+    pops the other nodes from a heap, adds every reached node's distance to
+    its potential and rebuilds the zero arcs.
     """
     tight_row, tight_col, at_sink = zero
     m = len(empty)
     sink = 2 * m + 1
-    prev = [0] * (sink + 1)
-    entries = [[-1]] * m
+    prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
+    entries = [[-1]] * m  # -1 for the source, c for column c; the shared [-1] is never appended to
+    order: list[int] = []  # the layer's nodes as they pop
     rows = seen_rows = fed  # reached; rows and cols hold those not yet popped
     cols = seen_cols = 0
     heads_rows = heads_cols = 0  # where the arcs out of popped nodes lead
@@ -240,82 +250,57 @@ def _zero_layer_search(
         if rows:
             i = (rows & -rows).bit_length() - 1
             rows &= rows - 1
+            order.append(i + 1)
             heads_cols |= empty[i]
             new = empty[i] & tight_row[i] & ~seen_cols
             seen_cols |= new
             cols |= new
-            for j in _bits(new):
+            for j in _bits(new) if new else ():
                 prev[m + 1 + j] = i + 1
         elif cols:
             j = (cols & -cols).bit_length() - 1
             cols &= cols - 1
+            order.append(m + 1 + j)
             heads_rows |= holders[j]
             new = holders[j] & tight_col[j] & ~seen_rows
             seen_rows |= new
             rows |= new
-            for i in _bits(new):
+            for i in _bits(new) if new else ():
                 entries[i] = [j]
             if not sink_seen and (feeding & at_sink) >> j & 1:
                 sink_seen = True
                 prev[sink] = m + 1 + j
         elif sink_seen and not sink_popped:
             sink_popped = True
+            order.append(sink)
             heads_cols |= returned
             new = returned & at_sink & ~seen_cols
             seen_cols |= new
             cols |= new
-            for j in _bits(new):
+            for j in _bits(new) if new else ():
                 prev[m + 1 + j] = sink
         else:
             break
-    if not sink_seen or heads_rows & ~seen_rows or heads_cols & ~seen_cols:
-        return None
-    return prev, entries
+    if sink_seen and not (heads_rows & ~seen_rows or heads_cols & ~seen_cols):
+        return prev, entries, zero
 
-
-def _heap_search(
-    cost: list[list[int]],
-    potential: list[int],
-    empty: list[int],
-    holders: list[int],
-    fed: int,
-    feeding: int,
-    returned: int,
-) -> tuple[list[int], list[list[int]]]:
-    """``prev`` and ``entries`` of one Dijkstra over the whole residual
-    network, run to exhaustion; adds every reached node's distance to its
-    potential."""
-    m = len(cost)
-    sink = 2 * m + 1
     inf = float("inf")
     dist: list[float | int] = [inf] * (sink + 1)
-    dist[0] = 0
-    prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
-    entries: list[list[int]] = [[] for _ in range(m)]  # -1 for the source, c for column c
-    popped = [False] * (sink + 1)
-    heap: list[tuple[int, int]] = [(0, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        popped[u] = True
+    for u in order:
+        dist[u] = 0
+    heap: list[tuple[int, int]] = []
+
+    def relax(u: int, d: int) -> None:
+        """The arcs out of node u, popped at distance d."""
         base = d + potential[u]
-        if u == 0:
-            for i in range(m):
-                if fed >> i & 1:
-                    dist[i + 1] = base - potential[i + 1]
-                    entries[i] = [-1]
-                    heapq.heappush(heap, (dist[i + 1], i + 1))
-        elif u <= m:
-            row_cost, row_empty = cost[u - 1], empty[u - 1]
-            for j in range(m):
-                if row_empty >> j & 1:
-                    v = m + 1 + j
-                    nd = base + row_cost[j] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = u
-                        heapq.heappush(heap, (nd, v))
+        if u <= m:
+            for j in _bits(empty[u - 1]):
+                v = m + 1 + j
+                nd = base + cost[u - 1][j] - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
         elif u < sink:
             j = u - m - 1
             for i in _bits(holders[j]):  # order is free: each row once, entries read by max/min
@@ -324,7 +309,7 @@ def _heap_search(
                     dist[i + 1] = nd
                     entries[i] = [j]
                     heapq.heappush(heap, (nd, i + 1))
-                elif nd == dist[i + 1] and not popped[i + 1] and (j or entries[i][0] != -1):
+                elif d < nd == dist[i + 1]:  # not popped: rows at distance d pop before u
                     entries[i].append(j)
             if feeding >> j & 1:
                 nd = base - potential[sink]
@@ -333,20 +318,26 @@ def _heap_search(
                     prev[sink] = u
                     heapq.heappush(heap, (nd, sink))
         else:
-            for j in range(m):
-                if returned >> j & 1:
-                    v = m + 1 + j
-                    nd = base - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = sink
-                        heapq.heappush(heap, (nd, v))
+            for j in _bits(returned):
+                v = m + 1 + j
+                nd = base - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = sink
+                    heapq.heappush(heap, (nd, v))
+
+    for u in order:
+        relax(u, 0)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d == dist[u]:
+            relax(u, d)
     if dist[sink] == inf:
         raise RuntimeError("rounding flow did not saturate")
     for v in range(sink + 1):
         if dist[v] < inf:
             potential[v] += dist[v]
-    return prev, entries
+    return prev, entries, _zero_arcs(cost, potential)
 
 
 def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -237,11 +238,25 @@ def test_place_units_matches_heap_oracle_on_any_costs(flow):
 def test_place_units_matches_heap_oracle_at_m_50():
     x = convex_combination(compass_matrix("UN", 50), compass_matrix("AN", 50), Fraction(1, 3))
     flow = _flow_inputs(x, 100)
-    with mock.patch.object(recovery, "_heap_search", wraps=recovery._heap_search) as heap:
+    with mock.patch.object(recovery, "_zero_arcs", wraps=recovery._zero_arcs) as zero_arcs:
         placed = _place_units(*flow)
-    # the first unit takes the heap, and the zero layer takes most others
-    assert 1 <= heap.call_count < sum(flow[1]) // 2
+    # the zero arcs are built once up front and again after each search
+    # that moved the potentials: the first unit's search takes the heap
+    # phase, and the zero layer alone ends most others
+    moved = zero_arcs.call_count - 1
+    assert 1 <= moved < sum(flow[1]) // 2
     assert placed == oracles.heap_place_units(*flow)
+
+
+def test_rounding_at_m_100_is_pinned():
+    x = convex_combination(compass_matrix("UN", 100), compass_matrix("AN", 100), Fraction(1, 3))
+    with mock.patch.object(recovery, "_zero_arcs", wraps=recovery._zero_arcs) as zero_arcs:
+        p = round_position_matrix(x, 100)
+    # 3,400 units placed, and only two searches move the potentials
+    assert zero_arcs.call_count == 3
+    assert hashlib.sha256(repr(p.entries).encode()).hexdigest() == (
+        "85b5660a2dfabf4cb13b5f96f785b3a77f39b20f366c21eeb7beff61c832c85e"
+    )
 
 
 def test_decomposition_respects_tighter_observed_bound_mostly():
