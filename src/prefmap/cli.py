@@ -196,7 +196,8 @@ def _listing(directory: str, suffixes: tuple[str, ...]) -> list[str]:
         if name.endswith(suffixes)
     )
     if not paths:
-        raise ValueError(f"no {'/'.join(suffixes)} files in {directory}")
+        with _in_file(directory):
+            raise ValueError(f"no {'/'.join(suffixes)} files")
     return paths
 
 

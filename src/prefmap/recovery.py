@@ -22,8 +22,10 @@ support, the columns where it is still positive, as one integer.  The flow
 keeps, per row, its empty columns, per column, the rows that hold a unit
 there, and the arcs of reduced cost 0.  Each path takes one Dijkstra whose
 first phase pops the zero layer, the nodes those arcs reach, on bitmasks in
-the heap's order.  Almost every path after the first ends there; the heap
-phase runs only when the layer misses the sink or an arc leaves it.
+the heap's order.  The first search starts with no tight arcs and takes the
+heap.  A later search ends at the sink when its layer holds it, since such a
+layer then holds every node the search can reach (the proof is at
+``_place_units``), so the heap runs once per distinct path cost.
 """
 
 from __future__ import annotations
@@ -141,17 +143,37 @@ def _place_units(
     into column j came in through the largest entry position <= j, or,
     if there is none, the smallest.  Heap ties on (dist, id) put rows
     before columns before the sink, as the chain ids do, and every
-    Dijkstra runs to exhaustion, since the potentials of all reached
-    nodes steer later ties.
+    Dijkstra must give every node it can reach its distance, since the
+    potentials of all reached nodes steer later ties.
 
     Each path takes one Dijkstra (``_search``).  Its first phase pops the
     zero layer, the nodes that arcs of reduced cost 0 reach from the
-    source.  When that layer holds the sink and no residual arc leaves it,
-    Dijkstra reaches exactly the layer, at distance 0, so the search ends
-    there and the potentials stay.  Otherwise, when the layer misses the
-    sink or an arc leaves it, a heap phase goes on from the layer and moves
-    the potentials.  Rounding's costs are all positive, so its first path
-    always takes the heap phase; later ones almost never do.
+    source; a heap phase goes on from the layer and moves the potentials
+    when the rows and columns run out before the sink.  The first search
+    starts with no tight arcs and takes the heap.  A later search ends at
+    the sink when its layer holds it, so the heap runs once per distinct
+    path cost.  Ending there leaves every node it can reach at its
+    distance, 0:
+
+    - Potentials.  Let D_k be the shortest distances from the source
+      before search k.  After each search the potentials equal D_{k-1} on
+      every node it reached: a heap phase sets them so, and a search that
+      ends in its layer keeps them, by induction on what follows.  Reduced
+      costs stay >= 0, so D_k >= D_{k-1}, and the layer is the set of
+      nodes v with D_k(v) = D_{k-1}(v).
+    - The last path.  The reversed arcs of the path P augmented after
+      search k-1 have reduced cost 0, since P's arcs had.  So a layer
+      that holds the sink holds all of P.
+    - Every other node.  A node w reachable now was reachable before, as
+      the new arcs all lead to P.  Take its shortest route R from before
+      the augmentation, and let x be R's last node on P (the source is
+      on P).  The part of R after x is unchanged, so D_k(w) <= D_k(x) +
+      (rest of R) = D_{k-1}(x) + (rest of R) = D_{k-1}(w), and w is in
+      the layer.
+
+    The first search has no P.  At potentials 0 its layer can hold the
+    sink while arcs leave it: see the ``@example`` of
+    ``test_place_units_matches_heap_oracle_on_any_costs``.
     """
     m = len(cost)
     sink = 2 * m + 1
@@ -163,7 +185,7 @@ def _place_units(
     feeding = sum(1 << j for j, k in enumerate(col_need) if k)  # columns that feed the sink
     returned = 0  # columns the sink can give a unit back to
     potential = [0] * (sink + 1)
-    zero = _zero_arcs(cost, potential)
+    zero = ([0] * m, [0] * m, 0)  # no tight arcs, so the first search takes the heap
     for _ in range(sum(row_need)):
         prev, entries, zero = _search(cost, potential, zero, empty, holders, fed, feeding, returned)
         v = prev[sink]
@@ -218,23 +240,27 @@ def _search(
     returned: int,
 ) -> tuple[list[int], list[list[int]], tuple[list[int], list[int], int]]:
     """``prev``, ``entries`` and the zero arcs after one Dijkstra over the
-    residual network, run to exhaustion.
+    residual network.
 
     Its first phase pops the zero layer, the nodes at distance 0, on
     bitmasks in the heap's (0, id) order: the lowest row waiting, else the
-    lowest column, else the sink.  It starts from the fed rows, each with
-    entry -1: they sit at potential 0, so the source reaches them at
-    distance 0 and is no node of the search.  Rows come before columns, so
-    every row pops before the next column does and has exactly one entry:
-    the source, or the column that first reached it.  A node's ``prev`` is
-    likewise the first node that reached it.  When the layer holds the sink
-    and no residual arc leaves it, Dijkstra reaches exactly the layer, so
-    the search ends there and the potentials and zero arcs stay.
+    lowest column.  It starts from the fed rows, each with entry -1: they
+    sit at potential 0, so the source reaches them at distance 0 and is no
+    node of the search.  Rows come before columns, so every row pops
+    before the next column does and has exactly one entry: the source, or
+    the column that first reached it.  A node's ``prev`` is likewise the
+    first node that reached it.  At distance 0, Dijkstra never changes a
+    ``prev`` or an entry once it is set, so the path is fixed when the
+    first column that feeds the sink at the sink's potential pops.  The
+    search returns there, with the potentials and zero arcs unchanged:
+    after the first search, which starts with no tight arcs, a layer that
+    holds the sink holds every node the search can reach (the proof is at
+    ``_place_units``).
 
-    Otherwise, when the layer misses the sink or an arc leaves it, the heap
-    phase relaxes the arcs of the layer's nodes in the order they popped,
-    pops the other nodes from a heap, adds every reached node's distance to
-    its potential and rebuilds the zero arcs.
+    When the rows and columns run out first, the heap phase relaxes the
+    arcs of the layer's nodes in the order they popped, pops the other
+    nodes from a heap, adds every reached node's distance to its potential
+    and rebuilds the zero arcs.
     """
     tight_row, tight_col, at_sink = zero
     m = len(empty)
@@ -244,45 +270,28 @@ def _search(
     order: list[int] = []  # the layer's nodes as they pop
     rows = seen_rows = fed  # reached; rows and cols hold those not yet popped
     cols = seen_cols = 0
-    heads_rows = heads_cols = 0  # where the arcs out of popped nodes lead
-    sink_seen = sink_popped = False
-    while True:
+    while rows or cols:
         if rows:
             i = (rows & -rows).bit_length() - 1
             rows &= rows - 1
             order.append(i + 1)
-            heads_cols |= empty[i]
             new = empty[i] & tight_row[i] & ~seen_cols
             seen_cols |= new
             cols |= new
             for j in _bits(new) if new else ():
                 prev[m + 1 + j] = i + 1
-        elif cols:
+        else:
             j = (cols & -cols).bit_length() - 1
             cols &= cols - 1
+            if (feeding & at_sink) >> j & 1:  # j -> sink is tight: the path is found
+                prev[sink] = m + 1 + j
+                return prev, entries, zero
             order.append(m + 1 + j)
-            heads_rows |= holders[j]
             new = holders[j] & tight_col[j] & ~seen_rows
             seen_rows |= new
             rows |= new
             for i in _bits(new) if new else ():
                 entries[i] = [j]
-            if not sink_seen and (feeding & at_sink) >> j & 1:
-                sink_seen = True
-                prev[sink] = m + 1 + j
-        elif sink_seen and not sink_popped:
-            sink_popped = True
-            order.append(sink)
-            heads_cols |= returned
-            new = returned & at_sink & ~seen_cols
-            seen_cols |= new
-            cols |= new
-            for j in _bits(new) if new else ():
-                prev[m + 1 + j] = sink
-        else:
-            break
-    if sink_seen and not (heads_rows & ~seen_rows or heads_cols & ~seen_cols):
-        return prev, entries, zero
 
     inf = float("inf")
     dist: list[float | int] = [inf] * (sink + 1)

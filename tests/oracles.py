@@ -34,7 +34,9 @@ scanned each row's list of counts for its next positive, unseen column,
 all, whose tie choices the 2m + 2 node flow of the library reproduces,
 and ``heap_place_units``, that 2m + 2 node flow with one heap Dijkstra
 per unit, before a search of the arcs of reduced cost 0 took over every
-path that stays among them.
+path that stays among them.  ``residual_distances`` measures, from the
+state one such search is handed, how far every node it can reach lies
+beyond its potential.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
 integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
@@ -1116,6 +1118,54 @@ def heap_place_units(
             holders[e].remove(i)
             v = m + 1 + e
     return placed
+
+
+def residual_distances(
+    cost: list[list[int]],
+    potential: list[int],
+    empty: list[int],
+    holders: list[int],
+    fed: int,
+    feeding: int,
+    returned: int,
+) -> dict[int, int]:
+    """The reduced distance from the source of every node it reaches in
+    the residual network that ``recovery._search`` is handed: a plain heap
+    Dijkstra over an adjacency list built arc by arc from the bitmasks,
+    with the source as node 0 at its potential.  Raises on a negative
+    reduced cost, which would make Dijkstra's distances wrong."""
+    m = len(cost)
+    sink = 2 * m + 1
+    arcs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(sink + 1)}
+    for i in range(m):
+        if fed >> i & 1:
+            arcs[0].append((i + 1, 0))
+        for j in range(m):
+            if empty[i] >> j & 1:
+                arcs[i + 1].append((m + 1 + j, cost[i][j]))
+            if holders[j] >> i & 1:
+                arcs[m + 1 + j].append((i + 1, -cost[i][j]))
+    for j in range(m):
+        if feeding >> j & 1:
+            arcs[m + 1 + j].append((sink, 0))
+        if returned >> j & 1:
+            arcs[sink].append((m + 1 + j, 0))
+    dist = {0: 0}
+    done: set[int] = set()
+    heap = [(0, 0)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, c in arcs[u]:
+            reduced = c + potential[u] - potential[v]
+            if reduced < 0:
+                raise ValueError(f"arc {u} -> {v} has reduced cost {reduced}")
+            if v not in dist or d + reduced < dist[v]:
+                dist[v] = d + reduced
+                heapq.heappush(heap, (dist[v], v))
+    return dist
 
 
 # The paper's closed forms: when 4 divides m, the positionwise distance of

@@ -125,6 +125,15 @@ def test_distance_accepts_election_files(capsys, tmp_path):
     assert out.strip() == "0 (exact 0/1)"
 
 
+def test_distance_accepts_a_position_matrix(capsys, tmp_path):
+    # integer entries make a position matrix of 3 voters, read as its frequencies
+    pos = tmp_path / "pos.csv"
+    pos.write_text("2,1\n1,2\n")
+    code, out, err = run(capsys, "distance", "--a", str(pos), "--b", write_corner(tmp_path, "ID", m=2))
+    assert (code, err) == (0, "")
+    assert out == "0.666666666667 (exact 2/3)\n"
+
+
 def test_distance_matrix_with_sidecar(capsys, tmp_path):
     paths = [write_corner(tmp_path, kind) for kind in ("ID", "UN", "AN")]
     out = tmp_path / "distances.csv"
@@ -521,6 +530,19 @@ def test_embed_rejects_bad_distance_cells(capsys, tmp_path, cell, header):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty distance file"),
+    ("0,1\n1\n", "distance matrix must be square"),
+], ids=["empty", "ragged"])
+def test_embed_names_an_empty_or_ragged_distance_file(capsys, tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, "embed", "--distances", str(path), "--coords", str(tmp_path / "xy.csv"))
+    assert code == 1
+    assert err == f"prefmap: error: {path}: {message}\n"
+    assert not (tmp_path / "xy.csv").exists()
+
+
 def test_embed_without_outputs_fails(capsys, tmp_path):
     dist = tmp_path / "d.csv"
     dist.write_text("0,1\n1,0\n")
@@ -698,6 +720,19 @@ def test_fit_mallows_names_a_one_candidate_dataset(capsys, tmp_path):
     assert err == f"prefmap: error: {dataset}: normalization needs at least two candidates\n"
 
 
+@pytest.mark.parametrize("argv, kinds", [
+    (["fit-mallows", "--dataset"], ".soc"),
+    (["ingest", "--out", "out", "--in"], ".soc/.soi/.toc"),
+], ids=["fit-mallows", "ingest"])
+def test_an_empty_dataset_names_its_directory(capsys, tmp_path, argv, kinds):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "notes.txt").write_text("no profiles here\n")
+    code, out, err = run(capsys, *argv, str(dataset))
+    assert (code, out) == (1, "")
+    assert err == f"prefmap: error: {dataset}: no {kinds} files\n"
+
+
 def test_fit_mallows_grid_ends_at_one_half(capsys, tmp_path, monkeypatch):
     # the grid is every multiple of the step below 1/2, then 1/2 once; at
     # steps that divide 1/2 it is the grid of round(0.5 / step) + 1 values
@@ -836,6 +871,15 @@ def test_config_unknown_key_fails(capsys, tmp_path):
                        "--config", str(config), "--out", str(tmp_path / "x.soc"))
     assert code == 1
     assert f"prefmap: error: {config}: line 2: unknown key 'volume'" in err
+
+
+def test_config_line_without_a_value_fails(capsys, tmp_path):
+    config = tmp_path / "bare.cfg"
+    config.write_text("seed\n")
+    code, _, err = run(capsys, "generate", "--culture", "ic", "--m", "3", "--n", "2",
+                       "--config", str(config), "--out", str(tmp_path / "x.soc"))
+    assert code == 1
+    assert err == f"prefmap: error: {config}: line 1: expected key=value\n"
 
 
 def test_config_abbreviated_flag_wins(capsys, tmp_path):
@@ -1014,6 +1058,17 @@ def test_quiet_suppresses_progress(capsys, tmp_path):
                        "--quiet", "--out", str(out))
     assert code == 0
     assert err == ""
+
+
+def test_an_internal_failure_exits_2(capsys, tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr("prefmap.cli.cross_distances", broken)
+    a = write_corner(tmp_path, "ID")
+    code, out, err = run(capsys, "distance", "--a", a, "--b", a)
+    assert (code, out) == (2, "")
+    assert err == "prefmap: internal error: RuntimeError('broken')\n"
 
 
 def test_missing_file_is_reported_not_raised(capsys, tmp_path):

@@ -190,6 +190,12 @@ def test_election_validation():
         Election(candidates=(0, 0), votes=((0, 1),))
 
 
+def test_election_names_a_vote_whose_entries_do_not_compare():
+    # '0' and 1 do not sort, so the vote cannot be a permutation of 0..1
+    with pytest.raises(ValueError, match=re.escape("vote ('0', 1) is not a permutation of 0..1")):
+        Election((0, 1), [("0", 1)])
+
+
 @pytest.mark.parametrize(
     "mults, bad",
     [([1.5, 2], "1.5"), ([Fraction(3, 2), 2], "Fraction(3, 2)"), (["2", 1], "'2'"),

@@ -332,6 +332,11 @@ def test_embed_validation_is_exact():
         embed_distances([[0, 1], [1, tiny]], seed=0)
 
 
+def test_embed_rejects_a_ragged_distance_matrix():
+    with pytest.raises(ValueError, match="^distance matrix must be square$"):
+        embed_distances([[0, 1], [1]], seed=0)
+
+
 @pytest.mark.parametrize("value, message", [
     (math.inf, "distances must be finite"),
     (math.nan, "distances must be finite"),
