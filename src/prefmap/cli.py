@@ -465,7 +465,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
-        print(f"prefmap: error: {exc}", file=sys.stderr)
+        message = exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        print(f"prefmap: error: {message}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
         print(f"prefmap: internal error: {exc!r}", file=sys.stderr)

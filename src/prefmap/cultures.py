@@ -20,7 +20,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,11 +59,10 @@ def expected_swaps(m: int, phi: float) -> float:
     Repeated insertion moves item j up k <= j places with weight phi**k, and
     the inversions are the sum of the moves, so this is the sum over j of
     the means S1[j] / S0[j] of those truncated geometric laws, where S0[j]
-    and S1[j] sum phi**k and k*phi**k over k <= j.  The weights phi**k are
-    running products, and S0, S1 and the sum of the means are running sums
-    in index order (``accumulate``, never the pairwise ``np.sum``), so every
-    step rounds as a loop over the items would.  The terms are nonnegative,
-    each mean is at most m and S0[j] >= 1, so no sum overflows.  A weight
+    and S1[j] sum phi**k and k*phi**k over k <= j.  One loop over the items
+    carries the weight phi**j as a running product, S0 and S1 as running
+    sums, and adds each mean to the total.  The terms are nonnegative, each
+    mean is at most m and S0[j] >= 1, so no sum overflows.  A weight
     phi**k that underflows (k >= 2, below 2**-1022) is, even times k, less
     than half the last bit of S1[j] >= phi, so it never reaches the result.
     """
@@ -72,12 +70,14 @@ def expected_swaps(m: int, phi: float) -> float:
         raise ValueError("m must be positive")
     if not 0 <= phi <= 1:
         raise ValueError("phi must lie in [0, 1]")
-    weights = np.full(m, float(phi))
-    weights[0] = 1.0
-    powers = np.multiply.accumulate(weights)
-    s0 = np.add.accumulate(powers)
-    s1 = np.add.accumulate(np.arange(m) * powers)
-    return float(np.add.accumulate(s1 / s0)[-1])
+    weight = 1.0
+    s0 = s1 = total = 0.0
+    for j in range(m):
+        s0 += weight
+        s1 += j * weight
+        total += s1 / s0
+        weight *= phi
+    return total
 
 
 def relative_expected_swaps(m: int, phi: float) -> float:
@@ -88,13 +88,14 @@ def relative_expected_swaps(m: int, phi: float) -> float:
     return expected_swaps(m, phi) / (m * (m - 1) / 2)
 
 
-@lru_cache(maxsize=256)
 def relphi_to_phi(m: int, relphi: float) -> float:
     """Invert relative_expected_swaps by bisection.
 
     relphi must lie in [0, 1/2]; the result phi satisfies
-    |relative_expected_swaps(m, phi) - relphi| <= 1e-10.  Results are
-    memoized: samplers calibrate the same few values over and over.
+    |relative_expected_swaps(m, phi) - relphi| <= 1e-10.  Fifty halvings
+    suffice: each midpoint of [0, 1] has at most 50 bits after the point,
+    so every halving is exact and the bracket ends 2**-50 wide, below
+    1e-15; the check at the end confirms the 1e-10.
     """
     if m < 2:
         raise ValueError("calibration needs at least two candidates")
@@ -105,14 +106,12 @@ def relphi_to_phi(m: int, relphi: float) -> float:
     if relphi == 0.5:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    for _ in range(50):
         mid = (lo + hi) / 2
         if relative_expected_swaps(m, mid) < relphi:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15:
-            break
     phi = (lo + hi) / 2
     if abs(relative_expected_swaps(m, phi) - relphi) > 1e-10:
         raise RuntimeError("bisection failed to converge")

@@ -372,8 +372,6 @@ def round_position_matrix(x: FrequencyMatrix, n: int) -> PositionMatrix:
     # Missing mass per row/column is integral because lines of n*x sum to n.
     row_need = [sum(row) // d for row in frac]
     col_need = [sum(col) // d for col in zip(*frac)]
-    if sum(row_need) == 0:
-        return PositionMatrix(tuple(tuple(row) for row in floor))
 
     # Choosing entry (i, j) changes the deviation by (1 - y) - y for
     # fractional part y.  Scaled by d and shifted by +d per unit (every

@@ -42,10 +42,10 @@ integers, rounded once, and ``reversed_identity`` is the one-vote matrix
 that reverses the identity, which the compass itself no longer builds.
 ``loop_mallows_votes`` is the Mallows sampler that inserted one candidate
 of one vote at a time into a list, which ``loop_mallows_norm_votes`` and
-``pairwise_fit_mallows`` sample through, ``loop_expected_swaps`` is
-the swap expectation summed one inserted item at a time, and
-``exact_expected_swaps`` the same sum with each item's mean taken on exact
-integers and rounded once.  ``bitloop_start`` is
+``pairwise_fit_mallows`` sample through, ``accumulate_expected_swaps``
+is the swap expectation summed with numpy's running products and sums,
+and ``exact_expected_swaps`` the same sum with each item's mean taken on
+exact integers and rounded once.  ``bitloop_start`` is
 the greedy start of the assignment solve that packed each row's tight
 columns into the bits of a Python integer and placed one row of one pair
 at a time, and ``python_augment`` the shortest augmenting path search that
@@ -647,17 +647,17 @@ def brute_force_expected_swaps(m: int, phi: float, central: Sequence[int]) -> fl
     return sum(k * w for k, w in zip(swaps, weights)) / z
 
 
-def loop_expected_swaps(m: int, phi: float) -> float:
-    """``expected_swaps`` one inserted item at a time: item k moves up i <= k
-    places with weight phi**i, and the means of those moves add up."""
-    weight = 1.0
-    s0 = s1 = total = 0.0
-    for k in range(m):
-        s0 += weight
-        s1 += k * weight
-        total += s1 / s0
-        weight *= phi
-    return total
+def accumulate_expected_swaps(m: int, phi: float) -> float:
+    """``expected_swaps`` on numpy arrays: the weights phi**k as a running
+    product, S0, S1 and the sum of the means as running sums in index order
+    (``accumulate``, never the pairwise ``np.sum``), so every step rounds as
+    the loop over the items does."""
+    weights = np.full(m, float(phi))
+    weights[0] = 1.0
+    powers = np.multiply.accumulate(weights)
+    s0 = np.add.accumulate(powers)
+    s1 = np.add.accumulate(np.arange(m) * powers)
+    return float(np.add.accumulate(s1 / s0)[-1])
 
 
 def exact_expected_swaps(m: int, phi: float) -> float:
@@ -1248,16 +1248,6 @@ def random_fraction_distribution(
         prev = c
     parts.append(denom - prev)
     return [Fraction(p, denom) for p in parts]
-
-
-def random_election_votes(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
-    """Uniform random strict votes, independent of the library samplers."""
-    votes = []
-    for _ in range(n):
-        v = list(range(m))
-        rng.shuffle(v)
-        votes.append(tuple(v))
-    return votes
 
 
 def chi_square_statistic(observed: Sequence[float], expected: Sequence[float]) -> float:

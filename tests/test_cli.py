@@ -357,6 +357,19 @@ def test_compass_scale_zero_writes_corners(capsys, tmp_path):
     assert matrix.entries[0][0] == 1  # compass matrices are frequency-normalized
 
 
+def test_compass_files_at_m_100_read_back_exactly(capsys, tmp_path):
+    # ID against UN is (m^2 - 1) / 3; UN against UN-ST at alpha 1/7 is 6/7
+    # of UN-ST = 2500, and m * scale = 70,000 puts its costs in int32
+    assert run(capsys, "compass", "--m", "100", "--scale", "0", "--out", str(tmp_path / "h"))[0] == 0
+    code, out, _ = run(capsys, "distance", "--a", str(tmp_path / "h" / "ID.csv"),
+                       "--b", str(tmp_path / "h" / "UN.csv"))
+    assert (code, out) == (0, "3333 (exact 3333/1)\n")
+    assert run(capsys, "compass", "--m", "100", "--scale", "7", "--out", str(tmp_path / "h7"))[0] == 0
+    code, out, _ = run(capsys, "distance", "--a", str(tmp_path / "h7" / "UN.csv"),
+                       "--b", str(tmp_path / "h7" / "UN-ST_1_7.csv"))
+    assert (code, out) == (0, "2142.85714286 (exact 15000/7)\n")
+
+
 def test_compass_odd_m_fails(capsys, tmp_path):
     code, _, err = run(capsys, "compass", "--m", "5", "--out", str(tmp_path / "c"))
     assert code == 1
@@ -731,6 +744,26 @@ def test_an_empty_dataset_names_its_directory(capsys, tmp_path, argv, kinds):
     code, out, err = run(capsys, *argv, str(dataset))
     assert (code, out) == (1, "")
     assert err == f"prefmap: error: {dataset}: no {kinds} files\n"
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    (["fit-mallows", "--dataset", "nothere"], "nothere", "No such file or directory"),
+    (["ingest", "--in", "nothere", "--out", "out"], "nothere", "No such file or directory"),
+    (["fit-mallows", "--dataset", "pos.csv"], "pos.csv", "Not a directory"),
+    (["distance", "--a", "missing.csv", "--b", "c/ID.csv"], "missing.csv", "No such file or directory"),
+    (["embed", "--distances", "missing.csv", "--coords", "xy.csv"], "missing.csv",
+     "No such file or directory"),
+    (["distance", "--a", "somedir", "--b", "c/ID.csv"], "somedir", "Is a directory"),
+], ids=["dataset-missing", "ingest-missing", "dataset-is-a-file", "distance-missing",
+        "embed-missing", "distance-directory"])
+def test_an_unreadable_path_is_named_as_given(capsys, tmp_path, monkeypatch, argv, path, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pos.csv").write_text("1\n")
+    (tmp_path / "somedir").mkdir()
+    assert run(capsys, "compass", "--m", "4", "--scale", "0", "--out", "c")[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"prefmap: error: {path}: {reason}\n"
 
 
 def test_fit_mallows_grid_ends_at_one_half(capsys, tmp_path, monkeypatch):
