@@ -3,10 +3,10 @@
 An election is a multiset of strict rankings over a common candidate set,
 held as one read-only (rows, m) int64 array of candidate indices, best
 first, plus a multiplicity per row.  The array is checked once, when the
-election is built; tallies, Borda scores and restrictions are array steps
-over it.  Its position matrix counts, for every rank position, how many
-voters put each candidate there; dividing by the number of voters gives
-the bistochastic frequency matrix that the rest of the package works with.
+election is built; tallies are array steps over it.  Its position matrix
+counts, for every rank position, how many voters put each candidate there;
+dividing by the number of voters gives the bistochastic frequency matrix
+that the rest of the package works with.
 Both are integer matrices: a frequency matrix keeps its counts over one
 common denominator in lowest terms, so all matrix arithmetic is exact
 integer arithmetic and `fractions.Fraction` appears only at the edges.
@@ -285,34 +285,3 @@ def frequency_from_position(pos: PositionMatrix) -> FrequencyMatrix:
     """``pos / pos.n`` in lowest terms.  Any validated position matrix, of
     voters or of cleared denominators, gives a frequency matrix this way."""
     return _frequency(pos.entries, pos.n)
-
-
-def borda_scores(election: Election) -> dict[Candidate, int]:
-    """Borda score per candidate: a candidate at rank i among m earns m-1-i
-    points from each voter."""
-    points = np.arange(election.m - 1, -1, -1) @ _tally(election).astype(object)
-    return dict(zip(election.candidates, points.tolist()))
-
-
-def restrict_to_candidates(election: Election, keep: Iterable[Candidate]) -> Election:
-    """Project every vote onto the kept candidates, preserving order.
-
-    ``keep`` must be a nonempty subset of the election's candidates.
-    Relative order within each vote and vote multiplicities are unchanged.
-    """
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("cannot restrict to an empty candidate set")
-    unknown = keep_set - set(election.candidates)
-    if unknown:
-        raise ValueError(f"unknown candidates in keep set: {sorted(map(str, unknown))}")
-
-    kept = [i for i, c in enumerate(election.candidates) if c in keep_set]
-    # the kept columns of each vote's ranks, ordered again
-    ranks = np.argsort(election.vote_array, axis=1)[:, kept]
-    return Election(
-        candidates=tuple(election.candidates[i] for i in kept),
-        votes=np.argsort(ranks, axis=1),
-        multiplicities=election.multiplicities,
-        meta=dict(election.meta),
-    )

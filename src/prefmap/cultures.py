@@ -410,13 +410,7 @@ def sample_conitzer(m: int, n: int, seed: int) -> Election:
         lo = hi = peak
         vote = [axis[peak]]
         while len(vote) < m:
-            if lo == 0:
-                hi += 1
-                vote.append(axis[hi])
-            elif hi == m - 1:
-                lo -= 1
-                vote.append(axis[lo])
-            elif rng.random() < 0.5:
+            if hi == m - 1 or (lo > 0 and rng.random() < 0.5):
                 lo -= 1
                 vote.append(axis[lo])
             else:

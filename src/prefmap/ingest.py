@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Election, _in_file, _integers, borda_scores, restrict_to_candidates
+from .core import Election, _in_file, _integers, _tally
 from .cultures import derive_seed
 
 # extensions of the PrefLib files the command line reads
@@ -369,12 +369,7 @@ def complete_votes(profile: PartialProfile, seed: int) -> Election:
     for flat in voters:
         v = list(flat)
         while len(v) < m:
-            pool = continuations.get(tuple(v))
-            if pool:
-                v.append(rng.choice(pool))
-            else:
-                missing = sorted(set(all_ids) - set(v))
-                v.append(missing[rng.randrange(len(missing))])
+            v.append(rng.choice(continuations.get(tuple(v)) or sorted(set(all_ids) - set(v))))
         votes.append(v)
 
     return Election(
@@ -385,17 +380,24 @@ def complete_votes(profile: PartialProfile, seed: int) -> Election:
 
 
 def select_top_k(election: Election, k: int) -> Election:
-    """Restrict to the k candidates with the highest Borda scores, ties
-    broken toward the earlier candidate."""
-    if not 1 <= k <= election.m:
-        raise ValueError(f"k must lie in 1..{election.m}")
-    scores = borda_scores(election)
-    order = sorted(
-        range(election.m),
-        key=lambda idx: (-scores[election.candidates[idx]], idx),
+    """Restrict to the k candidates with the highest Borda scores.
+
+    A candidate at rank i among m earns m-1-i points from each voter; the
+    points are exact integers, summed over the multiplicities.  Ties go to
+    the lower candidate index.  The kept candidates stay in index order,
+    and every vote keeps their relative order and its multiplicity."""
+    m = election.m
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in 1..{m}")
+    points = (np.arange(m - 1, -1, -1) @ _tally(election).astype(object)).tolist()
+    kept = sorted(sorted(range(m), key=lambda c: (-points[c], c))[:k])
+    ranks = np.argsort(election.vote_array, axis=1)
+    return Election(
+        candidates=tuple(election.candidates[c] for c in kept),
+        votes=np.argsort(ranks[:, kept], axis=1),
+        multiplicities=election.multiplicities,
+        meta=dict(election.meta),
     )
-    keep = {election.candidates[idx] for idx in order[:k]}
-    return restrict_to_candidates(election, keep)
 
 
 def sample_dataset(

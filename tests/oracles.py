@@ -55,10 +55,13 @@ groups of ``parse_preflib``; ``loop_serialize_election`` wrote one cell
 of one vote at a time; ``rank_by_distance`` ranked one hypercube voter at
 a time, as ``loop_hypercube_votes`` does for a whole sample.
 ``tuple_election`` is the election check that sorted every vote as a
-tuple, and ``loop_position_matrix``, ``loop_borda_scores``,
-``loop_restrict``, ``loop_vote_counter`` and ``loop_sample_dataset`` are
-the tally, the scores, the restriction, the counter and the resampling
-that walked those tuples one vote at a time.  ``fastpath_split`` is the
+tuple, and ``loop_position_matrix``, ``loop_vote_counter`` and
+``loop_sample_dataset`` are the tally, the counter and the resampling
+that walked those tuples one vote at a time.  ``loop_borda_scores``, the
+Borda score of each candidate id, and ``loop_restrict``, the projection
+onto a set of ids, walk them too: together they are the reference of the
+Borda cut ``ingest.select_top_k``, which keeps the top k by score, ties
+to the lower index.  ``fastpath_split`` is the
 token parser that tried plain ASCII digits through ``int`` before its
 regular expression, ``walk_load_election`` the strict reader that walked
 its ballots a second time to name an unknown or repeated candidate, and

@@ -29,17 +29,27 @@ from prefmap.compass import (
     convex_combination,
     normalized_limit,
 )
-from prefmap.core import FrequencyMatrix, position_matrix
+from prefmap.core import FrequencyMatrix, frequency_matrix, position_matrix
 from prefmap.cultures import (
     CultureSpec,
     expected_swaps,
     fit_mallows,
+    relative_expected_swaps,
     relphi_to_phi,
     sample,
+    sample_mallows,
+    sample_mallows_norm,
 )
 from prefmap.embed import embed_distances
+from prefmap.ingest import PRESETS, PartialProfile, run_pipeline
 from prefmap.matrixio import write_matrix_csv
-from prefmap.metric import distance_matrix, normalization_constant, positionwise
+from prefmap.metric import (
+    cross_distances,
+    distance_matrix,
+    normalization_constant,
+    normalized,
+    positionwise,
+)
 from prefmap.recovery import election_from_position_matrix, round_position_matrix
 
 
@@ -309,6 +319,89 @@ def test_dispersion_fit_self_consistency():
         "coarse-grid dispersion fit recovers the generating value",
         abs(result.relphi - target) <= 0.03 and elapsed < 600.0,
         f"fit {result.relphi:.2f} vs {target}, {elapsed:.0f}s",
+    )
+
+
+def test_normalized_mallows_lies_along_the_id_un_path():
+    # 100 elections at the paper's m = 10, n = 100, relphi uniform in [0, 1/2]
+    m = 10
+    rng = random.Random(12)
+    relphis = [rng.uniform(0, 0.5) for _ in range(100)]
+    start = time.perf_counter()
+    elections = [
+        frequency_matrix(sample_mallows_norm(m, 100, r, 12_000 + i)) for i, r in enumerate(relphis)
+    ]
+    corners = [compass_matrix("ID", m), compass_matrix("UN", m)]
+    d_id_un = normalized(cross_distances(corners[:1], corners[1:])[0][0], m)
+    rows = [[normalized(d, m) for d in row] for row in cross_distances(elections, corners)]
+    excess = max(d_id + d_un - d_id_un for d_id, d_un in rows)
+    # d(ID, e) keeps the relphi order of every pair more than 0.1 apart
+    swapped = [
+        (i, j)
+        for i in range(100)
+        for j in range(100)
+        if relphis[j] - relphis[i] > 0.1 and rows[i][0] >= rows[j][0]
+    ]
+    elapsed = time.perf_counter() - start
+    report(
+        "normalized Mallows lies near the ID-UN path, ordered by relphi",
+        excess <= 0.15 and not swapped and elapsed < 5.0,
+        f"excess {float(excess):.3f}, {len(swapped)} swapped pairs, {elapsed:.2f}s",
+    )
+
+
+def test_classical_mallows_drifts_toward_id():
+    # at a fixed phi = 1/2 the normalized d(ID, E) falls as m grows, which
+    # is why the paper normalizes the dispersion
+    readings = {}
+    for seed in range(3):
+        for m in (10, 20, 50):
+            e = frequency_matrix(sample_mallows(m, 100, 0.5, seed))
+            readings[seed, m] = normalized(cross_distances([e], [compass_matrix("ID", m)])[0][0], m)
+    falling = all(readings[s, 10] > readings[s, 20] > readings[s, 50] for s in range(3))
+    report(
+        "classical Mallows at phi 1/2 drifts toward ID as m grows",
+        falling,
+        ", ".join(f"m={m}: {float(readings[0, m]):.3f}" for m in (10, 20, 50)),
+    )
+
+
+def _planted_profiles(relphi: float, rng: random.Random) -> list[PartialProfile]:
+    """Three profiles of 300 complete normalized-Mallows ballots at m = 12,
+    each with its candidate ids shuffled."""
+    profiles = []
+    for p in range(3):
+        ids = rng.sample(range(1, 13), 12)  # ids[c] is candidate c's id
+        election = sample_mallows_norm(12, 300, relphi, rng.randrange(2**32))
+        votes = tuple(tuple((ids[c],) for c in vote) for vote in election.votes)
+        profiles.append(PartialProfile(tuple(range(1, 13)), votes, election.multiplicities,
+                                       {c: f"c{c}" for c in range(1, 13)}, f"p{p}"))
+    return profiles
+
+
+def test_protocol_reads_the_dispersion_of_the_kept_ten():
+    # Repeated insertion never reorders the items it has placed, so Mallows
+    # cut to the first 10 items of its central order is Mallows with the
+    # same phi over 10 items: through the protocol, planted relphi r at
+    # m = 12 reads relative_expected_swaps(10, relphi_to_phi(12, r)).
+    grid = [k / 100 for k in range(51)]
+    start = time.perf_counter()
+    off = []
+    readings = []
+    for r in (0.05, 0.15, 0.30, 0.45):
+        dataset, _ = run_pipeline(_planted_profiles(r, random.Random(10)), PRESETS["default"], 10)
+        got = fit_mallows(dataset, grid, samples_per_value=10, seed=10).relphi
+        want = relative_expected_swaps(10, relphi_to_phi(12, r))
+        readings.append(f"{r}: {got:.2f} vs {want:.3f}")
+        # near 1/2 the distance curve flattens, so a fit there may read
+        # anything up to the grid's end
+        if not want - 0.025 <= got <= (0.5 if r == 0.45 else want + 0.025):
+            off.append(r)
+    elapsed = time.perf_counter() - start
+    report(
+        "the protocol reads a planted dispersion at the kept 10 candidates",
+        not off and elapsed < 10.0,
+        f"{', '.join(readings)}, {elapsed:.1f}s",
     )
 
 

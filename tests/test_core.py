@@ -27,12 +27,11 @@ from prefmap.core import (
     FrequencyMatrix,
     PositionMatrix,
     _line_total,
-    borda_scores,
     frequency_from_position,
     frequency_matrix,
     position_matrix,
-    restrict_to_candidates,
 )
+from prefmap.ingest import select_top_k
 from prefmap.matrixio import _split, read_matrix_csv, write_matrix_csv
 
 
@@ -85,25 +84,23 @@ def test_multiplicities_match_expansion():
         votes=((0, 1, 2),) * 4 + ((2, 1, 0),) * 2,
     )
     assert position_matrix(compact) == position_matrix(expanded)
-    assert borda_scores(compact) == borda_scores(expanded)
+    for k in range(1, 4):
+        cut, cut_expanded = select_top_k(compact, k), select_top_k(expanded, k)
+        assert cut.candidates == cut_expanded.candidates
+        assert cut.vote_counter() == cut_expanded.vote_counter()
 
 
 def test_borda_scores_worked_example(worked_example):
-    assert borda_scores(worked_example) == {"a": 9, "b": 5, "c": 4}
+    # Borda scores a: 9, b: 5, c: 4
+    assert select_top_k(worked_example, 1).candidates == ("a",)
+    assert select_top_k(worked_example, 2).candidates == ("a", "b")
 
 
 def test_borda_scores_single_vote():
+    # Borda scores y: 2, z: 1, x: 0; the cut keeps index order
     e = Election(candidates=("x", "y", "z"), votes=((1, 2, 0),))
-    assert borda_scores(e) == {"y": 2, "z": 1, "x": 0}
-
-
-def test_borda_sum_invariant():
-    for seed in range(20):
-        rng = random.Random(seed)
-        m = rng.randint(1, 8)
-        n = rng.randint(1, 30)
-        e = make_random_election(seed + 1000, m, n)
-        assert sum(borda_scores(e).values()) == n * m * (m - 1) // 2
+    assert select_top_k(e, 1).candidates == ("y",)
+    assert select_top_k(e, 2).candidates == ("y", "z")
 
 
 def test_frequency_matrix_is_bistochastic_for_random_elections():
@@ -140,39 +137,33 @@ def test_candidate_relabeling_permutes_columns():
 
 
 def test_restrict_worked_example(worked_example):
-    r = restrict_to_candidates(worked_example, {"a", "b"})
+    r = select_top_k(worked_example, 2)
     assert r.candidates == ("a", "b")
     assert r.vote_counter() == Counter({(0, 1): 5, (1, 0): 1})
 
 
 def test_restrict_keep_all_is_identity(worked_example):
-    r = restrict_to_candidates(worked_example, {"a", "b", "c"})
+    r = select_top_k(worked_example, 3)
     assert r.candidates == worked_example.candidates
     assert r.votes == worked_example.votes
+    assert r.multiplicities == worked_example.multiplicities
 
 
 def test_restrict_single_vote():
-    e = Election(candidates=("a", "b", "c"), votes=((0, 1, 2),))
-    r = restrict_to_candidates(e, {"a", "c"})
+    e = Election(candidates=("a", "b", "c"), votes=((0, 2, 1),))
+    r = select_top_k(e, 2)
     assert r.candidates == ("a", "c")
     assert r.votes == ((0, 1),)
 
 
 def test_restrict_preserves_relative_order():
     e = make_random_election(11, 6, 8)
-    keep = {1, 3, 4}
-    r = restrict_to_candidates(e, keep)
+    r = select_top_k(e, 3)
+    keep = set(r.candidates)
     back = {new: old for new, old in enumerate(c for c in e.candidates if c in keep)}
     for old_vote, new_vote in zip(e.votes, r.votes):
         projected = [c for c in old_vote if c in keep]
         assert [back[c] for c in new_vote] == projected
-
-
-def test_restrict_rejects_bad_sets(worked_example):
-    with pytest.raises(ValueError):
-        restrict_to_candidates(worked_example, set())
-    with pytest.raises(ValueError):
-        restrict_to_candidates(worked_example, {"a", "zzz"})
 
 
 def test_election_validation():
@@ -254,11 +245,38 @@ def test_array_steps_match_loop_oracles(case, data):
     counts = oracles.loop_position_matrix(e)
     assert position_matrix(e).entries == tuple(map(tuple, counts))
     assert frequency_matrix(e) == frequency_from_position(PositionMatrix(counts))
-    assert borda_scores(e) == oracles.loop_borda_scores(e)
     assert e.vote_counter() == oracles.loop_vote_counter(e)
-    keep = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
-    r = restrict_to_candidates(e, keep)
-    assert (r.candidates, r.votes, r.multiplicities) == oracles.loop_restrict(e, keep)
+    k = data.draw(st.integers(1, m))
+    r = select_top_k(e, k)
+    assert (r.candidates, r.votes, r.multiplicities) == _loop_top_k(e, k)
+
+
+def _loop_top_k(election, k):
+    """The Borda cut through the loop oracles: the top k by score, ties
+    to the lower index."""
+    scores = oracles.loop_borda_scores(election)
+    order = sorted(range(election.m), key=lambda c: (-scores[election.candidates[c]], c))
+    return oracles.loop_restrict(election, {election.candidates[c] for c in order[:k]})
+
+
+# With ``mirror``, every vote is cast again reversed with the same
+# multiplicity, so all Borda scores tie and the cut keeps the lowest indices.
+@settings(max_examples=200, deadline=None)
+@given(_vote_sets(), st.booleans())
+@example((3, [[2, 0, 1], [1, 2, 0]], [2**63 + 1, 2**63], "tuples"), False)
+@example((4, [[3, 1, 0, 2]], [2**70], "array"), True)
+def test_select_top_k_matches_loop_oracles(case, mirror):
+    m, votes, mults, form = case
+    if mirror:
+        votes = votes + [v[::-1] for v in votes]
+        mults = mults and mults + mults
+    e = Election([f"c{j}" for j in range(m)], _form(votes, form), mults, meta={"source": "s"})
+    for k in range(1, m + 1):
+        r = select_top_k(e, k)
+        assert (r.candidates, r.votes, r.multiplicities) == _loop_top_k(e, k)
+        assert r.meta == e.meta and r.meta is not e.meta
+        if mirror:
+            assert r.candidates == e.candidates[:k]
 
 
 # A vote of ints in -1..m, of length 0..m + 1, mostly a permutation, with
