@@ -293,8 +293,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_fit_mallows(args: argparse.Namespace) -> int:
     step = args.grid_step
-    if not (math.isfinite(step) and 0 < step <= 0.5):
-        raise _bad_flag(args, "grid_step", "a finite number in (0, 0.5]")
+    if not sys.float_info.min <= step <= 0.5:  # below the least normal float, 0.5 / step can overflow
+        raise _bad_flag(args, "grid_step", f"a number in [{sys.float_info.min!r}, 0.5]")
     if args.samples < 1:
         raise _bad_flag(args, "samples", "a positive integer")
     dataset = [ingest.load_election(p) for p in _listing(args.dataset, (".soc",))]

@@ -364,7 +364,7 @@ def fit_mallows(
     m = sizes[0]
     if m < 2:
         raise ValueError("normalization needs at least two candidates")
-    if not grid:
+    if len(grid) == 0:  # not ``not grid``: a numpy array has no truth value
         raise ValueError("grid must be nonempty")
     for g in grid:
         if not 0 <= g <= 1:
@@ -393,7 +393,7 @@ def fit_mallows(
             curve.append((sum(per_election) / len(per_election), relphi, per_election))
     mean, relphi, per_election = min(curve, key=lambda point: point[:2])
     var = sum((v - mean) ** 2 for v in per_election) / len(per_election)
-    return FitResult(relphi=relphi, mean_distance=mean, std_distance=math.sqrt(var))
+    return FitResult(relphi=float(relphi), mean_distance=mean, std_distance=math.sqrt(var))
 
 
 def sample_conitzer(m: int, n: int, seed: int) -> Election:

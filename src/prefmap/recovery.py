@@ -20,11 +20,12 @@ position <= j, else the smallest (see ``_place_units``).
 Both loops run on integer bitmasks.  The decomposition keeps each row's
 support, the columns where it is still positive, as one integer.  The flow
 keeps, per row, its empty columns, per column, the rows that hold a unit
-there, and the arcs of reduced cost 0.  Each path takes one Dijkstra whose
-first phase pops the zero layer, the nodes those arcs reach, on bitmasks in
-the heap's order.  The first search starts with no tight arcs and takes the
-heap.  A later search ends at the sink when its layer holds it, since such a
-layer then holds every node the search can reach (the proof is at
+there, and the arcs of reduced cost 0.  Each path takes one Dijkstra.  A
+shortcut first pops the zero layer, the nodes those arcs reach, on bitmasks
+in the heap's order; when it misses the sink, a heap phase starts again from
+the source.  The first search starts with no tight arcs and takes the heap.
+A later search ends at the sink when its layer holds it, since such a layer
+then holds every node the search can reach (the proof is at
 ``_place_units``), so the heap runs once per distinct path cost.
 """
 
@@ -146,14 +147,14 @@ def _place_units(
     Dijkstra must give every node it can reach its distance, since the
     potentials of all reached nodes steer later ties.
 
-    Each path takes one Dijkstra (``_search``).  Its first phase pops the
+    Each path takes one Dijkstra (``_search``).  A shortcut first pops the
     zero layer, the nodes that arcs of reduced cost 0 reach from the
-    source; a heap phase goes on from the layer and moves the potentials
-    when the rows and columns run out before the sink.  The first search
-    starts with no tight arcs and takes the heap.  A later search ends at
-    the sink when its layer holds it, so the heap runs once per distinct
-    path cost.  Ending there leaves every node it can reach at its
-    distance, 0:
+    source; when the rows and columns run out before the sink, a heap
+    phase starts again from the source and moves the potentials.  The
+    first search starts with no tight arcs and takes the heap.  A later
+    search ends at the sink when its layer holds it, so the heap runs once
+    per distinct path cost.  Ending there leaves every node it can reach
+    at its distance, 0:
 
     - Potentials.  Let D_k be the shortest distances from the source
       before search k.  After each search the potentials equal D_{k-1} on
@@ -242,39 +243,39 @@ def _search(
     """``prev``, ``entries`` and the zero arcs after one Dijkstra over the
     residual network.
 
-    Its first phase pops the zero layer, the nodes at distance 0, on
-    bitmasks in the heap's (0, id) order: the lowest row waiting, else the
-    lowest column.  It starts from the fed rows, each with entry -1: they
-    sit at potential 0, so the source reaches them at distance 0 and is no
-    node of the search.  Rows come before columns, so every row pops
-    before the next column does and has exactly one entry: the source, or
-    the column that first reached it.  A node's ``prev`` is likewise the
-    first node that reached it.  At distance 0, Dijkstra never changes a
-    ``prev`` or an entry once it is set, so the path is fixed when the
-    first column that feeds the sink at the sink's potential pops.  The
-    search returns there, with the potentials and zero arcs unchanged:
-    after the first search, which starts with no tight arcs, a layer that
-    holds the sink holds every node the search can reach (the proof is at
-    ``_place_units``).
+    A shortcut comes first.  It pops the zero layer, the nodes at distance
+    0, on bitmasks in the heap's (0, id) order: the lowest row waiting,
+    else the lowest column.  It starts from the fed rows, each with entry
+    -1: they sit at potential 0, so the source reaches them at distance 0
+    and is no node of the search.  Rows come before columns, so every row
+    pops before the next column does and has exactly one entry: the
+    source, or the column that first reached it.  A node's ``prev`` is
+    likewise the first node that reached it.  At distance 0, Dijkstra
+    never changes a ``prev`` or an entry once it is set, so the path is
+    fixed when the first column that feeds the sink at the sink's
+    potential pops.  The shortcut returns there, with the potentials and
+    zero arcs unchanged: after the first search, which starts with no
+    tight arcs, a layer that holds the sink holds every node the search
+    can reach (the proof is at ``_place_units``).
 
-    When the rows and columns run out first, the heap phase relaxes the
-    arcs of the layer's nodes in the order they popped, pops the other
-    nodes from a heap, adds every reached node's distance to its potential
-    and rebuilds the zero arcs.
+    When the rows and columns run out first, a heap phase starts again
+    from the source: a plain Dijkstra whose heap holds the fed rows at
+    distance 0.  It pops the zero layer again in the same order, so each
+    of the layer's nodes ends with the ``prev`` or entry the shortcut gave
+    it, and goes on to the other nodes.  It then adds every reached node's
+    distance to its potential and rebuilds the zero arcs.
     """
     tight_row, tight_col, at_sink = zero
     m = len(empty)
     sink = 2 * m + 1
     prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
     entries = [[-1]] * m  # -1 for the source, c for column c; the shared [-1] is never appended to
-    order: list[int] = []  # the layer's nodes as they pop
     rows = seen_rows = fed  # reached; rows and cols hold those not yet popped
     cols = seen_cols = 0
     while rows or cols:
         if rows:
             i = (rows & -rows).bit_length() - 1
             rows &= rows - 1
-            order.append(i + 1)
             new = empty[i] & tight_row[i] & ~seen_cols
             seen_cols |= new
             cols |= new
@@ -286,7 +287,6 @@ def _search(
             if (feeding & at_sink) >> j & 1:  # j -> sink is tight: the path is found
                 prev[sink] = m + 1 + j
                 return prev, entries, zero
-            order.append(m + 1 + j)
             new = holders[j] & tight_col[j] & ~seen_rows
             seen_rows |= new
             rows |= new
@@ -295,12 +295,13 @@ def _search(
 
     inf = float("inf")
     dist: list[float | int] = [inf] * (sink + 1)
-    for u in order:
+    heap = [(0, i + 1) for i in _bits(fed)]  # ascending, so already a heap
+    for _, u in heap:
         dist[u] = 0
-    heap: list[tuple[int, int]] = []
-
-    def relax(u: int, d: int) -> None:
-        """The arcs out of node u, popped at distance d."""
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
         base = d + potential[u]
         if u <= m:
             for j in _bits(empty[u - 1]):
@@ -334,13 +335,6 @@ def _search(
                     dist[v] = nd
                     prev[v] = sink
                     heapq.heappush(heap, (nd, v))
-
-    for u in order:
-        relax(u, 0)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d == dist[u]:
-            relax(u, d)
     if dist[sink] == inf:
         raise RuntimeError("rounding flow did not saturate")
     for v in range(sink + 1):

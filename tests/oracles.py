@@ -34,7 +34,10 @@ scanned each row's list of counts for its next positive, unseen column,
 all, whose tie choices the 2m + 2 node flow of the library reproduces,
 and ``heap_place_units``, that 2m + 2 node flow with one heap Dijkstra
 per unit, before a search of the arcs of reduced cost 0 took over every
-path that stays among them.  ``residual_distances`` measures, from the
+path that stays among them.  ``replay_search`` is one such search as it
+was before its heap phase started again from the source: it replayed the
+zero layer that its bitmask phase had popped instead of popping it a
+second time.  ``residual_distances`` measures, from the
 state one such search is handed, how far every node it can reach lies
 beyond its potential.
 ``exact_relative_expected_swaps`` is the relative swap share on exact
@@ -118,6 +121,7 @@ from prefmap.ingest import (
 )
 from prefmap.matrixio import _RATIONAL, _ratio
 from prefmap.metric import DistanceRecord, normalization_constant
+from prefmap.recovery import _bits, _zero_arcs
 
 
 def greedy_transport_emd(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -1121,6 +1125,112 @@ def heap_place_units(
             holders[e].remove(i)
             v = m + 1 + e
     return placed
+
+
+def replay_search(
+    cost: list[list[int]],
+    potential: list[int],
+    zero: tuple[list[int], list[int], int],
+    empty: list[int],
+    holders: list[int],
+    fed: int,
+    feeding: int,
+    returned: int,
+) -> tuple[list[int], list[list[int]], tuple[list[int], list[int], int]]:
+    """``recovery._search`` as it was before its heap phase started again
+    from the source: the bitmask phase records the zero layer's nodes in
+    ``order`` as they pop, and when it misses the sink the heap phase
+    replays that layer, setting those distances to 0 and relaxing the
+    nodes in that order, before it pops the other nodes from a heap.
+    Same arguments and results as the library's ``_search``; it updates
+    ``potential`` in place too.
+    """
+    tight_row, tight_col, at_sink = zero
+    m = len(empty)
+    sink = 2 * m + 1
+    prev = [0] * (sink + 1)  # column: the row or sink before it; sink: its column
+    entries = [[-1]] * m  # -1 for the source, c for column c; the shared [-1] is never appended to
+    order: list[int] = []  # the layer's nodes as they pop
+    rows = seen_rows = fed  # reached; rows and cols hold those not yet popped
+    cols = seen_cols = 0
+    while rows or cols:
+        if rows:
+            i = (rows & -rows).bit_length() - 1
+            rows &= rows - 1
+            order.append(i + 1)
+            new = empty[i] & tight_row[i] & ~seen_cols
+            seen_cols |= new
+            cols |= new
+            for j in _bits(new) if new else ():
+                prev[m + 1 + j] = i + 1
+        else:
+            j = (cols & -cols).bit_length() - 1
+            cols &= cols - 1
+            if (feeding & at_sink) >> j & 1:  # j -> sink is tight: the path is found
+                prev[sink] = m + 1 + j
+                return prev, entries, zero
+            order.append(m + 1 + j)
+            new = holders[j] & tight_col[j] & ~seen_rows
+            seen_rows |= new
+            rows |= new
+            for i in _bits(new) if new else ():
+                entries[i] = [j]
+
+    inf = float("inf")
+    dist: list[float | int] = [inf] * (sink + 1)
+    for u in order:
+        dist[u] = 0
+    heap: list[tuple[int, int]] = []
+
+    def relax(u: int, d: int) -> None:
+        """The arcs out of node u, popped at distance d."""
+        base = d + potential[u]
+        if u <= m:
+            for j in _bits(empty[u - 1]):
+                v = m + 1 + j
+                nd = base + cost[u - 1][j] - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        elif u < sink:
+            j = u - m - 1
+            for i in _bits(holders[j]):  # order is free: each row once, entries read by max/min
+                nd = base - cost[i][j] - potential[i + 1]
+                if nd < dist[i + 1]:
+                    dist[i + 1] = nd
+                    entries[i] = [j]
+                    heapq.heappush(heap, (nd, i + 1))
+                elif d < nd == dist[i + 1]:  # not popped: rows at distance d pop before u
+                    entries[i].append(j)
+            if feeding >> j & 1:
+                nd = base - potential[sink]
+                if nd < dist[sink]:
+                    dist[sink] = nd
+                    prev[sink] = u
+                    heapq.heappush(heap, (nd, sink))
+        else:
+            for j in _bits(returned):
+                v = m + 1 + j
+                nd = base - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = sink
+                    heapq.heappush(heap, (nd, v))
+
+    for u in order:
+        relax(u, 0)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d == dist[u]:
+            relax(u, d)
+    if dist[sink] == inf:
+        raise RuntimeError("rounding flow did not saturate")
+    for v in range(sink + 1):
+        if dist[v] < inf:
+            potential[v] += dist[v]
+    return prev, entries, _zero_arcs(cost, potential)
+
 
 
 def residual_distances(

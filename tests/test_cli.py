@@ -613,19 +613,21 @@ def test_fit_mallows_small_run(capsys, tmp_path):
     assert value in (0.0, 0.25, 0.5)
 
 
-@pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.1", "0.6"])
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.1", "0.6",
+                                  "5e-324", "2e-309", "2.2250738585072e-308"])
 def test_fit_mallows_rejects_bad_grid_step(capsys, tmp_path, step):
-    dataset = mallows_dataset(tmp_path)
-    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
-                       "--grid-step", step, "--samples", "1")
-    assert code == 1
-    assert "--grid-step" in err
+    # 0.5 / step overflows below about 2.8e-309, so the bound is the least
+    # normal float; the flag is refused before the dataset, here missing, is read
     config = tmp_path / "fit.cfg"
     config.write_text(f"grid_step={step}\n")
-    code, _, err = run(capsys, "fit-mallows", "--dataset", str(dataset),
-                       "--config", str(config), "--samples", "1")
-    assert code == 1
-    assert "--grid-step" in err
+    for flags in (["--grid-step", step], ["--config", str(config)]):
+        code, out, err = run(capsys, "fit-mallows", "--dataset", str(tmp_path / "nothere"),
+                             *flags, "--samples", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "fit-mallows: --grid-step (config key grid_step) must be a number in "
+            f"[2.2250738585072014e-308, 0.5], got {float(step)!r}\n"
+        )
 
 
 @pytest.mark.parametrize("argv, config, plain", [
@@ -842,6 +844,16 @@ def test_fit_mallows_matches_pairwise_oracle():
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
     expected = oracles.pairwise_fit_mallows(tiny, grid, 4, 15, votes_per_sample=6)
     assert fit_mallows(tiny, grid, 4, 15, votes_per_sample=6) == expected
+
+
+def test_fit_mallows_takes_an_array_grid():
+    dataset = _fit_dataset()
+    grid = [0.0, 0.25, 0.5]
+    expected = fit_mallows(dataset, grid, 3, 0, votes_per_sample=30)
+    result = fit_mallows(dataset, np.array(grid), 3, 0, votes_per_sample=30)
+    assert (result, repr(result)) == (expected, repr(expected))
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        fit_mallows(dataset, np.array([]), 3, 0)
 
 
 @pytest.mark.parametrize("grid", [[0.5, 0.3, 0.25, 0.0], [0.25, 0.3, 0.0, 0.5]])

@@ -235,9 +235,12 @@ def test_place_units_matches_heap_oracle_on_any_costs(flow):
     assert _place_units(*flow) == oracles.heap_place_units(*flow)
 
 
+_any_flows = st.one_of(_flows(), st.tuples(_mixtures(14), st.integers(1, 300)).map(
+    lambda xn: _flow_inputs(*xn)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_flows(), st.tuples(_mixtures(14), st.integers(1, 300)).map(
-    lambda xn: _flow_inputs(*xn))))
+@given(_any_flows)
 @example(([[1, 1, 1, 7], [1, 1, 1, 3], [1, 0, 1, 0], [0, 3, 2, 1]], [2, 1, 3, 2], [2, 3, 2, 1]))
 def test_a_search_that_keeps_its_zero_arcs_reaches_only_its_layer(flow):
     # the first search starts with no tight arcs, so it always takes the
@@ -258,6 +261,29 @@ def test_a_search_that_keeps_its_zero_arcs_reaches_only_its_layer(flow):
     with mock.patch.object(recovery, "_search", checked):
         _place_units(*flow)
     assert len(kept) == sum(flow[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_flows)
+@example(([[1, 1, 1, 7], [1, 1, 1, 3], [1, 0, 1, 0], [0, 3, 2, 1]], [2, 1, 3, 2], [2, 3, 2, 1]))
+def test_search_matches_replay_oracle(flow):
+    # a heap phase pops the zero layer again instead of replaying the pops
+    # of the bitmask phase: every search leaves what the replay left
+    search = recovery._search
+
+    def checked(cost, potential, zero, empty, holders, fed, feeding, returned):
+        replayed = list(potential)
+        old = oracles.replay_search(cost, replayed, zero, empty, holders, fed, feeding, returned)
+        new = search(cost, potential, zero, empty, holders, fed, feeding, returned)
+        assert new[:2] == old[:2]
+        assert new[2] == old[2] and (new[2] is zero) == (old[2] is zero)
+        assert potential == replayed
+        return new
+
+    with mock.patch.object(recovery, "_search", checked):
+        placed = _place_units(*flow)
+    with mock.patch.object(recovery, "_search", oracles.replay_search):
+        assert placed == _place_units(*flow)
 
 
 def test_place_units_matches_heap_oracle_at_m_50():
